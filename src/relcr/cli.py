@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 domain error (message names the failing
 precondition), 2 usage error.  All machine output is CSV, DOT, JSON or the
 structure/formula text formats.  Color ids in reports are run-local: they
-come from one interner run and are not comparable across invocations.
+number the classes of one refinement run and are not comparable across
+invocations.
 """
 
 from __future__ import annotations

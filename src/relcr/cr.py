@@ -13,19 +13,24 @@ coloring, which the tuple/graph round-correspondence tests rely on.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 
 from .multigraph import ColoredMultigraph
 
 
-class NodeColoring:
-    """Per-round node colors.  Color ids are dense ints, comparable only
-    within one run; the partition at stable_round is the stable coloring."""
+class Coloring:
+    """Per-round colors of one refinement run, shared by both engines.
 
-    def __init__(self, rounds, class_counts, stable_round):
+    rounds[i] maps each position (a node, or a tuple occurrence) to its
+    round-i color; ids are comparable only within one run.  The partition at
+    stable_round is the stable coloring, and rounds past it repeat it."""
+
+    def __init__(self, rounds, class_counts):
         self.rounds = rounds
         self.class_counts = class_counts
-        self.stable_round = stable_round
+        self.stable_round = len(class_counts) - 1
 
     @property
     def colors(self):
@@ -35,22 +40,30 @@ class NodeColoring:
         """Colors of round i; rounds past stability repeat the stable partition."""
         return self.rounds[min(i, len(self.rounds) - 1)]
 
-    def histogram_at(self, i, nodes=None):
+    def histogram_at(self, i, positions=None) -> Counter:
         cols = self.colors_at(i)
-        if nodes is not None:
-            cols = cols[nodes]
-        hist: dict = {}
-        for c in cols.tolist():
-            hist[c] = hist.get(c, 0) + 1
-        return hist
+        if positions is not None:
+            cols = [cols[k] for k in positions]
+        return Counter(cols)
 
-    def partition_at(self, i, nodes=None):
-        """Frozen partition of the given nodes (default: all) at round i."""
+    def partition_at(self, i, positions=None):
+        """Frozen partition of the given positions (default: all) at round i."""
         cols = self.colors_at(i)
         blocks: dict = {}
-        for v in (range(len(cols)) if nodes is None else nodes):
-            blocks.setdefault(int(cols[v]), []).append(v)
+        for k in (range(len(cols)) if positions is None else positions):
+            blocks.setdefault(cols[k], []).append(k)
         return frozenset(frozenset(b) for b in blocks.values())
+
+    def first_difference(self, left, right):
+        """(round, color) of the smallest round whose histograms over the two
+        position lists differ, with the smallest color counted differently
+        there; None if no round tells them apart."""
+        for i in range(self.stable_round + 1):
+            hl = self.histogram_at(i, left)
+            hr = self.histogram_at(i, right)
+            if hl != hr:
+                return i, min(c for c in hl.keys() | hr.keys() if hl[c] != hr[c])
+        return None
 
 
 def _lambda_adjacency(G: ColoredMultigraph):
@@ -114,7 +127,7 @@ def _base_colors(G: ColoredMultigraph):
     return colors, len(table)
 
 
-def cr_run(G: ColoredMultigraph, max_rounds=None, trace=True) -> NodeColoring:
+def cr_run(G: ColoredMultigraph, max_rounds=None, trace=True) -> Coloring:
     """Refine until the partition is stable (or max_rounds).  With trace=False
     only the last round is kept, which the benchmark path uses."""
     if max_rounds is None:
@@ -150,7 +163,7 @@ def cr_run(G: ColoredMultigraph, max_rounds=None, trace=True) -> NodeColoring:
             rounds = [new]
         class_counts.append(new_ncls)
         ncls = new_ncls
-    return NodeColoring(rounds, class_counts, len(class_counts) - 1)
+    return Coloring(rounds, class_counts)
 
 
 def multigraph_union(G: ColoredMultigraph, H: ColoredMultigraph):
@@ -176,10 +189,5 @@ def cr_distinguishes(G: ColoredMultigraph, H: ColoredMultigraph):
     """Smallest round whose color histograms differ between the two sides of
     the disjoint-union run, or None if CR does not distinguish G and H."""
     U, off = multigraph_union(G, H)
-    nc = cr_run(U, trace=True)
-    left = np.arange(off)
-    right = np.arange(off, U.n)
-    for i in range(nc.stable_round + 1):
-        if nc.histogram_at(i, left) != nc.histogram_at(i, right):
-            return i
-    return None
+    diff = cr_run(U).first_difference(range(off), range(off, U.n))
+    return None if diff is None else diff[0]

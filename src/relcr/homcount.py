@@ -96,16 +96,25 @@ def hom_acyclic(C: Structure, J: JoinTree, A: Structure):
         return 1
     adj = J.adjacency()
     root = J.root if J.root is not None else J.nodes[0]
+    # breadth-first order from the root; reversed, children come first
+    parent = {root: None}
+    order = [root]
+    for node in order:
+        for w in adj[node]:
+            if w != parent[node]:
+                parent[w] = node
+                order.append(w)
 
-    def table(node, parent):
-        """Map (shared-element assignment wrt parent) -> count of extensions
-        of the subtree below node.  parent None aggregates to the total."""
+    # tables[node]: (shared-element assignment wrt parent) -> count of
+    # extensions of the subtree below node; the root's key is ()
+    tables: dict = {}
+    for node in reversed(order):
         vec = C.vector(node)
-        children = [w for w in adj[node] if w != parent]
-        child_tables = [table(w, node) for w in children]
+        children = [w for w in adj[node] if w != parent[node]]
+        child_tables = [tables.pop(w) for w in children]
         shared = ()
-        if parent is not None:
-            pset = set(C.vector(parent))
+        if parent[node] is not None:
+            pset = set(C.vector(parent[node]))
             shared = tuple(sorted(set(vec) & pset))
         out: dict = {}
         for img in _candidates(C, A, node):
@@ -121,10 +130,9 @@ def hom_acyclic(C: Structure, J: JoinTree, A: Structure):
                 continue
             key = tuple(val[x] for x in shared)
             out[key] = out.get(key, 0) + count
-        return out
+        tables[node] = out
 
-    total_table = table(root, None)
-    total = sum(total_table.values())
+    total = sum(tables[root].values())
     # elements of C in no tuple cannot exist (coverage), so the product over
     # join-tree nodes accounts for all of V(C)
     return total

@@ -120,10 +120,13 @@ def complement_var(name: str) -> str:
     return name[:-1] if name.endswith("p") else name + "p"
 
 
-def check_wf(f: Formula, signature=None):
+def check_wf(f: Formula, signature=None, memo: Optional[dict] = None):
     """Returns (free variables, guard depth); raises FormulaError on any
-    violation of the guard or variable-tuple rules."""
-    memo: dict = {}
+    violation of the guard or variable-tuple rules.  Results are cached by
+    node identity in `memo`; a caller that checks many subformulas of one
+    formula passes the same dict, and the same signature, each time."""
+    if memo is None:
+        memo = {}
 
     def walk(g) -> tuple:
         got = memo.get(id(g))
@@ -179,18 +182,11 @@ class Evaluator:
     def __init__(self, A: Structure):
         self.A = A
         self.cache: dict = {}
-        self.free: dict = {}
-
-    def _free(self, f) -> frozenset:
-        got = self.free.get(id(f))
-        if got is None:
-            got, _ = check_wf(f)
-            self.free[id(f)] = got
-        return got
+        self.wf: dict = {}   # check_wf's memo, shared by all nodes
 
     def holds(self, f: Formula, assignment: dict) -> bool:
-        key = (id(f), tuple(sorted(
-            (v, assignment[v]) for v in self._free(f))))
+        free, _ = check_wf(f, memo=self.wf)
+        key = (id(f), tuple(sorted((v, assignment[v]) for v in free)))
         got = self.cache.get(key)
         if got is not None:
             return got
@@ -295,12 +291,9 @@ class SynthesisContext:
         self.node_budget = node_budget
         self.nodes = 0
         self.memo: dict = {}
-        taus = set()
-        for key in trace.interner.log:
-            if key[0] == "step":
-                for tau, _d in key[2]:
-                    taus.add(tau)
-        self.realized_taus = sorted(taus)
+        # stp encodings over overlapping pairs, each occurrence with itself too
+        self.realized_taus = sorted(
+            {tau for pairs in trace.overlaps for _b, tau in pairs})
 
     def _tick(self, f):
         self.nodes += 1
@@ -311,13 +304,11 @@ class SynthesisContext:
 
     # -- color decoding ----------------------------------------------------
     def decode(self, color: int):
-        return self.trace.interner.decode(color)
+        return self.trace.decode(color)
 
     def color_base(self, color: int):
-        key = self.decode(color)
-        while key[0] == "step":
-            key = self.decode(key[1])
-        return key  # ("base", atp, stp)
+        """("base", atp, stp) of the round-0 color under a color."""
+        return self.decode(self.trace.rounds[0][self.trace.representative(color)])
 
     def color_atp(self, color: int) -> tuple:
         return self.color_base(color)[1]

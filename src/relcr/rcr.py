@@ -2,76 +2,67 @@
 
 Colors live on tuple occurrences.  The initial color of a is (atp(a), stp(a));
 each round appends the multiset, over all occurrences b overlapping a, of
-(stp(a, b), previous color of b).  Colors are interned integers; the nested
-value is recoverable from the interner log.  Ids are only comparable within
-one run, so cross-structure questions refine the disjoint union.
+(stp(a, b), previous color of b).  Colors are interned integers, numbered
+round after round, so each round owns a contiguous id range.  Any occurrence
+with a color spells out that color's key, so the trace decodes a color from
+a representative occurrence.  Ids are only comparable within one run, so
+cross-structure questions refine the disjoint union.
 """
 
 from __future__ import annotations
 
 import io
+from bisect import bisect_right
+from itertools import accumulate
 from typing import Optional
 
 from .core import Structure, disjoint_union, stp, strictly_equal_size
+from .cr import Coloring
 
 
-class ColorInterner:
-    """Injective map from canonical color keys to dense ids.
+class RefinementTrace(Coloring):
+    """Per-round colors of an RCR run, with on-demand color decoding.
 
-    Keys are ("base", atp, stp) at round 0 and ("step", prev_id, multiset)
-    afterwards, where multiset is the sorted tuple of (stp-encoding,
-    neighbor id) pairs, duplicates retained."""
+    A color decodes to ("base", atp, stp) at round 0 and to ("step", prev,
+    multiset) afterwards, where multiset is the sorted tuple of
+    (stp-encoding, neighbor color) pairs over the overlapping occurrences,
+    the occurrence itself included, duplicates retained."""
 
-    def __init__(self):
-        self.table: dict = {}
-        self.log: list = []
-
-    def intern(self, key) -> int:
-        c = self.table.get(key)
-        if c is None:
-            c = len(self.log)
-            self.table[key] = c
-            self.log.append(key)
-        return c
-
-    def decode(self, color: int):
-        return self.log[color]
-
-
-class RefinementTrace:
-    def __init__(self, structure, rounds, interner, class_counts):
+    def __init__(self, structure, rounds, class_counts, overlaps):
+        super().__init__(rounds, class_counts)
         self.structure = structure
-        self.rounds = rounds                  # per round: color per Tup position
-        self.interner = interner
-        self.class_counts = class_counts
-        self.stable_round = len(rounds) - 1
-
-    def colors_at(self, i):
-        """Round-i colors; past stability the partition repeats."""
-        return self.rounds[min(i, self.stable_round)]
-
-    def histogram_at(self, i, positions=None):
-        cols = self.colors_at(i)
-        if positions is not None:
-            cols = [cols[k] for k in positions]
-        hist: dict = {}
-        for c in cols:
-            hist[c] = hist.get(c, 0) + 1
-        return hist
-
-    def partition_at(self, i, positions=None):
-        cols = self.colors_at(i)
-        blocks: dict = {}
-        for k in (range(len(cols)) if positions is None else positions):
-            blocks.setdefault(cols[k], []).append(k)
-        return frozenset(frozenset(b) for b in blocks.values())
+        self.overlaps = overlaps   # per position: (position, stp-encoding) pairs
+        self.offsets = [0, *accumulate(class_counts)]  # round i's first id
+        self._first: dict = {}     # round -> color -> first position with it
+        self._keys: dict = {}
 
     def round_of_color(self, color: int) -> int:
-        """Refinement round a color id belongs to (nesting depth of its key)."""
-        key = self.interner.decode(color)
-        if key[0] == "base":
-            return 0
-        return self.round_of_color(key[1]) + 1
+        """Refinement round a color id belongs to."""
+        if not 0 <= color < self.offsets[-1]:
+            raise ValueError("color %r does not occur in this run" % (color,))
+        return bisect_right(self.offsets, color) - 1
+
+    def representative(self, color: int) -> int:
+        """The first position with this color."""
+        i = self.round_of_color(color)
+        first = self._first.get(i)
+        if first is None:
+            first = self._first[i] = {}
+            for k, c in enumerate(self.rounds[i]):
+                first.setdefault(c, k)
+        return first[color]
+
+    def decode(self, color: int):
+        key = self._keys.get(color)
+        if key is None:
+            i, k = self.round_of_color(color), self.representative(color)
+            if i == 0:
+                A = self.structure
+                key = ("base", *_base_key(A, A.vector(A.tuple_refs[k])))
+            else:
+                key = ("step", *_step_key(self.rounds[i - 1], k, self.overlaps[k]))
+            self._keys[color] = key
+        return key
 
     def to_csv(self) -> str:
         out = io.StringIO()
@@ -86,41 +77,46 @@ def _stp_key(tau) -> tuple:
     return tuple(sorted(tau))
 
 
-def rcr_run(A: Structure, max_rounds: Optional[int] = None,
-            interner: Optional[ColorInterner] = None) -> RefinementTrace:
+def _base_key(A: Structure, vec) -> tuple:
+    return tuple(sorted(A.atp(vec))), _stp_key(stp(vec, vec))
+
+
+def _step_key(prev, a, pairs) -> tuple:
+    return prev[a], tuple(sorted((tau, prev[b]) for b, tau in pairs))
+
+
+def rcr_run(A: Structure, max_rounds: Optional[int] = None) -> RefinementTrace:
     if max_rounds is None:
         max_rounds = A.size()  # the stable round index never exceeds |Tup|
-    interner = interner or ColorInterner()
     refs = A.tuple_refs
     vecs = [A.vector(r) for r in refs]
     nbrs = A.overlap_neighbours()
     # stp never changes across rounds, compute the encodings once; the
     # occurrence itself always overlaps itself and belongs in the multiset
-    stp_enc = [
+    overlaps = [
         [(b, _stp_key(stp(vecs[a], vecs[b]))) for b in nbrs[a]] +
         [(a, _stp_key(stp(vecs[a], vecs[a])))]
         for a in range(len(refs))]
 
-    colors = [
-        interner.intern(("base",
-                         tuple(sorted(A.atp(vecs[a]))),
-                         _stp_key(stp(vecs[a], vecs[a]))))
-        for a in range(len(refs))]
+    # each round interns its keys in a table of its own; ids continue from
+    # the previous rounds, so that a color id names its round
+    table: dict = {}
+    colors = [table.setdefault(_base_key(A, vec), len(table)) for vec in vecs]
     rounds = [colors]
-    class_counts = [len(set(colors))]
+    class_counts = [len(table)]
+    next_id = len(table)
     for _ in range(max_rounds):
         prev = rounds[-1]
+        table = {}
         nxt = [
-            interner.intern((
-                "step", prev[a],
-                tuple(sorted((tau, prev[b]) for b, tau in stp_enc[a]))))
+            table.setdefault(_step_key(prev, a, overlaps[a]), next_id + len(table))
             for a in range(len(refs))]
-        ncls = len(set(nxt))
-        if ncls == class_counts[-1]:
+        if len(table) == class_counts[-1]:
             break  # refinement: equal class count means equal partition
         rounds.append(nxt)
-        class_counts.append(ncls)
-    return RefinementTrace(A, rounds, interner, class_counts)
+        class_counts.append(len(table))
+        next_id += len(table)
+    return RefinementTrace(A, rounds, class_counts, overlaps)
 
 
 class CompareResult:
@@ -132,24 +128,11 @@ class CompareResult:
         self.pos = {"A": [], "B": []}
         for k, ref in enumerate(self.union.tuple_refs):
             self.pos[self.info.side(ref)].append(k)
-        self.round = None
-        self.color = None
-        for i in range(self.trace.stable_round + 1):
-            ha = self.trace.histogram_at(i, self.pos["A"])
-            hb = self.trace.histogram_at(i, self.pos["B"])
-            if ha != hb:
-                self.round = i
-                diff = [c for c in sorted(set(ha) | set(hb))
-                        if ha.get(c, 0) != hb.get(c, 0)]
-                self.color = diff[0]
-                break
+        diff = self.trace.first_difference(self.pos["A"], self.pos["B"])
+        self.round, self.color = (None, None) if diff is None else diff
 
     def side_histogram(self, i, side):
         return self.trace.histogram_at(i, self.pos[side])
-
-    def side_colors(self, i, side):
-        cols = self.trace.colors_at(i)
-        return [cols[k] for k in self.pos[side]]
 
 
 def rcr_compare(A: Structure, B: Structure) -> CompareResult:

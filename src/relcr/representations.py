@@ -55,12 +55,6 @@ def slices(a: Sequence[int]):
     return out
 
 
-def slice_inverse(s: Sequence[int], A: Structure):
-    """All tuple occurrences whose entry set contains every entry of s."""
-    need = set(s)
-    return [ref for ref in A.tuple_refs if need <= set(A.vector(ref))]
-
-
 def vgrep(A: Structure):
     """The slice-based encoding: tuple nodes w_a plus one node v_s per
     distinct slice; edges (w_a, v_s) and (v_s, w_b) labeled by the positional

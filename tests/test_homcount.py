@@ -20,6 +20,18 @@ def directed_cycle(n):
         SIG_E, [("E", (str(i), str((i + 1) % n))) for i in range(n)])
 
 
+def test_acyclic_dp_on_a_long_path():
+    # walks of length 1200 in a 3-fact target: the sum of the entries of the
+    # 1200th power of its adjacency matrix [[0, 1], [1, 1]]
+    C = directed_path(1200)
+    T = Structure.from_named(SIG_E, [("E", ("a", "b")), ("E", ("b", "a")),
+                                     ("E", ("b", "b"))])
+    m = [[1, 0], [0, 1]]
+    for _ in range(1200):
+        m = [[m[i][1], m[i][0] + m[i][1]] for i in range(2)]
+    assert hom_acyclic(C, gyo_join_tree(C), T) == sum(map(sum, m))
+
+
 def test_path_into_cycle_closed_form():
     # walks of length k around a directed n-cycle: one per starting vertex
     for k in (1, 2, 3):

@@ -1,12 +1,15 @@
 import random
 
+import pytest
+
 from relcr import fixtures, generate
-from relcr.core import Signature, disjoint_union, stp
-from relcr.rcr import ColorInterner, rcr_compare, rcr_distinguishes, rcr_run
+from relcr.core import Signature, Structure, disjoint_union, stp
+from relcr.rcr import rcr_compare, rcr_distinguishes, rcr_run
 
 
 def naive_rcr(A):
-    """Dict/multiset reference, structured nothing like the interner path."""
+    """Dict/multiset reference with nested color values, structured
+    nothing like the interned-id path."""
     refs = A.tuple_refs
     vec = {r: A.vector(r) for r in refs}
     col = {
@@ -99,11 +102,9 @@ def test_unequal_sizes_separate_at_round_zero():
     assert r == 0
 
 
-def test_shared_interner_is_stable_across_runs():
-    interner = ColorInterner()
-    a = rcr_run(fixtures.a1(), interner=interner)
-    b = rcr_run(fixtures.a1(), interner=interner)
-    assert a.rounds == b.rounds
+def test_separate_runs_give_identical_rounds():
+    for A in (fixtures.a1(), fixtures.a2(), fixtures.slice_example()):
+        assert rcr_run(A).rounds == rcr_run(A).rounds
 
 
 def test_compare_sides_cover_all_positions():
@@ -117,6 +118,37 @@ def test_round_of_color_decoding():
     for i in range(t.stable_round + 1):
         for c in set(t.colors_at(i)):
             assert t.round_of_color(c) == i
+    for c in (-1, sum(t.class_counts)):
+        with pytest.raises(ValueError):
+            t.round_of_color(c)
+
+
+def test_round_of_color_past_a_thousand_rounds():
+    # a directed path of 2100 facts refines one step inwards per round
+    A = Structure.from_named(Signature([("E", 2)]),
+                             [("E", (str(i), str(i + 1))) for i in range(2100)])
+    t = rcr_run(A)
+    assert t.stable_round == 1050
+    for i in reversed(range(t.stable_round + 1)):
+        for c in set(t.colors_at(i)):
+            assert t.round_of_color(c) == i
+
+
+def test_decode_holds_for_every_position_of_a_color():
+    # a color's key is spelled out by any occurrence with that color, so
+    # decoding from one representative is sound
+    for A in (fixtures.a1(), fixtures.b2(), fixtures.slice_example()):
+        t = rcr_run(A)
+        vecs = [A.vector(r) for r in A.tuple_refs]
+        for k, vec in enumerate(vecs):
+            atp = tuple(sorted(A.atp(vec)))
+            own = tuple(sorted(stp(vec, vec)))
+            assert t.decode(t.rounds[0][k]) == ("base", atp, own)
+            for i in range(1, t.stable_round + 1):
+                prev = t.rounds[i - 1]
+                bag = sorted((tuple(sorted(stp(vec, w))), prev[b])
+                             for b, w in enumerate(vecs) if stp(vec, w))
+                assert t.decode(t.rounds[i][k]) == ("step", prev[k], tuple(bag))
 
 
 def test_trace_csv_shape():
