@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from . import acyclic, game, generate, homcount, logic, representations
+from . import acyclic, game, generate, homcount, logic, rcr, representations
 from .core import Signature, disjoint_union, serialize_structure
 from .cr import cr_run
 from .rcr import rcr_compare, rcr_run
@@ -83,6 +83,21 @@ def check_round_correspondence(seed, cases, report_dir):
             if classes(cg.colors_at(i), node_of_g) != want:
                 bad.append(("seed %d: grep round %d" % (s, i), [("A", A)]))
                 break
+    return bad
+
+
+def check_kernel(seed, cases, report_dir):
+    """The vectorized kernel must give the reference engine's color ids,
+    round for round, whatever the size of the structure."""
+    import random
+    bad = []
+    for s in generate.spawn_seeds(seed, cases):
+        rng = random.Random(s)
+        n = rng.randint(2, 8)
+        sizes = {"R": rng.randint(0, 12), "E": rng.randint(1, min(12, n * n))}
+        A = generate.random_structure(SIG, n, sizes, s)
+        if rcr.kernel_rounds(A) != rcr.reference_rounds(A):
+            bad.append(("seed %d: kernel ids differ" % s, [("A", A)]))
     return bad
 
 
@@ -179,6 +194,7 @@ CHECKS = [
     ("graph-specialization", check_graph_specialization, 25),
     ("oracle-agreement", check_oracle_agreement, 12),
     ("slices", check_slices, 400),
+    ("kernel", check_kernel, 100),
 ]
 
 

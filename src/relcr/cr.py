@@ -5,10 +5,12 @@ Each round refines by the multiset of (edge-label-set, neighbor color) pairs
 over Gaifman neighbors, where the label set of an ordered pair (v, w) collects
 every edge relation holding (v, w) (tagged +) or (w, v) (tagged -).
 
-The round step sorts (node, label, neighbor-color) triples and splits buckets
-on the sorted signature vectors, so one round is O((n+m) log(n+m)).  Rounds
-are synchronous: colors_at(i) is exactly the i-th refinement of the base
-coloring, which the tuple/graph round-correspondence tests rely on.
+A round is one call of refine_step, the refinement kernel that rcr_run
+uses as well: nodes are grouped by a multiset hash of their (label,
+neighbor-color) codes, and every group is verified exactly, so one round is
+O((n+m) log(n+m)) and no class depends on the hash.  Rounds are synchronous:
+colors_at(i) is exactly the i-th refinement of the base coloring, which the
+tuple/graph round-correspondence tests rely on.
 """
 
 from __future__ import annotations
@@ -127,34 +129,114 @@ def _base_colors(G: ColoredMultigraph):
     return colors, len(table)
 
 
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MUL1 = np.uint64(0xBF58476D1CE4E5B9)
+_MUL2 = np.uint64(0x94D049BB133111EB)
+_S30, _S27, _S31 = np.uint64(30), np.uint64(27), np.uint64(31)
+
+
+def _mix(codes):
+    """splitmix64 finalizer of each code, as uint64.  Only a pre-sort key:
+    no class depends on it, so any function (even a constant) is correct."""
+    z = codes.astype(np.uint64)
+    z += _GOLDEN
+    z ^= z >> _S30
+    z *= _MUL1
+    z ^= z >> _S27
+    z *= _MUL2
+    z ^= z >> _S31
+    return z
+
+
+def refine_step(starts, other, label, prev, other_colors):
+    """One exact refinement step on a static incidence in CSR form.
+
+    Node v owns the edges starts[v]:starts[v+1]; edge e leads to position
+    other[e] of other_colors and carries the int label[e].  The new class of
+    v is (prev[v], sorted multiset of (label[e], other_colors[other[e]])).
+    Returns (new, count): class ids 0..count-1 numbered by first occurrence
+    over the nodes, as a dict interning the keys in node order would.
+
+    Nodes are grouped by (prev, degree, sum of mixed edge codes), and every
+    group is verified element by element against its first node; groups
+    that fail the check are split by their exact keys."""
+    n = len(prev)
+    if n == 0:
+        return np.empty(0, dtype=np.int64), 0
+    deg = starts[1:] - starts[:-1]
+    if not len(other):
+        return first_occurrence(prev)
+    node = np.repeat(np.arange(n), deg)
+    codes = label * np.int64(int(other_colors.max()) + 1) + other_colors[other]
+
+    # candidate groups: equal (prev, degree) and equal multiset hash
+    pair = prev * np.int64(len(other) + 1) + deg
+    busy = np.flatnonzero(deg)
+    hsum = np.zeros(n, dtype=np.uint64)
+    hsum[busy] = np.add.reduceat(_mix(codes), starts[busy])
+    order = np.lexsort((hsum, pair))
+    pair, hsum = pair[order], hsum[order]
+    head = np.empty(n, dtype=bool)
+    head[0] = True
+    np.not_equal(pair[1:], pair[:-1], out=head[1:])
+    head[1:] |= hsum[1:] != hsum[:-1]
+    group = np.empty(n, dtype=np.int64)
+    group[order] = np.cumsum(head) - 1
+    firsts = order[head]   # lexsort is stable: each group's smallest node
+
+    # each node's codes in sorted order, compared with its group's first
+    span = int(codes.max()) + 1
+    if n * span < 2 ** 62:
+        shift = node * np.int64(span)
+        scodes = np.sort(shift + codes) - shift
+    else:
+        scodes = codes[np.lexsort((codes, node))]
+    offset = starts[firsts[group]] - starts[:-1]
+    wrong = scodes != scodes[np.arange(len(codes)) + offset[node]]
+    if wrong.any():
+        bad = np.unique(group[node[wrong]])
+        return first_occurrence(_split_exactly(group, bad, starts, scodes))
+    return _number(group, firsts)
+
+
+def _split_exactly(group, bad, starts, scodes):
+    """Regroup the nodes of the groups in bad by their exact sorted codes;
+    the new groups get labels past every old one."""
+    table: dict = {}
+    out = group.copy()
+    base = int(group.max()) + 1
+    for v in np.flatnonzero(np.isin(group, bad)).tolist():
+        key = (int(group[v]), scodes[starts[v]:starts[v + 1]].tobytes())
+        out[v] = base + table.setdefault(key, len(table))
+    return out
+
+
+def first_occurrence(classes):
+    """Renumber int class labels 0, 1, ... in order of first occurrence;
+    returns (ids, count)."""
+    _, firsts, dense = np.unique(classes, return_index=True, return_inverse=True)
+    return _number(dense.ravel(), firsts)
+
+
+def _number(group, firsts):
+    """(ids, count) for dense groups whose smallest members are firsts."""
+    rank = np.empty(len(firsts), dtype=np.int64)
+    rank[np.argsort(firsts)] = np.arange(len(firsts))
+    return rank[group], len(firsts)
+
+
 def cr_run(G: ColoredMultigraph, max_rounds=None, trace=True) -> Coloring:
     """Refine until the partition is stable (or max_rounds).  With trace=False
     only the last round is kept, which the benchmark path uses."""
     if max_rounds is None:
         max_rounds = G.n
     src, dst, lam = _lambda_adjacency(G)
+    starts = np.searchsorted(src, np.arange(G.n + 1))  # src is sorted
     colors, ncls = _base_colors(G)
     rounds = [colors]
     class_counts = [ncls]
-    isolated_sig = np.int64(-1)
     for _ in range(max_rounds):
-        prev = rounds[-1]
-        codes = lam * np.int64(ncls) + prev[dst]
-        order = np.lexsort((codes, src))
-        s_src = src[order]
-        s_codes = codes[order]
-        idx = np.arange(G.n)
-        starts = np.searchsorted(s_src, idx)
-        ends = np.searchsorted(s_src, idx, side="right")
-        table: dict = {}
-        new = np.empty(G.n, dtype=np.int64)
-        setdefault = table.setdefault
-        for v in range(G.n):
-            a, b = starts[v], ends[v]
-            key = (int(prev[v]),
-                   s_codes[a:b].tobytes() if a < b else isolated_sig)
-            new[v] = setdefault(key, len(table))
-        new_ncls = len(table)
+        new, new_ncls = refine_step(starts, dst, lam, rounds[-1], rounds[-1])
         if new_ncls == ncls:
             break  # count equality implies partition equality (refinement)
         if trace:

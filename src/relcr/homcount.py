@@ -177,35 +177,45 @@ def hom_multigraph(T: ColoredMultigraph, G: ColoredMultigraph):
         have = labelsG.get((g, h), ())
         return all(name in have for name in need)
 
-    def subtree(v, parent):
-        """count[g] = homs of the subtree at v with v mapped to g."""
-        counts = [1 if node_ok(v, g) else 0 for g in range(G.n)]
-        for w in adjT[v]:
-            if w == parent:
-                continue
-            sub = subtree(w, v)
-            for g in range(G.n):
-                if not counts[g]:
+    def component(root):
+        """Sum over g of the homs of root's component with root mapped to g.
+
+        counts[v][g] = homs of the subtree below v with v mapped to g; a
+        depth-first order from the root, reversed, lists children first."""
+        parent = {root: None}
+        order = [root]
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for w in adjT[v]:
+                if w not in parent:
+                    parent[w] = v
+                    order.append(w)
+                    stack.append(w)
+        counts: dict = {}
+        for v in reversed(order):
+            cv = [1 if node_ok(v, g) else 0 for g in range(G.n)]
+            for w in adjT[v]:
+                if w == parent[v]:
                     continue
-                s = 0
-                for h in range(G.n):
-                    if sub[h] and pair_ok(v, w, g, h) and pair_ok(w, v, h, g):
-                        s += sub[h]
-                counts[g] *= s
-        return counts
+                sub = counts.pop(w)
+                for g in range(G.n):
+                    if not cv[g]:
+                        continue
+                    s = 0
+                    for h in range(G.n):
+                        if sub[h] and pair_ok(v, w, g, h) and pair_ok(w, v, h, g):
+                            s += sub[h]
+                    cv[g] *= s
+            counts[v] = cv
+        return sum(counts[root]), parent
 
     total = 1
-    seen = set()
+    seen: set = set()
     for v in range(T.n):
         if v in seen:
             continue
-        stack = [v]
-        seen.add(v)
-        while stack:
-            u = stack.pop()
-            for w in adjT[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        total *= sum(subtree(v, None))
+        count, members = component(v)
+        seen.update(members)
+        total *= count
     return total

@@ -32,6 +32,20 @@ def test_acyclic_dp_on_a_long_path():
     assert hom_acyclic(C, gyo_join_tree(C), T) == sum(map(sum, m))
 
 
+def test_multigraph_count_on_a_long_path():
+    # the join-tree representation of a 1200-fact path is a 1200-node tree;
+    # its count into grep of the target is the same power of the adjacency
+    # matrix as in test_acyclic_dp_on_a_long_path
+    C = directed_path(1200)
+    T = Structure.from_named(SIG_E, [("E", ("a", "b")), ("E", ("b", "a")),
+                                     ("E", ("b", "b"))])
+    m = [[1, 0], [0, 1]]
+    for _ in range(1200):
+        m = [[m[i][1], m[i][0] + m[i][1]] for i in range(2)]
+    tree = representations.jtrep(C, gyo_join_tree(C))[0]
+    assert hom_multigraph(tree, representations.grep(T)[0]) == sum(map(sum, m))
+
+
 def test_path_into_cycle_closed_form():
     # walks of length k around a directed n-cycle: one per starting vertex
     for k in (1, 2, 3):
