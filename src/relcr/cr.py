@@ -184,7 +184,11 @@ def refine_step(starts, other, label, prev, other_colors):
     group[order] = np.cumsum(head) - 1
     firsts = order[head]   # lexsort is stable: each group's smallest node
 
-    # each node's codes in sorted order, compared with its group's first
+    # each node's codes in sorted order, compared with its group's first.
+    # One sort of packed (node, code) keys where they fit in int64: a
+    # lexsort alone made CLI refine of a 1e5-tuple random R/3,E/2 structure
+    # take 2.46 s instead of 1.96 s (medians of 4 alternating runs on a
+    # shared 2-core x86 machine).
     span = int(codes.max()) + 1
     if n * span < 2 ** 62:
         shift = node * np.int64(span)

@@ -274,20 +274,6 @@ def _left_right_center(tau):
     return left, right, center
 
 
-def _realized_taus(A: Structure) -> list:
-    """Sorted stp encodings over overlapping pairs of occurrences, each
-    occurrence paired with itself too."""
-    vecs = [A.vector(r) for r in A.tuple_refs]
-    taus = set()
-    for a, near in enumerate(A.overlap_neighbours()):
-        pos = list(enumerate(vecs[a], 1))
-        for b in (a, *near):
-            # generated in sorted order: the sorted stp(a, b)
-            taus.add(tuple((i, j) for i, x in pos
-                           for j, y in enumerate(vecs[b], 1) if x == y))
-    return sorted(taus)
-
-
 class SynthesisContext:
     """Color decoding plus formula memoization for one refinement run.
 
@@ -305,7 +291,7 @@ class SynthesisContext:
         self.node_budget = node_budget
         self.nodes = 0
         self.memo: dict = {}
-        self.realized_taus = _realized_taus(trace.structure)
+        self.realized_taus = trace.realized_taus()
 
     def _tick(self, f):
         self.nodes += 1

@@ -34,11 +34,18 @@ from .cr import Coloring, first_occurrence, refine_step
 # (random R/3,E/2), 1.5 (hub), 2.6 (directed path); at 32 tuples 1.0, 0.43,
 # 2.0; at 64 tuples 0.49, 0.10, 0.98; at 128 tuples 0.26, 0.04, 0.63.
 KERNEL_MIN_TUPLES = 64
-# A tuple with d distinct elements has sum_k d!/(d-k)! slices: 15 at d = 3,
-# 64 at 4, 325 at 5, 13,699 at 7.  Past 4 positions the incidence can
-# outgrow the reference engine's overlap lists, so rcr_run keeps the
-# reference for structures with longer tuples.
-KERNEL_MAX_ARITY = 4
+# rcr_run keeps the reference for tuples longer than this.  A tuple with d
+# distinct elements has sum_k d!/(d-k)! slices: 64 at d = 4, 325 at 5, 1,956
+# at 6, 13,699 at 7.  Same machine, kernel against reference time (peak RSS
+# of the process, MB), 1024 tuples, half of them R(x1..xk), half E(x, y):
+# random k = 5 0.040 s (53) against 0.18 s (36), k = 6 0.18 s (169) against
+# 0.17 s (38); hub k = 5 0.034 s (53) against 4.5 s (233), k = 6 0.15 s
+# (169) against 3.9 s (234); chained path k = 5 0.17 s (67) against 0.55 s
+# (42), k = 6 0.30 s (178) against 0.56 s (42).  At 256 random tuples k = 6
+# the kernel takes 2.6 times as long.  Time crosses between 5 and 6 on
+# random inputs, memory already at 5 (4096 random tuples, k = 5: 0.12 s,
+# 113 MB against 0.54 s, 58 MB); the benchmark has no tuple longer than 3.
+KERNEL_MAX_ARITY = 5
 
 
 class RefinementTrace(Coloring):
@@ -85,6 +92,12 @@ class RefinementTrace(Coloring):
             near.update(self._buckets[x])
         return [(b, _stp_key(stp(vec, A.vector(A.tuple_refs[b]))))
                 for b in sorted(near)]
+
+    def realized_taus(self) -> list:
+        """Sorted stp encodings over all overlapping pairs of positions,
+        each position paired with itself too."""
+        return sorted({tau for k in range(len(self.rounds[0]))
+                       for _, tau in self.overlaps(k)})
 
     def decode(self, color: int):
         key = self._keys.get(color)
@@ -211,30 +224,23 @@ def _relation_rows(A: Structure):
 
 def _base_classes(A: Structure, rels):
     """Round-0 colors as reference_rounds numbers them: the classes of
-    (atp, stp) in order of first occurrence."""
-    nrel = len(A.signature.symbols)
-    table: dict = {}   # atp of vectors held by several relations -> id
-    atp = {}
-    for arity in {rows.shape[1] for _, _, rows, _ in rels}:
-        same = [(index, rows) for index, _, rows, _ in rels
-                if rows.shape[1] == arity]
-        owner = np.concatenate([np.full(len(rows), index) for index, rows in same])
-        vec, _ = _row_ids(np.concatenate([rows for _, rows in same]))
-        shared = np.flatnonzero(np.bincount(vec)[vec] > 1)
-        holders: dict = {}
-        for v, index in zip(vec[shared].tolist(), owner[shared].tolist()):
-            holders.setdefault(v, []).append(index)
-        col = owner.copy()
-        for k, v in zip(shared.tolist(), vec[shared].tolist()):
-            col[k] = nrel + table.setdefault(tuple(holders[v]), len(table))
-        bounds = np.cumsum([len(rows) for _, rows in same])[:-1]
-        for (index, _), part in zip(same, np.split(col, bounds)):
-            atp[index] = part
+    (atp, stp) in order of first occurrence.  atp is the row of flags of
+    the relations of one arity holding a vector; stp is the pattern.  On a
+    1e5-tuple random R/3,E/2 structure this takes 0.07 s, one Python pass
+    of _base_key per tuple 0.57 s."""
     keys = np.full((A.size(), 1 + A.signature.max_arity), -1, dtype=np.int64)
-    for index, first, rows, pattern in rels:
-        block = keys[first:first + len(rows)]
-        block[:, 0] = atp[index]
-        block[:, 1:1 + pattern.shape[1]] = pattern
+    for arity in {rows.shape[1] for _, _, rows, _ in rels}:
+        same = [r for r in rels if r[2].shape[1] == arity]
+        vec, nvec = _row_ids(np.concatenate([rows for _, _, rows, _ in same]))
+        bounds = np.cumsum([0] + [len(rows) for _, _, rows, _ in same])
+        holds = np.zeros((nvec, len(same)), dtype=np.int64)
+        for j in range(len(same)):
+            holds[vec[bounds[j]:bounds[j + 1]], j] = 1
+        atp, _ = _row_ids(holds)
+        for j, (_, first, rows, pattern) in enumerate(same):
+            block = keys[first:first + len(rows)]
+            block[:, 0] = atp[vec[bounds[j]:bounds[j + 1]]]
+            block[:, 1:1 + arity] = pattern
     return first_occurrence(_row_ids(keys)[0])
 
 
@@ -292,22 +298,14 @@ def _csr(node, other, label, n):
 
 
 def _row_ids(rows):
-    """Dense ids of the distinct rows of a 2-d array of ints >= -1, and
-    their count."""
-    base = int(rows.max()) + 2 if rows.size else 1
-    if base ** rows.shape[1] < 2 ** 62:
-        key = np.zeros(len(rows), dtype=np.int64)
-        for col in rows.T:
-            key = key * base + (col + 1)
-        _, ids = np.unique(key, return_inverse=True)
-        return ids.ravel(), int(ids.max()) + 1 if len(ids) else 0
-    order = np.lexsort(rows.T[::-1])
-    srt = rows[order]
-    head = np.ones(len(rows), dtype=bool)
-    head[1:] = (srt[1:] != srt[:-1]).any(axis=1)
-    ids = np.empty(len(rows), dtype=np.int64)
-    ids[order] = np.cumsum(head) - 1
-    return ids, int(head.sum())
+    """Dense ids of the distinct rows of a 2-d array of ints >= -1, in
+    lexicographic order, and their count.  Columns are folded in one at a
+    time, so that each key stays below len(rows) times the column range."""
+    ids = np.zeros(len(rows), dtype=np.int64)
+    for col in rows.T if len(rows) else ():
+        _, ids = np.unique(ids * (int(col.max()) + 2) + col + 1,
+                           return_inverse=True)
+    return ids.ravel(), int(ids.max()) + 1 if len(ids) else 0
 
 
 def rcr_run(A: Structure, max_rounds: Optional[int] = None) -> RefinementTrace:

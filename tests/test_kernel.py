@@ -115,6 +115,20 @@ def test_kernel_on_relations_sharing_vectors():
         assert kernel_rounds(A) == reference_rounds(A)
 
 
+def test_kernel_on_five_ary_tuples():
+    # the longest tuples rcr_run gives the kernel, with repeated elements
+    sig = Signature([("P", 5), ("E", 2)])
+    for seed in range(30):
+        rng = random.Random(seed)
+        n = rng.randint(3, 9)
+        x = lambda: str(rng.randrange(n))  # noqa: E731
+        facts = [("P", tuple(x() for _ in range(5)))
+                 for _ in range(rng.randint(1, 12))]
+        A = Structure.from_named(sig, facts + [("E", (x(), x()))
+                                               for _ in range(6)])
+        assert kernel_rounds(A) == reference_rounds(A)
+
+
 def test_kernel_on_empty_structure():
     A = Structure(Signature([("E", 2)]), {})
     assert kernel_rounds(A) == reference_rounds(A) == ([[]], [0])
@@ -141,12 +155,9 @@ def test_every_hash_colliding_leaves_ids_unchanged(monkeypatch):
         assert same_ids(cr_run(G), w)
 
 
-def test_wide_keys_take_the_lexsort_paths():
-    # values too wide to pack into one int64 key must give the same ids
+def test_wide_codes_take_the_lexsort_path():
+    # codes too wide to pack with the node into one int64 key give the same ids
     rng = np.random.default_rng(3)
-    rows = rng.integers(0, 4, size=(300, 3))
-    wide = rows * 2 ** 40 + 7
-    assert np.array_equal(rcr._row_ids(wide)[0], rcr._row_ids(rows)[0])
     deg = rng.integers(0, 4, size=200)
     starts = np.concatenate(([0], np.cumsum(deg)))
     other = rng.integers(0, 5, size=starts[-1])
@@ -156,6 +167,13 @@ def test_wide_keys_take_the_lexsort_paths():
     narrow = cr.refine_step(starts, other, label, prev, colors)
     wide = cr.refine_step(starts, other, label * 2 ** 55, prev, colors)
     assert narrow[1] == wide[1] and np.array_equal(narrow[0], wide[0])
+
+
+def test_row_ids_number_rows_lexicographically():
+    rows = np.array([[2, -1], [0, 5], [2, -1], [0, 3], [-1, 2 ** 40]])
+    ids, count = rcr._row_ids(rows)
+    assert count == 4 and ids.tolist() == [3, 2, 3, 1, 0]
+    assert rcr._row_ids(np.empty((0, 3), dtype=np.int64))[1] == 0
 
 
 def test_refine_step_numbers_by_first_occurrence():
@@ -182,10 +200,10 @@ def test_rcr_run_picks_the_engine_by_size_and_arity(monkeypatch):
         engine = getattr(rcr, name)
         monkeypatch.setattr(rcr, name, lambda A, m, e=engine, n=name:
                             used.append(n) or e(A, m))
-    wide = Signature([("Q", 5), ("E", 2)])
+    wide = Signature([("Q", 6), ("E", 2)])
     rng = random.Random(5)
     long_tuples = Structure(wide, {
-        "Q": {tuple(rng.randrange(40) for _ in range(5)) for _ in range(40)},
+        "Q": {tuple(rng.randrange(40) for _ in range(6)) for _ in range(40)},
         "E": [(x, x + 1) for x in range(39)]})
     for A in (hub(40), hub(100), long_tuples):
         rcr.rcr_run(A)
