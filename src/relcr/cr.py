@@ -7,10 +7,14 @@ every edge relation holding (v, w) (tagged +) or (w, v) (tagged -).
 
 A round is one call of refine_step, the refinement kernel that rcr_run
 uses as well: nodes are grouped by a multiset hash of their (label,
-neighbor-color) codes, and every group is verified exactly, so one round is
-O((n+m) log(n+m)) and no class depends on the hash.  Rounds are synchronous:
+neighbor-color) codes, and every group is verified exactly, so no class
+depends on the hash.  cr_run hands it only the nodes next to a class that
+split in the previous round (every node in the first round), so a round
+costs O(m' log m') for the m' edges at those nodes.  Rounds are synchronous:
 colors_at(i) is exactly the i-th refinement of the base coloring, which the
 tuple/graph round-correspondence tests rely on.
+
+A multigraph's labels reach cr_run as ints; label names are never read.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from collections import Counter
 
 import numpy as np
 
-from .multigraph import ColoredMultigraph
+from .multigraph import ColoredMultigraph, sorted_distinct
 
 
 class Coloring:
@@ -71,62 +75,54 @@ class Coloring:
 def _lambda_adjacency(G: ColoredMultigraph):
     """Precompute the Gaifman adjacency with interned pair-label sets.
 
-    Returns (src, dst, lam) arrays, deduplicated per ordered pair: lam[k] is
-    a dense id of the set of (edge relation, direction) tags on the pair."""
-    srcs, dsts, tags = [], [], []
-    for t, name in enumerate(sorted(G.edges)):
-        a = G.edges[name]
-        if not len(a):
-            continue
-        nl = a[a[:, 0] != a[:, 1]]
-        if not len(nl):
-            continue
-        srcs.append(nl[:, 0])
-        dsts.append(nl[:, 1])
-        tags.append(np.full(len(nl), 2 * t, dtype=np.int64))
-        srcs.append(nl[:, 1])
-        dsts.append(nl[:, 0])
-        tags.append(np.full(len(nl), 2 * t + 1, dtype=np.int64))
-    if not srcs:
-        e = np.empty(0, dtype=np.int64)
-        return e, e, e
-    src = np.concatenate(srcs)
-    dst = np.concatenate(dsts)
-    tag = np.concatenate(tags)
-    order = np.lexsort((tag, dst, src))
-    src, dst, tag = src[order], dst[order], tag[order]
-    pair_key = src * (G.n + 1) + dst
-    starts = np.flatnonzero(np.diff(pair_key, prepend=pair_key[0] - 1))
-    ntags = 2 * len(G.edges)
-    if ntags <= 63:
-        masks = np.bitwise_or.reduceat(
-            np.left_shift(np.int64(1), tag), starts)
-        _, lam = np.unique(masks, return_inverse=True)
-    else:
-        # too many tags for a bitmask; intern python tag tuples
-        table: dict = {}
-        lam = np.empty(len(starts), dtype=np.int64)
-        bounds = np.append(starts, len(tag))
-        for k in range(len(starts)):
-            key = tag[bounds[k]:bounds[k + 1]].tobytes()
-            lam[k] = table.setdefault(key, len(table))
-    return src[starts], dst[starts], lam.astype(np.int64)
+    Returns (src, dst, lam) arrays, one entry per ordered pair, sorted:
+    lam[k] is a dense id of the set of (edge label, direction) tags on the
+    pair, tag 2 * label for an edge src -> dst and 2 * label + 1 for one
+    dst -> src."""
+    apart = G.src != G.dst
+    s, d, lab = G.src[apart], G.dst[apart], G.label[apart]
+    src, dst, tag = sorted_distinct(
+        (np.concatenate((s, d)), np.concatenate((d, s)),
+         np.concatenate((2 * lab, 2 * lab + 1))),
+        (G.n, G.n, 2 * len(G.label_names)))
+    head = np.ones(len(src), dtype=bool)
+    head[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+    return src[head], dst[head], _set_ids(np.flatnonzero(head), tag)
 
 
 def _base_colors(G: ColoredMultigraph):
-    loops: dict = {}
-    for name in sorted(G.edges):
-        a = G.edges[name]
-        if not len(a):
-            continue
-        for v in a[a[:, 0] == a[:, 1], 0].tolist():
-            loops.setdefault(v, []).append(name)
-    table: dict = {}
-    colors = np.empty(G.n, dtype=np.int64)
-    for v in range(G.n):
-        key = (tuple(sorted(G.labels.get(v, ()))), tuple(loops.get(v, ())))
-        colors[v] = table.setdefault(key, len(table))
-    return colors, len(table)
+    """(colors, count): nodes are colored by their unary labels and their
+    loop labels, numbered by first occurrence over the nodes."""
+    loops = G.src == G.dst
+    owner = np.concatenate((G.node, G.src[loops]))
+    tag = np.concatenate((G.node_label, len(G.label_names) + G.label[loops]))
+    order = np.argsort(owner, kind="stable")
+    owner, tag = owner[order], tag[order]
+    starts = np.flatnonzero(np.diff(owner, prepend=-1))
+    sets = np.full(G.n, -1, dtype=np.int64)   # -1: no labels, no loops
+    sets[owner[starts]] = _set_ids(starts, tag)
+    return first_occurrence(sets)
+
+
+def _set_ids(starts, tag):
+    """Dense ids of the tag sets tag[starts[k]:starts[k + 1]], the last
+    running to the end, equal exactly when the sets are; no tag repeats
+    within a set.  The tags are or-ed into int64 masks, 63 to a word."""
+    ids = np.zeros(len(starts), dtype=np.int64)
+    top = int(tag.max()) if len(tag) else -1
+    for low in range(0, top + 1, 63):
+        if top < 63:
+            one = np.left_shift(1, tag)
+        else:
+            one = np.where((tag >= low) & (tag < low + 63),
+                           np.left_shift(1, (tag - low) % 63), 0)
+        _, rank = np.unique(np.bitwise_or.reduceat(one, starts),
+                            return_inverse=True)
+        if low:
+            _, rank = np.unique(ids * (int(rank.max()) + 1) + rank,
+                                return_inverse=True)
+        ids = rank.ravel()
+    return ids
 
 
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -198,18 +194,19 @@ def refine_step(starts, other, label, prev, other_colors):
     offset = starts[firsts[group]] - starts[:-1]
     wrong = scodes != scodes[np.arange(len(codes)) + offset[node]]
     if wrong.any():
-        bad = np.unique(group[node[wrong]])
+        bad = np.zeros(len(firsts), dtype=bool)
+        bad[group[node[wrong]]] = True
         return first_occurrence(_split_exactly(group, bad, starts, scodes))
     return _number(group, firsts)
 
 
 def _split_exactly(group, bad, starts, scodes):
-    """Regroup the nodes of the groups in bad by their exact sorted codes;
-    the new groups get labels past every old one."""
+    """Regroup the nodes of the groups marked in bad by their exact sorted
+    codes; the new groups get labels past every old one."""
     table: dict = {}
     out = group.copy()
-    base = int(group.max()) + 1
-    for v in np.flatnonzero(np.isin(group, bad)).tolist():
+    base = len(bad)
+    for v in np.flatnonzero(bad[group]).tolist():
         key = (int(group[v]), scodes[starts[v]:starts[v + 1]].tobytes())
         out[v] = base + table.setdefault(key, len(table))
     return out
@@ -231,44 +228,102 @@ def _number(group, firsts):
 
 def cr_run(G: ColoredMultigraph, max_rounds=None, trace=True) -> Coloring:
     """Refine until the partition is stable (or max_rounds).  With trace=False
-    only the last round is kept, which the benchmark path uses."""
+    only the last round is kept, which the benchmark path uses.
+
+    From the second round on, only the nodes next to a class that split in
+    the previous round can split.  Two nodes of one class have equal
+    multisets over the previous round's classes, so they see the same
+    number of neighbours in every class that did not split, and either both
+    or neither have a neighbour in one that did.  A round refines just
+    those nodes when they number at most (n - 256) / 2, 256 nodes being
+    about the cost of cutting them out; their classes reuse their old
+    names, then take fresh ones, so names stay dense.  Published ids are
+    numbered by first occurrence, as refine_step numbers them."""
     if max_rounds is None:
         max_rounds = G.n
     src, dst, lam = _lambda_adjacency(G)
     starts = np.searchsorted(src, np.arange(G.n + 1))  # src is sorted
-    colors, ncls = _base_colors(G)
-    rounds = [colors]
-    class_counts = [ncls]
+    names, count = _base_colors(G)
+    rounds = [names]
+    class_counts = [count]
+    rows = None   # the nodes to refine; None for all of them
+    numbered = True
     for _ in range(max_rounds):
-        new, new_ncls = refine_step(starts, dst, lam, rounds[-1], rounds[-1])
-        if new_ncls == ncls:
-            break  # count equality implies partition equality (refinement)
-        if trace:
-            rounds.append(new)
+        if rows is None:
+            old = names
+            local, k = refine_step(starts, dst, lam, names, names)
+            new, new_count = local, k
         else:
-            rounds = [new]
-        class_counts.append(new_ncls)
-        ncls = new_ncls
+            old = names[rows]
+            sub, edges = _csr_rows(starts, rows)
+            local, k = refine_step(sub, dst[edges], lam[edges], old, names)
+            reuse = np.flatnonzero(np.bincount(old, minlength=count))
+            new = names.copy()
+            new[rows] = np.concatenate(
+                (reuse, np.arange(count, count + k - len(reuse))))[local]
+            new_count = count + k - len(reuse)
+        if new_count == count:
+            break  # count equality implies partition equality (refinement)
+        numbered = rows is None
+        if trace:
+            rounds.append(new if numbered else first_occurrence(new)[0])
+        class_counts.append(new_count)
+        if G.n > 256:
+            rows = _next_rows(starts, dst, rows, old, local, k, count)
+        names, count = new, new_count
+    if not trace:
+        rounds = [names if numbered else first_occurrence(names)[0]]
     return Coloring(rounds, class_counts)
 
 
+def _next_rows(starts, dst, rows, old, local, k, count):
+    """The nodes next to a class that split when rows (None for all nodes)
+    with old names took the new local ids 0..k-1; None when they number
+    more than (n - 256) / 2."""
+    n = len(starts) - 1
+    parent = np.empty(k, dtype=np.int64)
+    parent[local] = old
+    split = np.bincount(parent, minlength=count) > 1
+    moved = np.flatnonzero(split[old])
+    if rows is not None:
+        moved = rows[moved]
+    _, edges = _csr_rows(starts, moved)
+    near = np.zeros(n, dtype=bool)
+    near[dst[edges]] = True
+    nxt = np.flatnonzero(near)
+    return None if 2 * len(nxt) + 256 > n else nxt
+
+
+def _csr_rows(starts, rows):
+    """(starts, edges) of the CSR restricted to the given rows, where edges
+    indexes the full edge arrays."""
+    deg = starts[rows + 1] - starts[rows]
+    return np.concatenate(([0], np.cumsum(deg))), ranges(starts[rows], deg)
+
+
+def ranges(starts, sizes):
+    """The indices starts[k] + range(sizes[k]) for every k, concatenated."""
+    ends = np.cumsum(sizes)
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(
+        starts - (ends - sizes), sizes)
+
+
 def multigraph_union(G: ColoredMultigraph, H: ColoredMultigraph):
-    """Disjoint union; H's node ids are shifted by G.n."""
-    labels = dict(G.labels)
-    for v, ls in H.labels.items():
-        labels[v + G.n] = ls
-    edges: dict = {}
-    for name in set(G.edges) | set(H.edges):
-        parts = []
-        if name in G.edges and len(G.edges[name]):
-            parts.append(G.edges[name])
-        if name in H.edges and len(H.edges[name]):
-            parts.append(H.edges[name] + G.n)
-        if parts:
-            edges[name] = np.concatenate(parts)
-        else:
-            edges[name] = np.empty((0, 2), dtype=np.int64)
-    return ColoredMultigraph(G.n + H.n, labels, edges), G.n
+    """Disjoint union; H's node ids are shifted by G.n.  The label tables
+    are merged by name; the edges of a disjoint union are already distinct,
+    so they are not sorted again."""
+    known = set(G.label_names)
+    names = G.label_names + [x for x in H.label_names if x not in known]
+    code = {x: k for k, x in enumerate(names)}
+    remap = np.array([code[x] for x in H.label_names], dtype=np.int64)
+    U = ColoredMultigraph.of_distinct(
+        G.n + H.n, names,
+        np.concatenate((G.src, H.src + G.n)),
+        np.concatenate((G.dst, H.dst + G.n)),
+        np.concatenate((G.label, remap[H.label])),
+        np.concatenate((G.node, H.node + G.n)),
+        np.concatenate((G.node_label, remap[H.node_label])))
+    return U, G.n
 
 
 def cr_distinguishes(G: ColoredMultigraph, H: ColoredMultigraph):

@@ -500,16 +500,19 @@ def from_sexp(text: str) -> Formula:
             raise FormulaError("expected %r at token %d" % (tok, pos[0]))
         pos[0] += 1
 
-    def take():
+    def peek():
         if pos[0] >= len(tokens):
             raise FormulaError("unexpected end of input")
-        t = tokens[pos[0]]
+        return tokens[pos[0]]
+
+    def take():
+        t = peek()
         pos[0] += 1
         return t
 
     def words_until_close():
         out = []
-        while tokens[pos[0]] != ")":
+        while peek() != ")":
             out.append(take())
         pos[0] += 1
         return out
@@ -533,14 +536,18 @@ def from_sexp(text: str) -> Formula:
             return Not(f)
         if head == "and":
             parts = []
-            while tokens[pos[0]] != ")":
+            while peek() != ")":
                 parts.append(parse())
             pos[0] += 1
             if len(parts) < 2:
                 raise FormulaError("and takes at least two parts")
             return conjoin(parts)
         if head == "geq":
-            n = int(take())
+            count = take()
+            try:
+                n = int(count)
+            except ValueError:
+                raise FormulaError("geq needs a count, got %r" % count)
             expect("(")
             if take() != "vars":
                 raise FormulaError("expected (vars ...)")

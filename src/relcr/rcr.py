@@ -185,13 +185,21 @@ def kernel_rounds(A: Structure, max_rounds: Optional[int] = None):
     color, and the tuple's stp fixes which slices it has."""
     if max_rounds is None:
         max_rounds = A.size()
-    rels = _relation_rows(A)
+    rels = relation_rows(A)
     tuple_colors, count = _base_classes(A, rels)
     rounds = [tuple_colors.tolist()]
     class_counts = [count]
     next_id = count
-    t_csr, s_csr = _slice_incidence(A, rels)
-    slice_prev = np.zeros(len(s_csr[0]) - 1, dtype=np.int64)
+    tup, sl, lab, _, _ = slice_incidence(A, rels)
+    # keep the slices held by more than one tuple, renumbered densely
+    shared = np.bincount(sl) > 1
+    keep = shared[sl]
+    tup, lab = tup[keep], lab[keep]
+    sl = (np.cumsum(shared) - 1)[sl[keep]]
+    nslices = int(shared.sum())
+    t_csr = _csr(tup, sl, lab, A.size())
+    s_csr = _csr(sl, tup, lab, nslices)
+    slice_prev = np.zeros(nslices, dtype=np.int64)
     for _ in range(max_rounds):
         slice_colors, _ = refine_step(*s_csr, slice_prev, tuple_colors)
         tuple_colors, count = refine_step(*t_csr, tuple_colors, slice_colors)
@@ -203,7 +211,7 @@ def kernel_rounds(A: Structure, max_rounds: Optional[int] = None):
     return rounds, class_counts
 
 
-def _relation_rows(A: Structure):
+def relation_rows(A: Structure):
     """(relation index, first position, rows, pattern) per non-empty
     relation, where pattern[:, i] is the first position holding the element
     at position i, the array form of stp(a, a)."""
@@ -244,15 +252,19 @@ def _base_classes(A: Structure, rels):
     return first_occurrence(_row_ids(keys)[0])
 
 
-def _slice_incidence(A: Structure, rels):
-    """The tuple-slice incidence as two CSR triples (starts, other, label):
-    tuples to slices and slices to tuples, with the slices that occur in
-    more than one tuple.  label interns stp(a, s), which fixes stp(s, a).
+def slice_incidence(A: Structure, rels):
+    """Every (tuple, slice) pair of A as arrays (tup, sl, lab), with the
+    slice count and the stp table: (tup, sl, lab, nslices, taus).
+
+    Slice ids are dense in (length, lexicographic) order of the slice
+    vectors, the order in which representations.slices lists one tuple's
+    slices.  lab[k] is the index in taus of stp(a, s) as a sorted tuple of
+    position pairs, which fixes stp(s, a).
 
     Slices and their stp depend only on a tuple's equality pattern, so
     they are laid out once per (relation, pattern) group as position
     templates and cut from the group's rows with array indexing."""
-    labels: dict = {}
+    taus: dict = {}
     by_length: dict = {}   # slice length -> ([element rows], [tuple], [label])
     for _, first, rows, pattern in rels:
         arity = rows.shape[1]
@@ -266,7 +278,7 @@ def _slice_incidence(A: Structure, rels):
                 for t in permutations(distinct, length):
                     tau = _stp_key((i + 1, j + 1) for i in range(arity)
                                    for j in range(length) if pat[i] == pat[t[j]])
-                    lab = labels.setdefault(tau, len(labels))
+                    lab = taus.setdefault(tau, len(taus))
                     part = by_length.setdefault(length, ([], [], []))
                     part[0].append(sub[:, t])
                     part[1].append(first + members)
@@ -283,12 +295,7 @@ def _slice_incidence(A: Structure, rels):
         labs.append(lab)
         nslices += count
     tup, sl, lab = (np.concatenate(x) for x in (tuples, slices, labs))
-    shared = np.bincount(sl, minlength=nslices) > 1
-    keep = shared[sl]
-    tup, lab = tup[keep], lab[keep]
-    sl = (np.cumsum(shared) - 1)[sl[keep]]
-    return (_csr(tup, sl, lab, A.size()),
-            _csr(sl, tup, lab, int(shared.sum())))
+    return tup, sl, lab, nslices, list(taus)
 
 
 def _csr(node, other, label, n):

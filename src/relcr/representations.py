@@ -1,18 +1,27 @@
 """Structure-to-colored-multigraph encodings.
 
-All encodings share one edge-label namespace convention so a single CR engine
-serves them: positional overlap labels are "E_i_j", relation memberships are
-unary labels "U_R".  The enriched baselines register their own label names
-("E_R_i_j" per relation/position pair, "E_i" per position).
+Every encoding is built from the relations as int arrays (rcr.relation_rows)
+and labels its nodes and edges with ids into one table of label names.  The
+tuple encodings share one table: relation memberships are unary labels "U_R",
+positional overlaps edge labels "E_i_j".  The other baselines register their
+own names ("E" of the incidence graph, "E_R_i_j" per relation and position
+pair, "E_i" per position).  Label and node names become strings only at
+to_dot and export.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+from functools import cache, cached_property
 from itertools import permutations
 from typing import Sequence
 
+import numpy as np
+
 from .core import Structure, stp
-from .multigraph import ColoredMultigraph, MultigraphBuilder
+from .cr import first_occurrence, ranges
+from .multigraph import ColoredMultigraph
+from .rcr import relation_rows, slice_incidence
 
 
 def overlap_label(i, j):
@@ -23,26 +32,80 @@ def unary_label(rel):
     return "U_%s" % rel
 
 
+class _OnDemand(Mapping):
+    """A read-only dict that make() builds on first use."""
+
+    def __init__(self, make):
+        self._make = make
+
+    @cached_property
+    def _dict(self):
+        return self._make()
+
+    def __getitem__(self, key):
+        return self._dict[key]
+
+    def __iter__(self):
+        return iter(self._dict)
+
+    def __len__(self):
+        return len(self._dict)
+
+
+_NONE = np.empty(0, dtype=np.int64)
+
+
+def _tuple_names(A: Structure):
+    """The label table of the tuple encodings: U_R for each relation R,
+    then E_i_j for all positions i, j, with id
+    len(relations) + (i - 1) * max_arity + (j - 1)."""
+    k = A.signature.max_arity
+    return ([unary_label(r) for r in A.signature.names()]
+            + [overlap_label(i, j) for i in range(1, k + 1)
+               for j in range(1, k + 1)])
+
+
+def _tuple_relation(rels):
+    """Relation index of every tuple position."""
+    return np.concatenate([_NONE] + [np.full(len(rows), index, dtype=np.int64)
+                                     for index, _, rows, _ in rels])
+
+
+def _entries(rels):
+    """(tuple, position, element) of every entry of every tuple, with
+    positions counted from 0."""
+    tup, pos, elem = [_NONE], [_NONE], [_NONE]
+    for _, first, rows, _ in rels:
+        m, k = rows.shape
+        tup.append(np.repeat(first + np.arange(m), k))
+        pos.append(np.tile(np.arange(k), m))
+        elem.append(rows.ravel())
+    return tuple(np.concatenate(x) for x in (tup, pos, elem))
+
+
 def grep(A: Structure):
     """The direct colored-multigraph encoding: one node per tuple occurrence,
     edges (w_a, w_b) in E_{i,j} whenever a_i = b_j, loops encoding stp(a).
 
     Returns (graph, node_of) with node_of mapping TupleRef -> node id."""
-    refs = A.tuple_refs
-    vecs = [A.vector(r) for r in refs]
-    b = MultigraphBuilder(len(refs))
-    for k, ref in enumerate(refs):
-        b.add_label(k, unary_label(ref.relation))
-    nbrs = A.overlap_neighbours()
-    for a in range(len(refs)):
-        for (i, j) in stp(vecs[a], vecs[a]):
-            b.add_edge(overlap_label(i, j), a, a)
-        for bb in nbrs[a]:
-            for (i, j) in stp(vecs[a], vecs[bb]):
-                b.add_edge(overlap_label(i, j), a, bb)
-    g = b.build()
-    g.node_names = ["w%s" % (vecs[k],) for k in range(len(refs))]
-    return g, {ref: k for k, ref in enumerate(refs)}
+    rels = relation_rows(A)
+    tup, pos, elem = _entries(rels)
+    # every ordered pair of entries holding one element is an edge
+    order = np.argsort(elem, kind="stable")
+    tup, pos, elem = tup[order], pos[order], elem[order]
+    starts = np.flatnonzero(np.diff(elem, prepend=-1))
+    size = np.diff(np.append(starts, len(elem)))
+    reach = np.repeat(size, size)   # entries sharing each entry's element
+    left = np.repeat(np.arange(len(elem)), reach)
+    right = ranges(np.repeat(starts, size), reach)
+    nu, k = len(A.signature.symbols), A.signature.max_arity
+    nw = A.size()
+    g = ColoredMultigraph(
+        nw, _tuple_names(A), tup[left], tup[right],
+        nu + pos[left] * k + pos[right],
+        np.arange(nw), _tuple_relation(rels),
+        lambda: ["w%s" % (A.vector(r),) for r in A.tuple_refs])
+    return g, dict(A.tuple_pos)
 
 
 def slices(a: Sequence[int]):
@@ -57,86 +120,98 @@ def slices(a: Sequence[int]):
 
 def vgrep(A: Structure):
     """The slice-based encoding: tuple nodes w_a plus one node v_s per
-    distinct slice; edges (w_a, v_s) and (v_s, w_b) labeled by the positional
-    overlaps, never w-w or v-v.  Returns (graph, node_of, slice_node_of)."""
-    refs = A.tuple_refs
-    vecs = [A.vector(r) for r in refs]
-    slice_ids: dict = {}
-    per_tuple = []
-    for vec in vecs:
-        ss = slices(vec)
-        per_tuple.append(ss)
-        for s in ss:
-            if s not in slice_ids:
-                slice_ids[s] = len(slice_ids)
-    nw = len(refs)
-    b = MultigraphBuilder(nw + len(slice_ids))
-    for k, ref in enumerate(refs):
-        b.add_label(k, unary_label(ref.relation))
-    for a, vec in enumerate(vecs):
-        for s in per_tuple[a]:
-            vs = nw + slice_ids[s]
-            for (i, j) in stp(vec, s):
-                b.add_edge(overlap_label(i, j), a, vs)
-            for (i, j) in stp(s, vec):
-                b.add_edge(overlap_label(i, j), vs, a)
-    g = b.build()
-    names = ["w%s" % (v,) for v in vecs] + [None] * len(slice_ids)
-    for s, k in slice_ids.items():
-        names[nw + k] = "v%s" % (s,)
-    g.node_names = names
-    return g, {ref: k for k, ref in enumerate(refs)}, dict(slice_ids)
+    distinct slice; edges (w_a, v_s) and (v_s, w_a) labeled by the
+    positional overlaps stp(a, s) and stp(s, a), never w-w or v-v.
+
+    Built from the tuple-slice incidence of rcr.slice_incidence.  Slice
+    nodes are numbered by first occurrence over the tuples in order, each
+    tuple's slices in the order of slices().  Returns (graph, node_of,
+    slice_node_of), where slice_node_of maps a slice vector to its number
+    among the slice nodes (node nw + number) and is built on first use."""
+    rels = relation_rows(A)
+    tup, sl, lab, nslices, taus = slice_incidence(A, rels)
+    nw = A.size()
+    # slice ids follow slices() within a tuple: sort by (tuple, slice id)
+    order = np.argsort(tup * max(nslices, 1) + sl)
+    tup, sl, lab = tup[order], sl[order], lab[order]
+    number, _ = first_occurrence(sl)
+
+    # one edge each way per position pair (i, j) of stp(a, s)
+    size = np.array([len(tau) for tau in taus], dtype=np.int64)
+    i, j = np.array([p for tau in taus for p in tau],
+                    dtype=np.int64).reshape(-1, 2).T - 1
+    at = np.repeat(np.arange(len(lab)), size[lab])
+    pair = ranges((np.cumsum(size) - size)[lab], size[lab])
+    w, v = tup[at], nw + number[at]
+    nu, k = len(A.signature.symbols), A.signature.max_arity
+    label = np.concatenate(((nu + i * k + j)[pair], (nu + j * k + i)[pair]))
+
+    @cache
+    def numbers():
+        """Slice vector -> number, as the edges number the slices."""
+        first: dict = {}
+        for ref in A.tuple_refs:
+            for s in slices(A.vector(ref)):
+                first.setdefault(s, len(first))
+        return first
+
+    g = ColoredMultigraph(
+        nw + nslices, _tuple_names(A),
+        np.concatenate((w, v)), np.concatenate((v, w)), label,
+        np.arange(nw), _tuple_relation(rels),
+        lambda: (["w%s" % (A.vector(r),) for r in A.tuple_refs]
+                 + ["v%s" % (s,) for s in numbers()]))
+    return g, dict(A.tuple_pos), _OnDemand(numbers)
+
+
+def _element_and_tuple_names(A: Structure):
+    return (list(A.element_names)
+            + ["%s%s" % (r.relation, A.vector(r)) for r in A.tuple_refs])
 
 
 def incidence(A: Structure):
     """Plain incidence graph: universe elements plus one U_R-labeled node per
     tuple occurrence, a single edge relation E joining elements to the tuples
     containing them."""
-    refs = A.tuple_refs
-    b = MultigraphBuilder(A.n + len(refs))
-    for k, ref in enumerate(refs):
-        t = A.n + k
-        b.add_label(t, unary_label(ref.relation))
-        for x in set(A.vector(ref)):
-            b.add_edge("E", x, t)
-    g = b.build()
-    g.node_names = (list(A.element_names)
-                    + ["%s%s" % (r.relation, A.vector(r)) for r in refs])
-    return g
+    rels = relation_rows(A)
+    tup, _, elem = _entries(rels)
+    names = ["E"] + [unary_label(r) for r in A.signature.names()]
+    return ColoredMultigraph(
+        A.n + A.size(), names, elem, A.n + tup, np.zeros_like(tup),
+        A.n + np.arange(A.size()), 1 + _tuple_relation(rels),
+        lambda: _element_and_tuple_names(A))
 
 
 def enriched_gaifman(A: Structure):
     """Gaifman graph enriched with one edge relation E_R_i_j per relation and
     ordered position pair i != j, connecting a_i to a_j for every tuple."""
-    b = MultigraphBuilder(A.n)
-    for ref in A.tuple_refs:
-        vec = A.vector(ref)
-        k = len(vec)
-        for i in range(1, k + 1):
-            for j in range(1, k + 1):
+    names, src, dst, label = [], [_NONE], [_NONE], [_NONE]
+    for index, _, rows, _ in relation_rows(A):
+        name, arity = A.signature.symbols[index]
+        for i in range(arity):
+            for j in range(arity):
                 if i != j:
-                    b.add_edge("E_%s_%d_%d" % (ref.relation, i, j),
-                               vec[i - 1], vec[j - 1])
-    g = b.build()
-    g.node_names = list(A.element_names)
-    return g
+                    src.append(rows[:, i])
+                    dst.append(rows[:, j])
+                    label.append(np.full(len(rows), len(names), dtype=np.int64))
+                    names.append("E_%s_%d_%d" % (name, i + 1, j + 1))
+    return ColoredMultigraph(
+        A.n, names, *(np.concatenate(x) for x in (src, dst, label)),
+        node_names=list(A.element_names))
 
 
 def enriched_incidence(A: Structure):
     """Incidence graph enriched with position labels: edge relation E_i joins
     a_i to the tuple node of a."""
-    refs = A.tuple_refs
-    b = MultigraphBuilder(A.n + len(refs))
-    for k, ref in enumerate(refs):
-        t = A.n + k
-        b.add_label(t, unary_label(ref.relation))
-        vec = A.vector(ref)
-        for i, x in enumerate(vec, 1):
-            b.add_edge("E_%d" % i, x, t)
-    g = b.build()
-    g.node_names = (list(A.element_names)
-                    + ["%s%s" % (r.relation, A.vector(r)) for r in refs])
-    return g
+    rels = relation_rows(A)
+    tup, pos, elem = _entries(rels)
+    names = (["E_%d" % i for i in range(1, A.signature.max_arity + 1)]
+             + [unary_label(r) for r in A.signature.names()])
+    return ColoredMultigraph(
+        A.n + A.size(), names, elem, A.n + tup, pos,
+        A.n + np.arange(A.size()),
+        A.signature.max_arity + _tuple_relation(rels),
+        lambda: _element_and_tuple_names(A))
 
 
 def jtrep(C: Structure, J):
@@ -149,26 +224,26 @@ def jtrep(C: Structure, J):
     ok, bad = validate_join_tree(C, J)
     if not ok:
         raise ValueError("invalid join tree (element %r)" % (bad,))
-    refs = C.tuple_refs
+    nu, k = len(C.signature.symbols), C.signature.max_arity
     pos = C.tuple_pos
-    b = MultigraphBuilder(len(refs))
-    for k, ref in enumerate(refs):
-        b.add_label(k, unary_label(ref.relation))
+    edges = []
+
+    def overlap(a, b, va, vb):
+        edges.extend((a, b, nu + (i - 1) * k + j - 1) for i, j in stp(va, vb))
+
+    for a, ref in enumerate(C.tuple_refs):
         # loops carry the repetition pattern; without them a homomorphism
         # could map a tuple with repeated entries onto a repetition-free one
-        vec = C.vector(ref)
-        for (i, j) in stp(vec, vec):
-            b.add_edge(overlap_label(i, j), k, k)
+        overlap(a, a, C.vector(ref), C.vector(ref))
     for (u, v) in J.edges:
-        a, c = pos[u], pos[v]
-        va, vc = C.vector(u), C.vector(v)
-        for (i, j) in stp(va, vc):
-            b.add_edge(overlap_label(i, j), a, c)
-        for (i, j) in stp(vc, va):
-            b.add_edge(overlap_label(i, j), c, a)
-    g = b.build()
-    g.node_names = ["v%s" % (C.vector(r),) for r in refs]
-    return g, {ref: k for k, ref in enumerate(refs)}
+        overlap(pos[u], pos[v], C.vector(u), C.vector(v))
+        overlap(pos[v], pos[u], C.vector(v), C.vector(u))
+    src, dst, label = np.array(edges, dtype=np.int64).reshape(-1, 3).T
+    g = ColoredMultigraph(
+        C.size(), _tuple_names(C), src, dst, label,
+        np.arange(C.size()), _tuple_relation(relation_rows(C)),
+        ["v%s" % (C.vector(r),) for r in C.tuple_refs])
+    return g, dict(pos)
 
 
 def slice_bijection(a: Sequence[int], b: Sequence[int]):

@@ -3,7 +3,10 @@ from pathlib import Path
 
 import pytest
 
-from relcr.cli import main
+from relcr.cli import REPRESENTATIONS, main
+from relcr.core import parse_structure, serialize_structure
+from test_representations import (per_edge_encodings, sig4_corpus,
+                                  special_structures)
 
 FIX = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -59,13 +62,22 @@ def test_distinguish(capsys):
 
 
 def test_export_all_representations(tmp_path, capsys):
-    for rep in ["grep", "vgrep", "incidence", "enriched-gaifman",
-                "enriched-incidence", "jtrep"]:
-        out_file = tmp_path / (rep + ".dot")
-        code, _, _ = run(capsys, "export", str(FIX / "A1.struct"),
-                         "--rep", rep, "-o", str(out_file))
-        assert code == 0, rep
-        assert out_file.read_text().startswith("digraph")
+    # every export is byte-identical to the per-edge reference encoding
+    paths = sorted(FIX.glob("*.struct"))
+    for k, A in enumerate(sig4_corpus(40) + special_structures()):
+        paths.append(tmp_path / ("corpus%d.struct" % k))
+        paths[-1].write_text(serialize_structure(A))
+    for path in paths:
+        want = per_edge_encodings(parse_structure(path.read_text()))
+        for rep in REPRESENTATIONS:
+            out_file = tmp_path / (rep + ".dot")
+            code, _, err = run(capsys, "export", str(path),
+                               "--rep", rep, "-o", str(out_file))
+            if rep in want:
+                assert code == 0, (path, rep)
+                assert out_file.read_text() == want[rep].to_dot(), (path, rep)
+            else:
+                assert code == 1 and "cyclic" in err, (path, rep)
 
 
 def test_export_jtrep_rejects_cyclic(tmp_path, capsys):
@@ -159,3 +171,17 @@ def test_check_quick(capsys):
     code, out, _ = run(capsys, "check", "--quick", "--seed", "3")
     assert code == 0
     assert "FAIL" not in out
+
+
+def test_eval_truncated_formula_is_an_error(tmp_path, capsys):
+    # malformed formulas end in "error: ..." and exit 1, not in a traceback
+    formula = tmp_path / "f.sexp"
+    for text, message in [("(atom", "unexpected end of input"),
+                          ("(atom E x", "unexpected end of input"),
+                          ("(and (atom E x y)", "unexpected end of input"),
+                          ("(geq", "unexpected end of input"),
+                          ("(geq two (vars y) (guard E x y) (eq y y))",
+                           "geq needs a count, got 'two'")]:
+        formula.write_text(text)
+        code, _, err = run(capsys, "eval", str(formula), str(FIX / "A1.struct"))
+        assert (code, err) == (1, "error: %s\n" % message), text

@@ -14,6 +14,7 @@ from test_acceptance import _random_sig4
 
 from relcr import checks, cr, fixtures, rcr, representations
 from relcr.core import Signature, Structure
+from relcr.multigraph import ColoredMultigraph
 from relcr.cr import Coloring, _base_colors, _lambda_adjacency, cr_run
 from relcr.rcr import kernel_rounds, reference_rounds
 
@@ -24,7 +25,7 @@ def per_node_cr_run(G, max_rounds=None):
     if max_rounds is None:
         max_rounds = G.n
     src, dst, lam = _lambda_adjacency(G)
-    colors, ncls = _base_colors(G)
+    colors, ncls = per_node_base_colors(G)
     rounds = [colors]
     class_counts = [ncls]
     for _ in range(max_rounds):
@@ -47,6 +48,22 @@ def per_node_cr_run(G, max_rounds=None):
         ncls = len(table)
         class_counts.append(ncls)
     return Coloring(rounds, class_counts)
+
+
+def per_node_base_colors(G):
+    """_base_colors as it was before it was vectorized: one dict lookup per
+    node, keyed by its sorted unary label names and loop label names."""
+    loops = {}
+    for name in sorted(G.edges):
+        for v, w in G.edges[name].tolist():
+            if v == w:
+                loops.setdefault(v, []).append(name)
+    table = {}
+    colors = np.empty(G.n, dtype=np.int64)
+    for v in range(G.n):
+        key = (tuple(sorted(G.labels.get(v, ()))), tuple(loops.get(v, ())))
+        colors[v] = table.setdefault(key, len(table))
+    return colors, len(table)
 
 
 def hub(n, seed=0):
@@ -135,11 +152,41 @@ def test_kernel_on_empty_structure():
 
 
 def test_cr_run_ids_equal_per_node_loop():
+    # paths take many rounds in which few classes split, the rounds where
+    # cr_run refines only the nodes next to a split (on graphs of more than
+    # 256 nodes)
     graphs = []
-    for A in corpus()[:120] + [hub(300)]:
+    for A in corpus()[:120] + [hub(300), directed_path(40), directed_path(300)]:
         graphs.append(representations.vgrep(A)[0])
         graphs.append(representations.grep(A)[0])
     for G in graphs:
+        assert same_ids(cr_run(G), per_node_cr_run(G))
+
+
+def test_base_colors_equal_per_node_numbering():
+    # incidence and enriched graphs have loops; the random graphs several
+    # unary labels and loops per node, and up to 40 labels, more than one
+    # 63-bit mask word holds
+    graphs = []
+    for A in corpus()[:200]:
+        graphs += [representations.incidence(A),
+                   representations.enriched_gaifman(A),
+                   representations.enriched_incidence(A)]
+    rng = random.Random(5)
+    for _ in range(60):
+        n = rng.randint(1, 12)
+        # unary labels share their names with edge labels
+        labels = {v: {"e%d" % rng.randrange(4) for _ in range(rng.randrange(4))}
+                  for v in range(n)}
+        edges = {"e%d" % t: [(v, v) for v in range(n) if rng.random() < 0.4]
+                 + [(rng.randrange(n), rng.randrange(n)) for _ in range(n)]
+                 for t in range(rng.randint(1, 40))}
+        graphs.append(ColoredMultigraph.from_named(n, labels, edges))
+    for G in graphs:
+        got, count = _base_colors(G)
+        want, want_count = per_node_base_colors(G)
+        assert count == want_count and np.array_equal(got, want)
+    for G in graphs[-60:]:
         assert same_ids(cr_run(G), per_node_cr_run(G))
 
 

@@ -1,9 +1,178 @@
 import itertools
 import random
 
-from relcr import fixtures, representations
+import numpy as np
+from test_acceptance import SIG4, _random_sig4
+
+from relcr import fixtures, generate, representations
 from relcr.acyclic import gyo_join_tree
 from relcr.core import Signature, Structure, self_stp, stp
+from relcr.multigraph import ColoredMultigraph
+from relcr.representations import overlap_label, slices, unary_label
+
+
+class PerEdge:
+    """One Python call per edge and unary label, as the encodings were built
+    before they came from int arrays."""
+
+    def __init__(self, n):
+        self.n = n
+        self.labels = {}
+        self.edges = {}
+
+    def add_label(self, v, label):
+        self.labels.setdefault(v, set()).add(label)
+
+    def add_edge(self, label, u, v):
+        self.edges.setdefault(label, []).append((u, v))
+
+    def build(self, node_names):
+        return ColoredMultigraph.from_named(self.n, self.labels, self.edges,
+                                            node_names)
+
+
+def per_edge_grep(A):
+    refs = A.tuple_refs
+    vecs = [A.vector(r) for r in refs]
+    b = PerEdge(len(refs))
+    for k, ref in enumerate(refs):
+        b.add_label(k, unary_label(ref.relation))
+    nbrs = A.overlap_neighbours()
+    for a in range(len(refs)):
+        for (i, j) in stp(vecs[a], vecs[a]):
+            b.add_edge(overlap_label(i, j), a, a)
+        for bb in nbrs[a]:
+            for (i, j) in stp(vecs[a], vecs[bb]):
+                b.add_edge(overlap_label(i, j), a, bb)
+    return b.build(["w%s" % (v,) for v in vecs]), {r: k for k, r in enumerate(refs)}
+
+
+def per_edge_vgrep(A):
+    refs = A.tuple_refs
+    vecs = [A.vector(r) for r in refs]
+    slice_ids = {}
+    per_tuple = []
+    for vec in vecs:
+        ss = slices(vec)
+        per_tuple.append(ss)
+        for s in ss:
+            if s not in slice_ids:
+                slice_ids[s] = len(slice_ids)
+    nw = len(refs)
+    b = PerEdge(nw + len(slice_ids))
+    for k, ref in enumerate(refs):
+        b.add_label(k, unary_label(ref.relation))
+    for a, vec in enumerate(vecs):
+        for s in per_tuple[a]:
+            vs = nw + slice_ids[s]
+            for (i, j) in stp(vec, s):
+                b.add_edge(overlap_label(i, j), a, vs)
+            for (i, j) in stp(s, vec):
+                b.add_edge(overlap_label(i, j), vs, a)
+    names = ["w%s" % (v,) for v in vecs] + [None] * len(slice_ids)
+    for s, k in slice_ids.items():
+        names[nw + k] = "v%s" % (s,)
+    return b.build(names), {r: k for k, r in enumerate(refs)}, slice_ids
+
+
+def _element_and_tuple_names(A):
+    return (list(A.element_names)
+            + ["%s%s" % (r.relation, A.vector(r)) for r in A.tuple_refs])
+
+
+def per_edge_incidence(A):
+    refs = A.tuple_refs
+    b = PerEdge(A.n + len(refs))
+    for k, ref in enumerate(refs):
+        b.add_label(A.n + k, unary_label(ref.relation))
+        for x in set(A.vector(ref)):
+            b.add_edge("E", x, A.n + k)
+    return b.build(_element_and_tuple_names(A))
+
+
+def per_edge_enriched_gaifman(A):
+    b = PerEdge(A.n)
+    for ref in A.tuple_refs:
+        vec = A.vector(ref)
+        for i in range(1, len(vec) + 1):
+            for j in range(1, len(vec) + 1):
+                if i != j:
+                    b.add_edge("E_%s_%d_%d" % (ref.relation, i, j),
+                               vec[i - 1], vec[j - 1])
+    return b.build(list(A.element_names))
+
+
+def per_edge_enriched_incidence(A):
+    refs = A.tuple_refs
+    b = PerEdge(A.n + len(refs))
+    for k, ref in enumerate(refs):
+        b.add_label(A.n + k, unary_label(ref.relation))
+        for i, x in enumerate(A.vector(ref), 1):
+            b.add_edge("E_%d" % i, x, A.n + k)
+    return b.build(_element_and_tuple_names(A))
+
+
+def per_edge_jtrep(C, J):
+    refs = C.tuple_refs
+    pos = C.tuple_pos
+    b = PerEdge(len(refs))
+    for k, ref in enumerate(refs):
+        b.add_label(k, unary_label(ref.relation))
+        vec = C.vector(ref)
+        for (i, j) in stp(vec, vec):
+            b.add_edge(overlap_label(i, j), k, k)
+    for (u, v) in J.edges:
+        a, c = pos[u], pos[v]
+        for (i, j) in stp(C.vector(u), C.vector(v)):
+            b.add_edge(overlap_label(i, j), a, c)
+        for (i, j) in stp(C.vector(v), C.vector(u)):
+            b.add_edge(overlap_label(i, j), c, a)
+    return b.build(["v%s" % (C.vector(r),) for r in refs]), {r: k for k, r in enumerate(refs)}
+
+
+def per_edge_encodings(A):
+    """Export name -> per-edge graph of A, jtrep only for acyclic A."""
+    out = {
+        "grep": per_edge_grep(A)[0],
+        "vgrep": per_edge_vgrep(A)[0],
+        "incidence": per_edge_incidence(A),
+        "enriched-gaifman": per_edge_enriched_gaifman(A),
+        "enriched-incidence": per_edge_enriched_incidence(A),
+    }
+    J = gyo_join_tree(A)
+    if J is not None:
+        out["jtrep"] = per_edge_jtrep(A, J)[0]
+    return out
+
+
+def assert_same_graph(got, want):
+    assert got.n == want.n
+    assert got.labels == want.labels
+    assert got.edges.keys() == want.edges.keys()
+    for name, pairs in want.edges.items():
+        assert np.array_equal(got.edges[name], pairs), name
+    assert got.to_dot() == want.to_dot()
+
+
+def sig4_corpus(count):
+    """The first count structures of acceptance criterion 5's corpus."""
+    rng = random.Random(50)
+    return [_random_sig4(rng) for _ in range(count)]
+
+
+def special_structures():
+    """5-ary tuples, repeated entries, relations sharing vectors, empty."""
+    five = Signature([("P", 5), ("E", 2)])
+    out = [generate.random_structure(five, 6, {"P": 12, "E": 6}, s)
+           for s in range(3)]
+    out += [generate.random_structure(SIG4, 2, {"Q": 5, "R": 4, "E": 3}, s)
+            for s in range(3)]
+    shared = Signature([("R", 2), ("S", 2), ("T", 3), ("U", 1)])
+    out.append(Structure.from_named(shared, [
+        ("R", "ab"), ("S", "ab"), ("R", "ba"), ("S", "bb"), ("T", "aba"),
+        ("T", "abc"), ("U", "c"), ("R", "cc")]))
+    out.append(Structure(Signature([("R", 2)]), {}))
+    return out
 
 
 def slices_oracle(a):
@@ -144,3 +313,28 @@ def test_jtrep_gaifman_is_a_forest():
     g, _ = representations.jtrep(A, J)
     adj = g.gaifman_adjacency()
     assert sum(len(ws) for ws in adj.values()) // 2 == len(J.edges)
+
+
+def test_vgrep_equals_the_per_edge_build():
+    for A in ([make() for make in (fixtures.a1, fixtures.b1, fixtures.a2,
+                                   fixtures.b2, fixtures.slice_example)]
+              + sig4_corpus(500) + special_structures()):
+        g, node_of, slice_node_of = representations.vgrep(A)
+        want, want_node_of, want_slices = per_edge_vgrep(A)
+        assert_same_graph(g, want)
+        assert node_of == want_node_of
+        assert slice_node_of == want_slices
+
+
+def test_every_encoding_equals_the_per_edge_build():
+    for A in sig4_corpus(60) + special_structures():
+        want = per_edge_encodings(A)
+        assert_same_graph(representations.grep(A)[0], want["grep"])
+        assert_same_graph(representations.incidence(A), want["incidence"])
+        assert_same_graph(representations.enriched_gaifman(A),
+                          want["enriched-gaifman"])
+        assert_same_graph(representations.enriched_incidence(A),
+                          want["enriched-incidence"])
+        if "jtrep" in want:
+            assert_same_graph(
+                representations.jtrep(A, gyo_join_tree(A))[0], want["jtrep"])

@@ -1,0 +1,159 @@
+"""Hash the program's observable outputs, to show that a change keeps them
+byte-identical.
+
+Run from the repository root, at two versions of the code, and compare:
+
+    PYTHONPATH=src python tools/hash_outputs.py [-v]
+
+It prints one sha256 over, for every structure of a fixed corpus (the five
+fixtures, seeded random R/3,E/2 structures with partners of equal size,
+hubs, directed paths, structures with repeated entries and 5-ary tuples):
+
+  refine      `relcr refine --csv` (stdout and CSV)
+  export      `relcr export --rep R` DOT for all six representations
+  cr-ids      every round's `cr_run` ids on each representation
+  rcr-ids     every round's `rcr_run` ids
+  distinguish `relcr distinguish` on each pair
+  game        `relcr game` on the pairs of at most 12 tuples a side
+
+With -v it prints one hash per section as well.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import random
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from relcr import acyclic, cli, generate, representations
+from relcr.core import Signature, Structure, parse_structure, serialize_structure
+from relcr.cr import cr_run
+from relcr.rcr import rcr_run
+
+ROOT = Path(__file__).resolve().parent.parent
+SIG = Signature([("R", 3), ("E", 2)])
+GAME_MAX_TUPLES = 12
+
+
+def hub(n, seed):
+    rng = random.Random(seed)
+    facts = [("E", ("h", "l%d" % rng.randrange(n))) for _ in range(n // 2)]
+    facts += [("R", ("h", "l%d" % rng.randrange(n), "l%d" % rng.randrange(n)))
+              for _ in range(n - n // 2)]
+    return Structure.from_named(SIG, facts)
+
+
+def path(n):
+    facts = [("E", ("p%d" % i, "p%d" % (i + 1))) for i in range(n)]
+    facts += [("R", ("p%d" % i, "p%d" % (i + 1), "p%d" % i))
+              for i in range(0, n, 3)]
+    return Structure.from_named(SIG, facts)
+
+
+def wide(n, seed):
+    sig = Signature([("P", 5), ("E", 2)])
+    return generate.random_structure(sig, 6, {"P": n, "E": n // 2}, seed)
+
+
+def corpus():
+    """(name, structure) singles and (name, A, B) pairs."""
+    singles = [(p.stem, parse_structure(p.read_text()))
+               for p in sorted((ROOT / "fixtures").glob("*.struct"))]
+    pairs = [("A1-B1", singles[0][1], singles[2][1]),
+             ("A2-B2", singles[1][1], singles[3][1])]
+    for s in range(30):
+        rng = random.Random(s)
+        sizes = {"R": rng.randint(2, 5), "E": rng.randint(2, 5)}
+        A = generate.random_structure(SIG, rng.randint(3, 6), sizes, s)
+        B = generate.random_structure_like(A, 1000 + s)
+        singles.append(("random-%d" % s, A))
+        pairs.append(("random-%d" % s, A, B))
+    for s, n in enumerate((80, 400)):
+        A = generate.random_structure(SIG, n // 2, {"R": n // 2, "E": n // 2}, s)
+        singles.append(("random-%d-tuples" % n, A))
+        pairs.append(("random-%d-tuples" % n, A,
+                      generate.random_structure_like(A, 2000 + s)))
+    for n in (40, 120):
+        singles.append(("hub-%d" % n, hub(n, n)))
+        pairs.append(("hub-%d" % n, hub(n, n), hub(n, n + 1)))
+        singles.append(("path-%d" % n, path(n)))
+    repeated = generate.random_structure(SIG, 2, {"R": 6, "E": 3}, 7)
+    singles.append(("repeated", repeated))
+    singles.append(("five-ary", wide(70, 3)))
+    singles.append(("five-ary-small", wide(6, 4)))
+    return singles, pairs
+
+
+def run_cli(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return "%s\n%s\n%s\n" % (code, out.getvalue(), err.getvalue())
+
+
+def ids_bytes(rounds):
+    return b"".join(np.asarray(r, dtype=np.int64).tobytes() + b"|"
+                    for r in rounds)
+
+
+def encodings(A):
+    yield "grep", representations.grep(A)[0]
+    yield "vgrep", representations.vgrep(A)[0]
+    yield "incidence", representations.incidence(A)
+    yield "enriched-gaifman", representations.enriched_gaifman(A)
+    yield "enriched-incidence", representations.enriched_incidence(A)
+    J = acyclic.gyo_join_tree(A)
+    if J is not None:
+        yield "jtrep", representations.jtrep(A, J)[0]
+
+
+def sections(work):
+    singles, pairs = corpus()
+    files = {}
+    for name, A in singles:
+        files[name] = work / (name + ".struct")
+        files[name].write_text(serialize_structure(A))
+    for name, A, B in pairs:
+        for side, S in (("a", A), ("b", B)):
+            files[name + side] = work / ("%s.%s.struct" % (name, side))
+            files[name + side].write_text(serialize_structure(S))
+
+    out = {k: hashlib.sha256() for k in (
+        "refine", "export", "cr-ids", "rcr-ids", "distinguish", "game")}
+    csv = work / "trace.csv"
+    for name, A in singles:
+        f = str(files[name])
+        out["refine"].update(run_cli("refine", f, "--csv", str(csv)).encode())
+        out["refine"].update(csv.read_bytes())
+        for rep in cli.REPRESENTATIONS:
+            out["export"].update(run_cli("export", f, "--rep", rep).encode())
+        for rep, g in encodings(A):
+            out["cr-ids"].update(rep.encode() + ids_bytes(cr_run(g).rounds))
+        out["rcr-ids"].update(ids_bytes(rcr_run(A).rounds))
+    for name, A, B in pairs:
+        a, b = str(files[name + "a"]), str(files[name + "b"])
+        out["distinguish"].update(run_cli("distinguish", a, b).encode())
+        if max(A.size(), B.size()) <= GAME_MAX_TUPLES:
+            out["game"].update(run_cli("game", a, b).encode())
+    return {k: h.hexdigest() for k, h in out.items()}
+
+
+def main(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        parts = sections(Path(tmp))
+    total = hashlib.sha256("".join(parts.values()).encode()).hexdigest()
+    if "-v" in argv:
+        for k, v in parts.items():
+            print("%-12s %s" % (k, v))
+    print(total)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
