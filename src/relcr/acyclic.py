@@ -53,7 +53,9 @@ class JoinTree:
 
     @classmethod
     def from_text(cls, text: str):
-        nodes = []
+        """Parse the to_text format; a malformed line raises a ValueError
+        that names it."""
+        nodes: dict = {}   # insertion-ordered node set
         edges = []
 
         def ref(tok):
@@ -61,22 +63,25 @@ class JoinTree:
             rel, idx = tok.rsplit(",", 1)
             return TupleRef(rel.strip(), int(idx))
 
-        for raw in text.splitlines():
+        for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            if line.startswith("edge:"):
-                left, right = line[len("edge:"):].split("--")
-                u, v = ref(left), ref(right)
-                edges.append((u, v))
-                for r in (u, v):
-                    if r not in nodes:
-                        nodes.append(r)
-            elif line.startswith("node:"):
-                r = ref(line[len("node:"):])
-                if r not in nodes:
-                    nodes.append(r)
-        return cls(nodes, edges)
+            kind, _, rest = line.partition(":")
+            kind = kind.strip()
+            try:
+                refs = [ref(tok) for tok in rest.split("--")]
+            except ValueError:
+                refs = []
+            if kind == "edge" and len(refs) == 2:
+                edges.append(tuple(refs))
+            elif kind != "node" or len(refs) != 1:
+                raise ValueError(
+                    "line %d: expected 'edge: (REL,INDEX) -- (REL,INDEX)' or "
+                    "'node: (REL,INDEX)', got %r" % (lineno, line))
+            for r in refs:
+                nodes.setdefault(r)
+        return cls(list(nodes), edges)
 
     def to_dot(self) -> str:
         lines = ["graph J {"]

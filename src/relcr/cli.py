@@ -39,6 +39,15 @@ def _load(path: str, pad=False) -> Structure:
         raise DomainError("%s: %s" % (path, e))
 
 
+def _load_join_tree(path: str) -> acyclic.JoinTree:
+    try:
+        return acyclic.JoinTree.from_text(Path(path).read_text())
+    except OSError as e:
+        raise DomainError("cannot read %s: %s" % (path, e))
+    except ValueError as e:
+        raise DomainError("%s: %s" % (path, e))
+
+
 def _write(path, text):
     if path in (None, "-"):
         sys.stdout.write(text)
@@ -109,7 +118,7 @@ def cmd_export(args):
         g = representations.enriched_incidence(A)
     else:
         if args.join_tree:
-            J = acyclic.JoinTree.from_text(Path(args.join_tree).read_text())
+            J = _load_join_tree(args.join_tree)
         else:
             J = acyclic.gyo_join_tree(A)
             if J is None:
@@ -140,7 +149,7 @@ def cmd_homcount(args):
             print(homcount.hom_bruteforce(C, A))
             return 0
         if args.join_tree:
-            J = acyclic.JoinTree.from_text(Path(args.join_tree).read_text())
+            J = _load_join_tree(args.join_tree)
         else:
             J = acyclic.gyo_join_tree(C)
             if J is None:

@@ -1,18 +1,23 @@
 """Homomorphism counting.
 
 hom_bruteforce enumerates assignments with backtracking and is the oracle;
-hom_acyclic is join-tree dynamic programming; hom_multigraph counts colored
-multigraph homomorphisms from a multitree.  All counts are python ints, so
-they never overflow.
+hom_acyclic is join-tree dynamic programming on arrays (Yannakakis's
+semi-join evaluation, with sort-joins); hom_multigraph counts colored
+multigraph homomorphisms from a multitree.  All three return exact Python
+ints: hom_acyclic counts in int64 and switches to object arrays of Python
+ints once a product or a sum may pass 2^62.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .acyclic import JoinTree, validate_join_tree
-from .core import Structure, stp
+from .core import Structure
 from .multigraph import ColoredMultigraph
+from .rcr import _row_ids
 
 
 class TooLargeError(ValueError):
@@ -65,28 +70,14 @@ def hom_bruteforce(C: Structure, A: Structure, bits_guard: float = 64.0):
     return rec(0) if C.n else 1
 
 
-def _candidates(C: Structure, A: Structure, ref):
-    """Possible images of one tuple occurrence of C: vectors realizing every
-    relation of the occurrence's vector and respecting its equalities."""
-    vec = C.vector(ref)
-    atp = C.atp(vec)
-    pools = [A.relations[r] for r in sorted(atp)]
-    base = min(pools, key=len)
-    tau = stp(vec, vec)
-    out = []
-    for img in base:
-        if any((img[i - 1] != img[j - 1]) for (i, j) in tau):
-            continue
-        if all(A.holds(r, img) for r in atp):
-            out.append(img)
-    return out
-
-
 def hom_acyclic(C: Structure, J: JoinTree, A: Structure):
     """Join-tree dynamic programming; equals hom_bruteforce on every input.
 
-    Messages are tables keyed by the assignment of the elements shared
-    between a child tuple and its parent tuple."""
+    Yannakakis's semi-join evaluation over the join tree, with sort-joins on
+    arrays.  Each node holds a table: one row per image of its tuple's
+    distinct elements that extends to the subtree below it, with the number
+    of extensions.  Its message to the parent is that count summed over the
+    rows that agree on the elements the two tuples share."""
     if C.signature != A.signature:
         raise ValueError("signature mismatch")
     ok, bad = validate_join_tree(C, J)
@@ -105,37 +96,112 @@ def hom_acyclic(C: Structure, J: JoinTree, A: Structure):
                 parent[w] = node
                 order.append(w)
 
-    # tables[node]: (shared-element assignment wrt parent) -> count of
-    # extensions of the subtree below node; the root's key is ()
-    tables: dict = {}
+    images = _Images(A)
+    messages: dict = {}   # node -> (shared-element rows, counts)
     for node in reversed(order):
         vec = C.vector(node)
-        children = [w for w in adj[node] if w != parent[node]]
-        child_tables = [tables.pop(w) for w in children]
-        shared = ()
-        if parent[node] is not None:
-            pset = set(C.vector(parent[node]))
-            shared = tuple(sorted(set(vec) & pset))
-        out: dict = {}
-        for img in _candidates(C, A, node):
-            val = {x: img[i] for i, x in enumerate(vec)}
-            count = 1
-            for w, tbl in zip(children, child_tables):
-                wshared = tuple(sorted(set(C.vector(w)) & set(vec)))
-                key = tuple(val[x] for x in wshared)
-                count *= tbl.get(key, 0)
-                if not count:
-                    break
-            if not count:
+        column = {x: k for k, x in enumerate(dict.fromkeys(vec))}
+        table = images.of(C.atp(vec), vec)
+        counts = np.ones(len(table), dtype=np.int64)
+        for w in adj[node]:
+            if w == parent[node]:
                 continue
-            key = tuple(val[x] for x in shared)
-            out[key] = out.get(key, 0) + count
-        tables[node] = out
-
-    total = sum(tables[root].values())
+            keys, sums = messages.pop(w)
+            shared = [column[x] for x in sorted(set(C.vector(w)) & column.keys())]
+            hit, at = _lookup(keys, table[:, shared])
+            table = table[hit]
+            counts = _times(counts[hit], sums[at[hit]])
+        if not len(table):
+            return 0
+        up = () if parent[node] is None else C.vector(parent[node])
+        shared = [column[x] for x in sorted(set(up) & column.keys())]
+        messages[node] = _group_sum(table[:, shared], counts)
     # elements of C in no tuple cannot exist (coverage), so the product over
     # join-tree nodes accounts for all of V(C)
-    return total
+    return int(messages[root][1][0])
+
+
+# int64 counts become Python ints (object arrays) once a product or a sum
+# may pass this bound
+_EXACT_BOUND = 1 << 62
+
+
+class _Images:
+    """Possible images of C's tuples in A, one table per (atomic type,
+    equality pattern): the rows of A in every relation of the type and
+    equal wherever the vector repeats an element, cut to the columns of the
+    vector's distinct elements."""
+
+    def __init__(self, A: Structure):
+        self.A = A
+        self.rows: dict = {}
+        self.tables: dict = {}
+
+    def relation(self, name):
+        if name not in self.rows:
+            self.rows[name] = np.array(
+                self.A.relations[name], dtype=np.int64).reshape(
+                    -1, self.A.signature.arity[name])
+        return self.rows[name]
+
+    def of(self, atp, vec):
+        firsts = tuple(vec.index(x) for x in vec)
+        key = (atp, firsts)
+        if key not in self.tables:
+            pools = [self.relation(r) for r in sorted(atp)]
+            base = min(pools, key=len)
+            keep = np.ones(len(base), dtype=bool)
+            for i, f in enumerate(firsts):
+                if f != i:
+                    keep &= base[:, i] == base[:, f]
+            rows = base[keep]
+            others = [p for p in pools if p is not base]
+            if others and len(rows):
+                # relations hold distinct rows: a row is in all of them iff
+                # its joint row id occurs once per relation
+                ids, nids = _row_ids(np.concatenate([rows] + others))
+                keep = np.bincount(ids, minlength=nids)[ids[:len(rows)]]
+                rows = rows[keep == len(pools)]
+            self.tables[key] = rows[:, sorted(set(firsts))]
+        return self.tables[key]
+
+
+def _lookup(keys, rows):
+    """For each row of rows, whether it equals a row of keys (distinct, in
+    lexicographic order), and the index of that row.  One shared column is
+    its own key; several are ranked jointly, so that no key can overflow."""
+    if not len(keys):
+        return np.zeros(len(rows), dtype=bool), np.zeros(len(rows), dtype=np.int64)
+    if keys.shape[1] == 1:
+        k, r = keys[:, 0], rows[:, 0]
+    else:
+        ids, _ = _row_ids(np.concatenate([keys, rows]))
+        k, r = ids[:len(keys)], ids[len(keys):]
+    at = np.minimum(np.searchsorted(k, r), len(k) - 1)
+    return k[at] == r, at
+
+
+def _times(a, b):
+    """a * b for positive counts, exact: as Python ints where the int64
+    product could pass the bound."""
+    if (a.dtype != object and b.dtype != object and len(a)
+            and int(a.max()) * int(b.max()) >= _EXACT_BOUND):
+        a = a.astype(object)
+    return a * b
+
+
+def _group_sum(rows, counts):
+    """The distinct rows of a 2-d int array in lexicographic order, and the
+    sum of counts over each, exact as in _times."""
+    if counts.dtype != object and int(counts.max()) * len(counts) >= _EXACT_BOUND:
+        counts = counts.astype(object)
+    if not rows.shape[1]:
+        return rows[:1], np.add.reduce(counts, keepdims=True)
+    order = np.lexsort(rows.T[::-1])
+    rows, counts = rows[order], counts[order]
+    starts = np.flatnonzero(np.concatenate(
+        ([True], (rows[1:] != rows[:-1]).any(axis=1))))
+    return rows[starts], np.add.reduceat(counts, starts)
 
 
 def hom_multigraph(T: ColoredMultigraph, G: ColoredMultigraph):

@@ -1,4 +1,7 @@
+import re
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relcr import fixtures
 from relcr.acyclic import (InconsistentPrintError, JoinTree, Print, PrintNode,
@@ -67,6 +70,27 @@ def test_join_tree_text_roundtrip():
     assert set(K.edges) == set(J.edges)
     single = JoinTree([TupleRef("R", 0)], [])
     assert JoinTree.from_text(single.to_text()).nodes == single.nodes
+
+
+SIG_TWINS = Signature([("E", 2), ("F", 2), ("R", 3)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 2**32))
+def test_join_tree_text_roundtrip_random(nodes, seed):
+    C, J = random_acyclic(SIG_TWINS, nodes, seed)
+    for tree in (J, gyo_join_tree(C)):
+        K = JoinTree.from_text(tree.to_text())
+        assert set(K.nodes) == set(tree.nodes)
+        assert set(K.edges) == set(tree.edges)
+
+
+@pytest.mark.parametrize("line", [
+    "edge: (E,0) (E,1)", "edge: (E,0) -- (E,1) -- (E,2)", "edge: (E,x) -- (E,1)",
+    "node: (E0)", "node: (E,0) -- (E,1)", "vertex: (E,0)"])
+def test_join_tree_text_names_a_bad_line(line):
+    with pytest.raises(ValueError, match="line 2: .*%s" % re.escape(repr(line))):
+        JoinTree.from_text("edge: (E,0) -- (E,1)\n" + line + "\n")
 
 
 def test_print_roundtrip():

@@ -109,6 +109,44 @@ def test_homcount(capsys):
     assert int(out.strip()) >= 1
 
 
+def test_homcount_with_a_gyo_join_tree_file(tmp_path, capsys):
+    # `relcr gyo -o` then `relcr homcount --join-tree` counts as GYO inline
+    fixtures = {p: parse_structure(p.read_text())
+                for p in sorted(FIX.glob("*.struct"))}
+    checked = 0
+    for c, C in fixtures.items():
+        jt = tmp_path / (c.stem + ".jt")
+        code, out, _ = run(capsys, "gyo", str(c), "-o", str(jt))
+        assert code == 0
+        if out.strip() == "cyclic":
+            continue
+        for a, A in fixtures.items():
+            if A.signature != C.signature:
+                continue
+            plain = run(capsys, "homcount", str(c), str(a))
+            with_file = run(capsys, "homcount", str(c), str(a),
+                            "--join-tree", str(jt))
+            assert plain[0] == 0 and with_file == plain, (c, a)
+            checked += 1
+    assert checked
+
+
+def test_join_tree_file_errors(tmp_path, capsys):
+    # unreadable and malformed join-tree files are errors, not tracebacks
+    a1 = str(FIX / "A1.struct")
+    missing = str(tmp_path / "missing.jt")
+    bad = tmp_path / "bad.jt"
+    bad.write_text("# a comment\nedge: (E,0) (E,1)\n")
+    for tree in (missing, str(tmp_path)):
+        for argv in (("homcount", a1, a1), ("export", a1, "--rep", "jtrep")):
+            code, _, err = run(capsys, *argv, "--join-tree", tree)
+            assert code == 1 and err.startswith("error: cannot read"), argv
+    for argv in (("homcount", a1, a1), ("export", a1, "--rep", "jtrep")):
+        code, _, err = run(capsys, *argv, "--join-tree", str(bad))
+        assert code == 1, argv
+        assert "line 2" in err and "edge: (E,0) (E,1)" in err, err
+
+
 def test_game(capsys):
     code, out, _ = run(capsys, "game", str(FIX / "A1.struct"),
                        str(FIX / "B1.struct"))

@@ -1,13 +1,15 @@
 import pytest
 
 from relcr import fixtures, generate, representations
-from relcr.acyclic import gyo_join_tree, random_acyclic
+from relcr.acyclic import JoinTree, gyo_join_tree, random_acyclic
 from relcr.core import Signature, Structure
 from relcr.homcount import (TooLargeError, hom_acyclic, hom_bruteforce,
                             hom_multigraph)
 
 SIG_E = Signature([("E", 2)])
 SIG_RE = Signature([("R", 3), ("E", 2)])
+# two binary symbols, so that one vector can lie in both, and a 5-ary one
+SIG_WIDE = Signature([("E", 2), ("F", 2), ("R", 3), ("P", 5)])
 
 
 def directed_path(k):
@@ -82,11 +84,72 @@ def test_signature_mismatch_rejected():
         hom_bruteforce(fixtures.a1(), fixtures.a2())
 
 
-def test_acyclic_dp_matches_bruteforce():
+def dp_cases():
+    """(C, A) pairs, C acyclic, on which the join-tree DP is checked."""
     for seed in range(40):
-        C, J = random_acyclic(SIG_RE, 3, seed)
-        A = generate.random_structure(SIG_RE, 6, {"R": 4, "E": 4}, seed + 1000)
-        assert hom_acyclic(C, J, A) == hom_bruteforce(C, A)
+        C, _ = random_acyclic(SIG_RE, 3, seed)
+        yield C, generate.random_structure(SIG_RE, 6, {"R": 4, "E": 4}, seed + 1000)
+    # random prints over SIG_WIDE: nodes in two relations, repeated entries
+    # and 5-ary facts, into small targets where entries repeat often
+    for seed in range(30):
+        C, _ = random_acyclic(SIG_WIDE, 2 + seed % 3, seed)
+        sizes = {"E": 6, "F": 6, "R": 14, "P": 120}
+        yield C, generate.random_structure(SIG_WIDE, 3, sizes, seed + 3000)
+    facts = [("E", "ab"), ("E", "ba"), ("E", "aa"), ("E", "bb"), ("E", "cc"),
+             ("F", "ab"), ("F", "bb"), ("F", "aa"), ("F", "bc"),
+             ("R", "aab"), ("R", "abc"), ("R", "ccc"), ("R", "bba"),
+             ("P", "aabcc"), ("P", "ababa"), ("P", "aaaaa"), ("P", "abcbc"),
+             ("P", "abacc"), ("P", "bcabb"), ("P", "ccccc")]
+    target = Structure.from_named(SIG_WIDE, facts)
+    no_r = Structure.from_named(SIG_WIDE, [f for f in facts if f[0] != "R"])
+    patterns = [
+        # one vector in E and in F
+        [("E", "xy"), ("F", "xy"), ("E", "yz")],
+        [("E", "xx"), ("F", "xx")],
+        # repeated elements inside one tuple
+        [("R", "xxy"), ("E", "yy"), ("P", "xyxzz")],
+        [("P", "xyxyx"), ("R", "xyw"), ("F", "wv")],
+        # 5-ary facts sharing several elements
+        [("P", "xyzuv"), ("P", "zuvst"), ("E", "tt")],
+        # a relation that is empty in the target
+        [("R", "xyz"), ("E", "zw")],
+        # two components: a join-tree edge between tuples sharing nothing
+        [("E", "xy"), ("F", "yz"), ("P", "uvuvw"), ("E", "ww")],
+        # the empty structure
+        [],
+    ]
+    for facts in patterns:
+        C = Structure.from_named(SIG_WIDE, facts)
+        yield C, target
+        yield C, no_r
+
+
+def test_acyclic_dp_matches_bruteforce():
+    for C, A in dp_cases():
+        J = gyo_join_tree(C)
+        assert J is not None
+        for root in J.nodes or (None,):
+            rooted = JoinTree(J.nodes, J.edges, root=root)
+            assert hom_acyclic(C, rooted, A) == hom_bruteforce(C, A), (C, A, root)
+
+
+def test_acyclic_dp_is_exact_above_int64():
+    # a 40-leaf out-star into the complete digraph with loops on 30
+    # elements: 30 images of the centre, 30 of each leaf, 30 * 30^40 > 2^63
+    C = Structure.from_named(SIG_E, [("E", ("c", "l%d" % i)) for i in range(40)])
+    K = Structure.from_named(SIG_E, [("E", (str(a), str(b)))
+                                     for a in range(30) for b in range(30)])
+    # GYO chains the leaves, so each message's group sum passes 2^62 first;
+    # on the star join tree the centre's products do, 30 at a time
+    refs = C.tuple_refs
+    star = [(refs[0], r) for r in refs[1:]]
+    for J in (gyo_join_tree(C), JoinTree(refs, star)):
+        for root in (J.nodes[0], J.nodes[-1], None):
+            rooted = JoinTree(J.nodes, J.edges, root=root)
+            assert hom_acyclic(C, rooted, K) == 30 ** 41
+    # a 40-fact walk into the same target: 30^41 as well, via products
+    assert hom_acyclic(directed_path(40), gyo_join_tree(directed_path(40)),
+                       K) == 30 ** 41
 
 
 def test_multigraph_count_matches_bruteforce():

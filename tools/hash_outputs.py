@@ -15,6 +15,9 @@ hubs, directed paths, structures with repeated entries and 5-ary tuples):
   rcr-ids     every round's `rcr_run` ids
   distinguish `relcr distinguish` on each pair
   game        `relcr game` on the pairs of at most 12 tuples a side
+  homcount    `relcr homcount` of walks and seeded random acyclic patterns
+              into each structure, once with `--join-tree` from `relcr gyo
+              -o`, and a count above 2^63
 
 With -v it prints one hash per section as well.
 """
@@ -97,6 +100,30 @@ def run_cli(*argv):
     return "%s\n%s\n%s\n" % (code, out.getvalue(), err.getvalue())
 
 
+def walk(sig, k):
+    return Structure.from_named(sig, [("E", (str(i), str(i + 1)))
+                                      for i in range(k)])
+
+
+def hom_patterns(A, seed):
+    """(name, C): acyclic patterns over A's signature, walks and random."""
+    if A.signature.arity.get("E") == 2:
+        for k in (1, 3, 8):
+            yield "walk-%d" % k, walk(A.signature, k)
+    for k in (2, 4, 6):
+        yield "acyclic-%d" % k, acyclic.random_acyclic(A.signature, k, seed + k)[0]
+
+
+def big_count():
+    """A 40-leaf out-star and the complete digraph with loops on 30
+    elements: 30^41 homomorphisms."""
+    sig = Signature([("E", 2)])
+    star = Structure.from_named(sig, [("E", ("c", "l%d" % i)) for i in range(40)])
+    complete = Structure.from_named(sig, [("E", (str(a), str(b)))
+                                          for a in range(30) for b in range(30)])
+    return star, complete
+
+
 def ids_bytes(rounds):
     return b"".join(np.asarray(r, dtype=np.int64).tobytes() + b"|"
                     for r in rounds)
@@ -125,7 +152,8 @@ def sections(work):
             files[name + side].write_text(serialize_structure(S))
 
     out = {k: hashlib.sha256() for k in (
-        "refine", "export", "cr-ids", "rcr-ids", "distinguish", "game")}
+        "refine", "export", "cr-ids", "rcr-ids", "distinguish", "game",
+        "homcount")}
     csv = work / "trace.csv"
     for name, A in singles:
         f = str(files[name])
@@ -136,6 +164,23 @@ def sections(work):
         for rep, g in encodings(A):
             out["cr-ids"].update(rep.encode() + ids_bytes(cr_run(g).rounds))
         out["rcr-ids"].update(ids_bytes(rcr_run(A).rounds))
+    for k, (name, A) in enumerate(singles):
+        for cname, C in hom_patterns(A, 10 * k):
+            c = work / ("%s.%s.struct" % (name, cname))
+            c.write_text(serialize_structure(C))
+            out["homcount"].update(run_cli("homcount", str(c),
+                                           str(files[name])).encode())
+    star, complete = big_count()
+    jobs = [(star, complete),
+            (acyclic.random_acyclic(SIG, 8, 1)[0], dict(singles)["repeated"])]
+    for k, (C, A) in enumerate(jobs):
+        c, a, jt = (work / ("hom-%d.%s" % (k, ext)) for ext in ("c", "a", "jt"))
+        c.write_text(serialize_structure(C))
+        a.write_text(serialize_structure(A))
+        out["homcount"].update(run_cli("gyo", str(c), "-o", str(jt)).encode())
+        for extra in ((), ("--join-tree", str(jt))):
+            out["homcount"].update(run_cli("homcount", str(c), str(a),
+                                           *extra).encode())
     for name, A, B in pairs:
         a, b = str(files[name + "a"]), str(files[name + "b"])
         out["distinguish"].update(run_cli("distinguish", a, b).encode())
