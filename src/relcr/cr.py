@@ -12,7 +12,8 @@ depends on the hash.  cr_run hands it only the nodes next to a class that
 split in the previous round (every node in the first round), so a round
 costs O(m' log m') for the m' edges at those nodes.  Rounds are synchronous:
 colors_at(i) is exactly the i-th refinement of the base coloring, which the
-tuple/graph round-correspondence tests rely on.
+tuple/graph round-correspondence tests rely on.  Both engines record a run
+as a Coloring of per-round changes.
 
 A multigraph's labels reach cr_run as ints; label names are never read.
 """
@@ -29,32 +30,96 @@ from .multigraph import ColoredMultigraph, sorted_distinct
 class Coloring:
     """Per-round colors of one refinement run, shared by both engines.
 
-    rounds[i] maps each position (a node, or a tuple occurrence) to its
-    round-i color; ids are comparable only within one run.  The partition at
-    stable_round is the stable coloring, and rounds past it repeat it."""
+    The trace holds changes, not rounds.  base[k] is position k's internal
+    name at round 0.  Round i renamed the positions moved[ends[i - 1]:
+    ends[i]] to renamed[ends[i - 1]:ends[i]], with ends[0] = 0; moved and
+    renamed are flat int64 arrays.  Internal names of round i are
+    0..class_counts[i]-1: when a class splits, its largest part keeps the
+    name and the other parts take the next free ones, so a position changes
+    name at most log2 n times.
 
-    def __init__(self, rounds, class_counts):
-        self.rounds = rounds
+    colors_at(i) builds round i on demand and publishes it: offsets[i] (0
+    unless given) plus the rank of the class's first position among the
+    first positions of all classes, that is, ids numbered by first
+    occurrence.  Ids are comparable only within one run.  The partition at
+    stable_round is the stable coloring, and rounds past the last stored
+    one repeat it."""
+
+    CACHED_ROUNDS = 16   # synthesis and the game revisit a few rounds
+
+    def __init__(self, base, moved, renamed, ends, class_counts, offsets=None):
+        self.base = base
+        self.moved, self.renamed, self.ends = moved, renamed, ends
         self.class_counts = class_counts
         self.stable_round = len(class_counts) - 1
+        self.offsets = offsets
+        self._at = (0, base.copy())   # one round's internal names
+        self._parent = None           # internal name -> the name it split from
+        self._published: dict = {}    # round -> (ids, first position per id)
 
     @property
     def colors(self):
-        return self.rounds[-1]
+        return self.colors_at(self.stable_round)
 
     def colors_at(self, i):
-        """Colors of round i; rounds past stability repeat the stable partition."""
-        return self.rounds[min(i, len(self.rounds) - 1)]
+        """Colors of round i as an int64 array; rounds past stability repeat
+        the stable partition."""
+        return self._publish(i)[0]
+
+    def _publish(self, i):
+        i = min(i, len(self.ends) - 1)
+        hit = self._published.pop(i, None)
+        if hit is None:
+            names = self._names_at(i)
+            n = len(names)
+            first = np.full(int(names.max()) + 1 if n else 0, n, dtype=np.int64)
+            np.minimum.at(first, names, np.arange(n))
+            heads = np.flatnonzero(first[names] == np.arange(n))
+            rank = np.empty(len(first), dtype=np.int64)
+            rank[names[heads]] = np.arange(len(heads))
+            ids = rank[names]
+            if self.offsets:
+                ids += self.offsets[i]
+            hit = ids, heads
+            if len(self._published) >= self.CACHED_ROUNDS:
+                del self._published[next(iter(self._published))]
+        self._published[i] = hit   # most recently used last
+        return hit
+
+    def _names_at(self, i):
+        """Internal names of round i, moved to from the last round built."""
+        j, names = self._at
+        ends, moved, renamed = self.ends, self.moved, self.renamed
+        for r in range(j, i):
+            names[moved[ends[r]:ends[r + 1]]] = renamed[ends[r]:ends[r + 1]]
+        if j > i:
+            parent = self._parents()
+            for r in reversed(range(i, j)):
+                names[moved[ends[r]:ends[r + 1]]] = parent[
+                    renamed[ends[r]:ends[r + 1]]]
+        self._at = (i, names)
+        return names
+
+    def _parents(self):
+        if self._parent is None:
+            self._parent = np.arange(max(self.class_counts), dtype=np.int64)
+            names = self.base.copy()
+            ends, moved, renamed = self.ends, self.moved, self.renamed
+            for r in range(len(ends) - 1):
+                pos, new = moved[ends[r]:ends[r + 1]], renamed[ends[r]:ends[r + 1]]
+                self._parent[new] = names[pos]
+                names[pos] = new
+        return self._parent
 
     def histogram_at(self, i, positions=None) -> Counter:
         cols = self.colors_at(i)
         if positions is not None:
-            cols = [cols[k] for k in positions]
-        return Counter(cols)
+            cols = cols[np.asarray(positions, dtype=np.int64)]
+        return Counter(cols.tolist())
 
     def partition_at(self, i, positions=None):
         """Frozen partition of the given positions (default: all) at round i."""
-        cols = self.colors_at(i)
+        cols = self.colors_at(i).tolist()
         blocks: dict = {}
         for k in (range(len(cols)) if positions is None else positions):
             blocks.setdefault(cols[k], []).append(k)
@@ -63,13 +128,66 @@ class Coloring:
     def first_difference(self, left, right):
         """(round, color) of the smallest round whose histograms over the two
         position lists differ, with the smallest color counted differently
-        there; None if no round tells them apart."""
-        for i in range(self.stable_round + 1):
-            hl = self.histogram_at(i, left)
-            hr = self.histogram_at(i, right)
-            if hl != hr:
-                return i, min(c for c in hl.keys() | hr.keys() if hl[c] != hr[c])
-        return None
+        there; None if no round tells them apart.
+
+        diff[c] is the count of internal name c over left minus that over
+        right, and unequal the number of names where it is not zero; a round
+        updates both at its changed positions only.  In the first round
+        with unequal > 0, the smallest color counted differently belongs to
+        the first position whose name is counted differently."""
+        weight = [0] * len(self.base)
+        for k in left:
+            weight[k] += 1
+        for k in right:
+            weight[k] -= 1
+        names = self.base.tolist()
+        diff = [0] * max(self.class_counts)
+        for c, w in zip(names, weight):
+            diff[c] += w
+        unequal = len(diff) - diff.count(0)
+        moved, renamed, ends = self.moved.tolist(), self.renamed.tolist(), self.ends
+        i = 0
+        while not unequal:
+            if i == len(ends) - 1:
+                return None
+            for j in range(ends[i], ends[i + 1]):
+                k, c = moved[j], renamed[j]
+                w = weight[k]
+                if w:
+                    o = names[k]
+                    unequal -= (diff[o] != 0) + (diff[c] != 0)
+                    diff[o] -= w
+                    diff[c] += w
+                    unequal += (diff[o] != 0) + (diff[c] != 0)
+                names[k] = c
+            i += 1
+        seen = set()
+        for c in names:
+            if c not in seen:
+                if diff[c]:
+                    return i, (self.offsets[i] if self.offsets else 0) + len(seen)
+                seen.add(c)
+
+
+def keep_largest(prev, new, count):
+    """Internal names after the nodes with old names prev take the classes
+    new (ids 0..k-1, each within one old class): in every old class the
+    largest part keeps the old name, the smallest id among equals, and the
+    other parts take count, count + 1, ... in the order of their ids.
+    Returns (names, the indices whose name changed, names now in use)."""
+    k = int(new.max()) + 1 if len(new) else 0
+    parent = np.empty(k, dtype=np.int64)
+    parent[new] = prev
+    size = np.bincount(new, minlength=k)
+    order = np.lexsort((-size, parent))
+    head = np.ones(k, dtype=bool)
+    np.not_equal(parent[order[1:]], parent[order[:-1]], out=head[1:])
+    moves = np.ones(k, dtype=bool)
+    moves[order[head]] = False
+    name = parent.copy()
+    fresh = np.flatnonzero(moves)
+    name[fresh] = count + np.arange(len(fresh))
+    return name[new], np.flatnonzero(moves[new]), count + len(fresh)
 
 
 def _lambda_adjacency(G: ColoredMultigraph):
@@ -125,6 +243,7 @@ def _set_ids(starts, tag):
     return ids
 
 
+_NONE = np.empty(0, dtype=np.int64)
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MUL1 = np.uint64(0xBF58476D1CE4E5B9)
 _MUL2 = np.uint64(0x94D049BB133111EB)
@@ -236,44 +355,52 @@ def cr_run(G: ColoredMultigraph, max_rounds=None, trace=True) -> Coloring:
     number of neighbours in every class that did not split, and either both
     or neither have a neighbour in one that did.  A round refines just
     those nodes when they number at most (n - 256) / 2, 256 nodes being
-    about the cost of cutting them out; their classes reuse their old
-    names, then take fresh ones, so names stay dense.  Published ids are
-    numbered by first occurrence, as refine_step numbers them."""
+    about the cost of cutting them out.  With a trace, names follow
+    keep_largest, which gives the trace its changes."""
     if max_rounds is None:
         max_rounds = G.n
     src, dst, lam = _lambda_adjacency(G)
     starts = np.searchsorted(src, np.arange(G.n + 1))  # src is sorted
     names, count = _base_colors(G)
-    rounds = [names]
+    base = names
+    moved, renamed, ends = [_NONE], [_NONE], [0]
     class_counts = [count]
     rows = None   # the nodes to refine; None for all of them
-    numbered = True
     for _ in range(max_rounds):
         if rows is None:
             old = names
             local, k = refine_step(starts, dst, lam, names, names)
-            new, new_count = local, k
         else:
             old = names[rows]
             sub, edges = _csr_rows(starts, rows)
             local, k = refine_step(sub, dst[edges], lam[edges], old, names)
+        if trace:
+            part, changed, new_count = keep_largest(old, local, count)
+        elif rows is None:
+            part, new_count = local, k
+        else:
+            # names need not stay put without a trace: old ones, then fresh
             reuse = np.flatnonzero(np.bincount(old, minlength=count))
-            new = names.copy()
-            new[rows] = np.concatenate(
-                (reuse, np.arange(count, count + k - len(reuse))))[local]
             new_count = count + k - len(reuse)
+            part = np.concatenate((reuse, np.arange(count, new_count)))[local]
         if new_count == count:
             break  # count equality implies partition equality (refinement)
-        numbered = rows is None
+        if rows is None:
+            new = part
+        else:
+            new = names.copy()
+            new[rows] = part
         if trace:
-            rounds.append(new if numbered else first_occurrence(new)[0])
+            changed = changed if rows is None else rows[changed]
+            moved.append(changed)
+            renamed.append(new[changed])
+            ends.append(ends[-1] + len(changed))
         class_counts.append(new_count)
         if G.n > 256:
             rows = _next_rows(starts, dst, rows, old, local, k, count)
         names, count = new, new_count
-    if not trace:
-        rounds = [names if numbered else first_occurrence(names)[0]]
-    return Coloring(rounds, class_counts)
+    return Coloring(base if trace else names, np.concatenate(moved),
+                    np.concatenate(renamed), ends, class_counts)
 
 
 def _next_rows(starts, dst, rows, old, local, k, count):

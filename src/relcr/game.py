@@ -63,7 +63,8 @@ def _realized_subvectors(x, A: Structure):
     return out
 
 
-def is_distinguishing(cfg: Configuration, A: Structure, B: Structure) -> bool:
+def is_distinguishing(cfg: Configuration, A: Structure, B: Structure,
+                      realized=_realized_subvectors) -> bool:
     """The empty configuration is never distinguishing; otherwise compare the
     similarity types of the pins and the atomic types of all short
     index-subvectors."""
@@ -71,7 +72,7 @@ def is_distinguishing(cfg: Configuration, A: Structure, B: Structure) -> bool:
         return False
     if stp(cfg.a, cfg.a) != stp(cfg.b, cfg.b):
         return True
-    return _realized_subvectors(cfg.a, A) != _realized_subvectors(cfg.b, B)
+    return realized(cfg.a, A) != realized(cfg.b, B)
 
 
 def default_round_bound(A: Structure, B: Structure) -> int:
@@ -87,20 +88,34 @@ class _Solver:
                 raise GameError(
                     "relation %s exceeds the bijection-enumeration guard" % name)
         self.memo: dict = {}
+        # a solve pins at most |Tup| + 1 tuples a side, each one's facts
+        # are computed once; the memo lives and dies with this solve's A, B
+        self._facts: dict = {}
         self.equal_size = strictly_equal_size(A, B)
         if self.equal_size:
             cmp = rcr_compare(A, B)
             self.cmp = cmp
+            rounds: dict = {}
 
             def color(side, rel, idx, budget):
                 ref = cmp.info.from_original(side, TupleRef(rel, idx))
                 k = cmp.union.tuple_pos[ref]
-                return cmp.trace.colors_at(budget)[k]
+                cols = rounds.get(budget)
+                if cols is None:
+                    cols = rounds[budget] = cmp.trace.colors_at(budget).tolist()
+                return cols[k]
 
             self.color = color
 
+    def _realized(self, x, S):
+        key = (S is self.B, x)
+        got = self._facts.get(key)
+        if got is None:
+            got = self._facts[key] = _realized_subvectors(x, S)
+        return got
+
     def spoiler_wins(self, cfg: Configuration, rounds: int, trace=None):
-        if is_distinguishing(cfg, self.A, self.B):
+        if is_distinguishing(cfg, self.A, self.B, self._realized):
             return True
         if rounds <= 0:
             return False
@@ -137,10 +152,9 @@ class _Solver:
     def _round_win(self, cfg, rounds, ta, tb):
         if stp(cfg.a, ta) != stp(cfg.b, tb):
             return True
-        nxt = Configuration(ta, tb)
-        if is_distinguishing(nxt, self.A, self.B):
-            return True
-        return self.spoiler_wins(nxt, rounds - 1)
+        # spoiler_wins checks first whether the new configuration is
+        # distinguishing
+        return self.spoiler_wins(Configuration(ta, tb), rounds - 1)
 
     def _bijections(self, cfg, rounds, rel):
         """Yield bijections (as lists of index pairs) grouped block-wise; a

@@ -291,6 +291,7 @@ class SynthesisContext:
         self.node_budget = node_budget
         self.nodes = 0
         self.memo: dict = {}
+        self._bases: dict = {}   # color -> color_base(color)
         self.realized_taus = trace.realized_taus()
 
     def _tick(self, f):
@@ -306,7 +307,11 @@ class SynthesisContext:
 
     def color_base(self, color: int):
         """("base", atp, stp) of the round-0 color under a color."""
-        return self.decode(self.trace.rounds[0][self.trace.representative(color)])
+        got = self._bases.get(color)
+        if got is None:
+            k = self.trace.representative(color)
+            got = self._bases[color] = self.decode(int(self.trace.colors_at(0)[k]))
+        return got
 
     def color_atp(self, color: int) -> tuple:
         return self.color_base(color)[1]
@@ -362,7 +367,7 @@ class SynthesisContext:
         k = len(xvars)
         own_stp = set(self.color_stp(color))
         # realized colors of the previous round, on either side of the run
-        prev_colors = sorted(set(self.trace.colors_at(round_i - 1)))
+        prev_colors = self.trace.round_colors(round_i - 1)
         mult: dict = {}
         for tau, d in mset:
             mult[(tau, d)] = mult.get((tau, d), 0) + 1

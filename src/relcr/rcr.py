@@ -9,23 +9,30 @@ a representative occurrence.  Ids are only comparable within one run, so
 cross-structure questions refine the disjoint union.
 
 Two engines compute the same ids.  kernel_rounds refines the tuple-slice
-incidence with cr.refine_step, two exact vectorized half-steps per round,
-in O(N log N) per round for a fixed signature.  reference_rounds interns
-each occurrence's multiset over all its overlaps, which is quadratic on
-hubs; it serves small inputs, where it is faster, and the tests as oracle.
+incidence in two half-steps per round.  Its first rounds are exact
+vectorized cr.refine_step half-steps over the whole incidence, O(N log N)
+a round for a fixed signature.  After the first round that renames at most
+(N + HANDOVER_TUPLES) / HANDOVER_PER_TUPLE tuples, a worklist re-keys only
+the nodes next to a renamed node, and a class that splits keeps its name
+for its largest part; a tuple is renamed at most log2 N times, so all the
+rounds after the handover cost O(N log N) together.  reference_rounds
+interns each occurrence's multiset over all its overlaps, which is
+quadratic on hubs; it serves small inputs, where it is faster, and the
+tests as oracle.  A run is kept as cr.Coloring keeps it: base classes and
+per-round changes.
 """
 
 from __future__ import annotations
 
-import io
 from bisect import bisect_right
+from collections import defaultdict
 from itertools import accumulate, permutations
 from typing import Optional
 
 import numpy as np
 
 from .core import Structure, disjoint_union, stp, strictly_equal_size
-from .cr import Coloring, first_occurrence, refine_step
+from .cr import Coloring, first_occurrence, keep_largest, refine_step
 
 # rcr_run uses the kernel from this many tuple occurrences on.  The kernel
 # pays ~1 ms to build its arrays and ~0.1 ms a half-step, so it loses on
@@ -46,21 +53,40 @@ KERNEL_MIN_TUPLES = 64
 # random inputs, memory already at 5 (4096 random tuples, k = 5: 0.12 s,
 # 113 MB against 0.54 s, 58 MB); the benchmark has no tuple longer than 3.
 KERNEL_MAX_ARITY = 5
+# kernel_rounds hands over to its worklist after the first round that
+# renames at most (n + HANDOVER_TUPLES) / HANDOVER_PER_TUPLE of the n tuples:
+# 22 at n = 400, 41 at 1600, 1578 at 1e5.  A refine_step round costs about
+# 0.3 ms on 400 path tuples and 1 ms on 1600 random R/3,E/2 tuples, a
+# worklist round about 10 us per renamed tuple, and the frontier can grow
+# again after a handover (1600 random tuples: 1583, 86, 92, 262, 306, 92, 9
+# and 1 renamed in rounds 1-8).  kernel_rounds time in ms, mean over the
+# benchmark's unions of 3 input sets (seed 7), best of 7, shared 2-core x86
+# machine, Python 3.11, numpy 2.4, for no handover / handover after round 1
+# / this rule / (n + 1024) / 16 / (n + 512) / 8: long-path 33.8, 6.1, 6.1,
+# 5.7, 5.3; random-sparse 14.0, 22.0, 13.8, 16.2, 16.5; hub-star 4.2, 6.3,
+# 4.4, 4.3, 4.3; oracles 1.95, 1.72, 1.72, 1.73, 1.73; 2000 random tuples
+# 13.0, 22.4, 13.3, 12.9, 12.8.  A directed chain of 1e4 E facts takes 0.13
+# s with the rule, 33 s without.
+HANDOVER_PER_TUPLE = 64
+HANDOVER_TUPLES = 1024
+
+_NONE = np.empty(0, dtype=np.int64)
 
 
 class RefinementTrace(Coloring):
     """Per-round colors of an RCR run, with on-demand color decoding.
 
-    A color decodes to ("base", atp, stp) at round 0 and to ("step", prev,
-    multiset) afterwards, where multiset is the sorted tuple of
-    (stp-encoding, neighbor color) pairs over the overlapping occurrences,
-    the occurrence itself included, duplicates retained."""
+    Round i's ids start at offsets[i], the number of classes of the rounds
+    before it, so that a color id names its round.  A color decodes to
+    ("base", atp, stp) at round 0 and to ("step", prev, multiset)
+    afterwards, where multiset is the sorted tuple of (stp-encoding,
+    neighbor color) pairs over the overlapping occurrences, the occurrence
+    itself included, duplicates retained."""
 
-    def __init__(self, structure, rounds, class_counts):
-        super().__init__(rounds, class_counts)
+    def __init__(self, structure, base, moved, renamed, ends, class_counts):
+        super().__init__(base, moved, renamed, ends, class_counts,
+                         [0, *accumulate(class_counts)])
         self.structure = structure
-        self.offsets = [0, *accumulate(class_counts)]  # round i's first id
-        self._first: dict = {}     # round -> color -> first position with it
         self._keys: dict = {}
         self._buckets = None       # element -> positions containing it
 
@@ -70,15 +96,16 @@ class RefinementTrace(Coloring):
             raise ValueError("color %r does not occur in this run" % (color,))
         return bisect_right(self.offsets, color) - 1
 
+    def round_colors(self, i) -> range:
+        """Every color id of round i, in increasing order; rounds past
+        stability repeat the stable round."""
+        i = min(i, self.stable_round)
+        return range(self.offsets[i], self.offsets[i + 1])
+
     def representative(self, color: int) -> int:
         """The first position with this color."""
         i = self.round_of_color(color)
-        first = self._first.get(i)
-        if first is None:
-            first = self._first[i] = {}
-            for k, c in enumerate(self.rounds[i]):
-                first.setdefault(c, k)
-        return first[color]
+        return int(self._publish(i)[1][color - self.offsets[i]])
 
     def overlaps(self, k):
         """(position, stp-encoding) of every occurrence overlapping position
@@ -96,7 +123,7 @@ class RefinementTrace(Coloring):
     def realized_taus(self) -> list:
         """Sorted stp encodings over all overlapping pairs of positions,
         each position paired with itself too."""
-        return sorted({tau for k in range(len(self.rounds[0]))
+        return sorted({tau for k in range(len(self.base))
                        for _, tau in self.overlaps(k)})
 
     def decode(self, color: int):
@@ -107,17 +134,20 @@ class RefinementTrace(Coloring):
                 A = self.structure
                 key = ("base", *_base_key(A, A.vector(A.tuple_refs[k])))
             else:
-                key = ("step", *_step_key(self.rounds[i - 1], k, self.overlaps(k)))
+                cols = self.colors_at(i - 1)
+                key = ("step", *_step_key(int(cols[k]), [
+                    (tau, int(cols[b])) for b, tau in self.overlaps(k)]))
             self._keys[color] = key
         return key
 
-    def to_csv(self) -> str:
-        out = io.StringIO()
+    def write_csv(self, out):
+        """Write the trace as CSV to a text stream, one round at a time."""
         out.write("round,relation,tuple_index,color_id\n")
-        for i, cols in enumerate(self.rounds):
-            for k, ref in enumerate(self.structure.tuple_refs):
-                out.write("%d,%s,%d,%d\n" % (i, ref.relation, ref.index, cols[k]))
-        return out.getvalue()
+        refs = ["%s,%d," % (r.relation, r.index) for r in self.structure.tuple_refs]
+        for i in range(self.stable_round + 1):
+            head = "%d," % i
+            out.write("".join([head + ref + "%d\n" % c for ref, c in
+                               zip(refs, self.colors_at(i).tolist())]))
 
 
 def _stp_key(tau) -> tuple:
@@ -128,8 +158,10 @@ def _base_key(A: Structure, vec) -> tuple:
     return tuple(sorted(A.atp(vec))), _stp_key(stp(vec, vec))
 
 
-def _step_key(prev, a, pairs) -> tuple:
-    return prev[a], tuple(sorted((tau, prev[b]) for b, tau in pairs))
+def _step_key(own, pairs) -> tuple:
+    """own is the previous color, pairs the (stp-encoding, previous color)
+    of every overlap."""
+    return own, tuple(sorted(pairs))
 
 
 def reference_rounds(A: Structure, max_rounds: Optional[int] = None):
@@ -158,7 +190,9 @@ def reference_rounds(A: Structure, max_rounds: Optional[int] = None):
         prev = rounds[-1]
         table = {}
         nxt = [
-            table.setdefault(_step_key(prev, a, overlaps[a]), next_id + len(table))
+            table.setdefault(
+                _step_key(prev[a], [(tau, prev[b]) for b, tau in overlaps[a]]),
+                next_id + len(table))
             for a in range(len(refs))]
         if len(table) == class_counts[-1]:
             break  # refinement: equal class count means equal partition
@@ -169,28 +203,34 @@ def reference_rounds(A: Structure, max_rounds: Optional[int] = None):
 
 
 def kernel_rounds(A: Structure, max_rounds: Optional[int] = None):
-    """(rounds, class_counts), equal to reference_rounds, by refining the
-    tuple-slice incidence.
+    """(base, moved, renamed, ends, class_counts) of RCR on A, as
+    cr.Coloring keeps a run, for the rounds reference_rounds returns, by
+    refining the tuple-slice incidence.
 
     A slice of a tuple is a duplicate-free vector over its elements.  Each
-    round is two half-steps of refine_step: every slice takes the multiset
-    of (stp(a, s), color of a) over the tuples a containing it, then every
-    tuple refines by the multiset of (stp(a, s), slice color) over its
-    slices, as in CR on vgrep, whose round 2i+1 is RCR's round i on the
-    tuple nodes (acceptance criterion 5).  The slices of one tuple
-    determine, by inclusion-exclusion over the shared elements, the
-    multiset of (stp(a, b), color of b) over its overlaps b, and the
-    converse holds too, so the tuple partitions are RCR's.  A slice in only
-    one tuple is left out: its color is a function of that tuple's previous
-    color, and the tuple's stp fixes which slices it has."""
+    round is two half-steps: every slice takes the multiset of (stp(a, s),
+    color of a) over the tuples a containing it, then every tuple refines
+    by the multiset of (stp(a, s), slice color) over its slices, as in CR
+    on vgrep, whose round 2i+1 is RCR's round i on the tuple nodes
+    (acceptance criterion 5).  The slices of one tuple determine, by
+    inclusion-exclusion over the shared elements, the multiset of (stp(a,
+    b), color of b) over its overlaps b, and the converse holds too, so the
+    tuple partitions are RCR's.  A slice in only one tuple is left out: its
+    color is a function of that tuple's previous color, and the tuple's stp
+    fixes which slices it has.
+
+    The first rounds are refine_step half-steps over the whole incidence.
+    The first tuple half-step must re-key every tuple: tuples of one base
+    class can own different numbers of shared slices.  After the first
+    round that renames at most (n + HANDOVER_TUPLES) / HANDOVER_PER_TUPLE
+    tuples, _worklist_rounds takes over."""
     if max_rounds is None:
         max_rounds = A.size()
     rels = relation_rows(A)
-    tuple_colors, count = _base_classes(A, rels)
-    rounds = [tuple_colors.tolist()]
+    base, count = _base_classes(A, rels)
+    moved, renamed, ends = [_NONE], [_NONE], [0]
     class_counts = [count]
-    next_id = count
-    tup, sl, lab, _, _ = slice_incidence(A, rels)
+    tup, sl, lab, _, taus = slice_incidence(A, rels)
     # keep the slices held by more than one tuple, renumbered densely
     shared = np.bincount(sl) > 1
     keep = shared[sl]
@@ -199,16 +239,150 @@ def kernel_rounds(A: Structure, max_rounds: Optional[int] = None):
     nslices = int(shared.sum())
     t_csr = _csr(tup, sl, lab, A.size())
     s_csr = _csr(sl, tup, lab, nslices)
-    slice_prev = np.zeros(nslices, dtype=np.int64)
-    for _ in range(max_rounds):
-        slice_colors, _ = refine_step(*s_csr, slice_prev, tuple_colors)
-        tuple_colors, count = refine_step(*t_csr, tuple_colors, slice_colors)
-        if count == class_counts[-1]:
+    no_prev = np.zeros(nslices, dtype=np.int64)
+    names = base
+    for done in range(max_rounds):
+        slice_names, _ = refine_step(*s_csr, no_prev, names)
+        local, k = refine_step(*t_csr, names, slice_names)
+        if k == count:
             break
-        rounds.append((tuple_colors + next_id).tolist())
+        names, changed, count = keep_largest(names, local, count)
+        moved.append(changed)
+        renamed.append(names[changed])
+        ends.append(ends[-1] + len(changed))
         class_counts.append(count)
-        next_id += count
-    return rounds, class_counts
+        if len(changed) * HANDOVER_PER_TUPLE <= A.size() + HANDOVER_TUPLES:
+            tail = _worklist_rounds(t_csr, s_csr, len(taus), names,
+                                    slice_names, changed,
+                                    max_rounds - done - 1, ends, class_counts)
+            moved.append(np.array(tail[0], dtype=np.int64))
+            renamed.append(np.array(tail[1], dtype=np.int64))
+            break
+    return (base, np.concatenate(moved), np.concatenate(renamed), ends,
+            class_counts)
+
+
+def _worklist_rounds(t_csr, s_csr, nlabels, names, slice_names, moved,
+                     max_rounds, ends, class_counts):
+    """Continue kernel_rounds after a round that renamed the tuples moved.
+    Returns the (moved, renamed) lists of the rounds it adds to ends and
+    class_counts.
+
+    A half-step re-keys only the nodes next to a node renamed in the
+    half-step before, by their old name and the sorted codes (name *
+    nlabels + label) of their edges to renamed nodes.  Two nodes of one
+    class had equal multisets over the old names, so they have equal
+    multisets over the new ones exactly when their keys agree; the nodes of
+    a class with no such edge form one more part.  That holds for the
+    slices because a slice's class (from the previous half-step) fixes its
+    multiset over the tuples' names before, and for the tuples because
+    their class after round 1 includes their multiset over slice names.  A
+    class's largest part keeps its name, so a node is renamed at most log2
+    n times, and the rounds cost O(M log N) together for M edges."""
+    tuples, slices = _Partition(names), _Partition(slice_names)
+    t_starts, t_other, t_lab = (x.tolist() for x in t_csr)
+    s_starts, s_other, s_lab = (x.tolist() for x in s_csr)
+    moved = moved.tolist()
+    all_moved, renamed = [], []
+    for _ in range(max_rounds):
+        split = slices.refine(
+            _bags(moved, t_starts, t_other, t_lab, tuples.names, nlabels))
+        moved = tuples.refine(
+            _bags(split, s_starts, s_other, s_lab, slices.names, nlabels))
+        if not moved:
+            break
+        all_moved += moved
+        renamed += [tuples.names[a] for a in moved]
+        ends.append(ends[-1] + len(moved))
+        class_counts.append(tuples.count)
+    return all_moved, renamed
+
+
+def _bags(moved, starts, other, lab, names, nlabels):
+    """node -> codes of its edges to the moved nodes of the other side."""
+    bags = defaultdict(list)
+    for v in moved:
+        code = names[v] * nlabels
+        lo, hi = starts[v], starts[v + 1]
+        for w, label in zip(other[lo:hi], lab[lo:hi]):
+            bags[w].append(code + label)
+    return bags
+
+
+class _Partition:
+    """Dense names of nodes 0..n-1, each class a contiguous run of order,
+    so that a split moves and renames only the nodes that leave a class."""
+
+    def __init__(self, names):
+        order = np.argsort(names, kind="stable")
+        where = np.empty(len(names), dtype=np.int64)
+        where[order] = np.arange(len(names))
+        size = np.bincount(names)
+        self.names = names.tolist()
+        self.order = order.tolist()
+        self.where = where.tolist()
+        self.size = size.tolist()
+        self.first = (np.cumsum(size) - size).tolist()
+        self.count = len(size)
+
+    def refine(self, bags):
+        """Split every class by the sorted codes of its nodes in bags; its
+        nodes not in bags form one more part.  The largest part keeps the
+        name, the untouched part first among equals, and the others take
+        fresh names.  Returns the renamed nodes."""
+        names, order, where = self.names, self.order, self.where
+        first, size = self.first, self.size
+        parts: dict = {}
+        for v, bag in bags.items():
+            bag.sort()
+            key = (names[v], *bag)
+            part = parts.get(key)
+            if part is None:
+                parts[key] = [v]
+            else:
+                part.append(v)
+        by_class = defaultdict(list)
+        for key, part in parts.items():
+            by_class[key[0]].append(part)
+        renamed = []
+        for c, split in by_class.items():
+            start, end = first[c], first[c] + size[c]
+            rest = size[c] - sum(map(len, split))
+            if not rest and len(split) == 1:
+                continue
+            keep = max(split, key=len)
+            if len(keep) <= rest:
+                keep = None
+                size[c] = rest
+            # lay the parts out at the end of the class's run
+            for part in split:
+                end -= len(part)
+                for q, v in enumerate(part, end):
+                    p = where[v]
+                    if p != q:
+                        u = order[q]
+                        order[p], order[q] = u, v
+                        where[u], where[v] = p, q
+                if part is keep:
+                    first[c], size[c] = end, len(part)
+                else:
+                    self._rename(part, end)
+                    renamed += part
+            if rest and keep is not None:
+                part = order[start:start + rest]
+                self._rename(part, start)
+                renamed += part
+        return renamed
+
+    def _rename(self, part, start):
+        """Give the nodes of part, the run of order from start, a fresh name."""
+        new = self.count
+        self.count += 1
+        self.first.append(start)
+        self.size.append(len(part))
+        names = self.names
+        for v in part:
+            names[v] = new
 
 
 def relation_rows(A: Structure):
@@ -320,10 +494,38 @@ def rcr_run(A: Structure, max_rounds: Optional[int] = None) -> RefinementTrace:
     arity = max((len(rows[0]) for rows in A.relations.values() if rows),
                 default=0)
     if A.size() >= KERNEL_MIN_TUPLES and arity <= KERNEL_MAX_ARITY:
-        engine = kernel_rounds
-    else:
-        engine = reference_rounds
-    return RefinementTrace(A, *engine(A, max_rounds))
+        return RefinementTrace(A, *kernel_rounds(A, max_rounds))
+    rounds, class_counts = reference_rounds(A, max_rounds)
+    return RefinementTrace(A, *_changes(rounds, class_counts), class_counts)
+
+
+def _changes(rounds, class_counts):
+    """(base, moved, renamed, ends) of reference_rounds' rounds, named as
+    keep_largest names them; a loop, because the reference serves small
+    inputs, where numpy's per-call cost would dominate."""
+    names = list(rounds[0])   # round 0's ids are its internal names
+    moved, renamed, ends = [], [], [0]
+    count = class_counts[0]
+    for cur in rounds[1:]:
+        parts: dict = {}      # by id, so in order of first occurrence
+        for k, c in enumerate(cur):
+            parts.setdefault(c, []).append(k)
+        largest: dict = {}    # old name -> its largest part
+        for part in parts.values():
+            best = largest.setdefault(names[part[0]], part)
+            if len(part) > len(best):
+                largest[names[part[0]]] = part
+        for part in parts.values():
+            if largest[names[part[0]]] is not part:
+                moved += part
+                renamed += [count] * len(part)
+                count += 1
+        for j in range(ends[-1], len(moved)):
+            names[moved[j]] = renamed[j]
+        ends.append(len(moved))
+    return (np.array(rounds[0], dtype=np.int64),
+            np.array(moved, dtype=np.int64),
+            np.array(renamed, dtype=np.int64), ends)
 
 
 class CompareResult:

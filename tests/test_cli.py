@@ -51,6 +51,30 @@ def test_refine_and_csv(tmp_path, capsys):
     assert csv.read_text().startswith("round,relation,tuple_index,color_id")
 
 
+def test_parser_defaults_do_not_stick(tmp_path, capsys):
+    # main builds its parser once per process
+    path = tmp_path / "path.struct"
+    path.write_text("signature: E/2\n" + "".join(
+        "E(%d, %d)\n" % (i, i + 1) for i in range(10)))
+    code, out, _ = run(capsys, "refine", "--rounds", "1", str(path))
+    assert code == 0 and out.endswith("stable at round 1\n")
+    with pytest.raises(SystemExit) as e:
+        main(["refine", "--rounds", "x", str(path)])
+    assert e.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run(capsys, "refine", str(path))
+    assert code == 0 and out.endswith("stable at round 5\n")
+    assert out.count("classes") == 6
+
+
+def test_refine_csv_to_stdout_equals_file(tmp_path, capsys):
+    csv = tmp_path / "trace.csv"
+    f = str(FIX / "A2.struct")
+    _, shown, _ = run(capsys, "refine", f, "--csv", str(csv))
+    _, both, _ = run(capsys, "refine", f, "--csv", "-")
+    assert both == shown + csv.read_text()
+
+
 def test_distinguish(capsys):
     code, out, _ = run(capsys, "distinguish", str(FIX / "A1.struct"),
                        str(FIX / "B1.struct"))

@@ -1,7 +1,7 @@
 import pytest
 
 from relcr import fixtures, generate
-from relcr.core import Signature
+from relcr.core import Signature, Structure
 from relcr.game import (Configuration, GameError, default_round_bound,
                         is_distinguishing, spoiler_wins)
 from relcr.rcr import rcr_distinguishes
@@ -62,6 +62,16 @@ def test_game_agrees_with_refinement():
         B = generate.random_structure_like(A, seed + 500)
         won, _ = spoiler_wins(A, B)
         assert won == (rcr_distinguishes(A, B) is not None)
+
+
+def test_equal_pins_on_two_structures_are_told_apart():
+    # a solve computes each pin's facts once, per structure
+    sig = Signature([("E", 2)])
+    A = Structure(sig, {"E": [(0, 1), (1, 0)]})
+    B = Structure(sig, {"E": [(0, 1), (2, 3)]})
+    cfg = Configuration((0, 1), (0, 1))
+    assert is_distinguishing(cfg, A, B)
+    assert spoiler_wins(A, B, rounds=0, cfg=cfg)[0]
 
 
 def test_game_agrees_on_unequal_sizes():

@@ -12,16 +12,18 @@ import random
 import numpy as np
 from test_acceptance import _random_sig4
 
-from relcr import checks, cr, fixtures, rcr, representations
+from relcr import checks, cr, fixtures, generate, rcr, representations
+from relcr.checks import published_rounds
 from relcr.core import Signature, Structure
 from relcr.multigraph import ColoredMultigraph
 from relcr.cr import Coloring, _base_colors, _lambda_adjacency, cr_run
-from relcr.rcr import kernel_rounds, reference_rounds
+from relcr.rcr import RefinementTrace, kernel_rounds, reference_rounds
 
 
 def per_node_cr_run(G, max_rounds=None):
     """cr_run as it was before the kernel: one dict lookup per node and
-    round, keyed by (previous color, bytes of the sorted codes)."""
+    round, keyed by (previous color, bytes of the sorted codes).  Returns
+    (rounds, class_counts)."""
     if max_rounds is None:
         max_rounds = G.n
     src, dst, lam = _lambda_adjacency(G)
@@ -47,7 +49,7 @@ def per_node_cr_run(G, max_rounds=None):
         rounds.append(new)
         ncls = len(table)
         class_counts.append(ncls)
-    return Coloring(rounds, class_counts)
+    return rounds, class_counts
 
 
 def per_node_base_colors(G):
@@ -76,9 +78,23 @@ def hub(n, seed=0):
     return Structure.from_named(Signature([("R", 3), ("E", 2)]), facts)
 
 
-def directed_path(k):
-    return Structure.from_named(Signature([("E", 2)]),
-                                [("E", (str(i), str(i + 1))) for i in range(k)])
+def directed_path(k, cycle=0):
+    """k E facts: a directed path of k - cycle edges and, on fresh elements,
+    a directed cycle of `cycle` edges."""
+    facts = [("E", (str(i), str(i + 1))) for i in range(k - cycle)]
+    facts += [("E", ("c%d" % i, "c%d" % ((i + 1) % cycle))) for i in range(cycle)]
+    return Structure.from_named(Signature([("E", 2)]), facts)
+
+
+def handover_cases():
+    """Structures on which kernel_rounds hands over to the worklist after
+    one or more refine_step rounds, and the worklist still splits: a path
+    plus a cycle (from round 2 on), a 2000-tuple random R/3,E/2 structure
+    (round 4 renames 1 tuple) and a hub (round 4 renames 1 tuple)."""
+    sig = Signature([("R", 3), ("E", 2)])
+    return [directed_path(400, cycle=100),
+            generate.random_structure(sig, 3000, {"R": 1000, "E": 1000}, 3),
+            hub(300, 1)]
 
 
 def corpus():
@@ -90,15 +106,23 @@ def corpus():
 
 @functools.lru_cache(maxsize=None)
 def with_reference():
-    """The corpus, a 300-tuple hub and a 2100-fact path (1050 rounds), each
-    with its reference_rounds."""
-    cases = corpus() + [hub(300), directed_path(2100)]
+    """The corpus, a 300-tuple hub, the handover cases and a 2100-fact path
+    (1050 rounds), each with its reference_rounds."""
+    cases = corpus() + [hub(300)] + handover_cases() + [directed_path(2100)]
     return [(A, reference_rounds(A)) for A in cases]
 
 
-def same_ids(a: Coloring, b: Coloring):
-    return (a.class_counts == b.class_counts
-            and all(np.array_equal(x, y) for x, y in zip(a.rounds, b.rounds)))
+def kernel_ids(A, max_rounds=None):
+    """Every round's kernel ids as lists, with the class counts."""
+    return published_rounds(RefinementTrace(A, *kernel_rounds(A, max_rounds)))
+
+
+def same_ids(a: Coloring, want):
+    """Whether a publishes the rounds and class counts of want."""
+    rounds, class_counts = want
+    return (a.class_counts == class_counts and a.stable_round == len(rounds) - 1
+            and all(np.array_equal(a.colors_at(i), r)
+                    for i, r in enumerate(rounds)))
 
 
 def constant_mix(codes):
@@ -107,16 +131,54 @@ def constant_mix(codes):
 
 def test_kernel_ids_equal_reference_ids():
     for A, want in with_reference():
-        assert kernel_rounds(A) == want
+        assert kernel_ids(A) == want
     rounds, counts = with_reference()[-1][1]
     assert len(counts) == 1051
-    assert all(type(c) is int for r in rounds for c in r)
+
+
+def test_handover_cases_switch_mid_run(monkeypatch):
+    # each case runs refine_step rounds, then worklist rounds that split
+    seen = []
+    worklist = rcr._worklist_rounds
+
+    def spy(*args):
+        ends = args[-2]
+        before = len(ends) - 1
+        tail = worklist(*args)
+        seen.append((before, len(ends) - 1 - before))
+        return tail
+
+    monkeypatch.setattr(rcr, "_worklist_rounds", spy)
+    for A in handover_cases():
+        kernel_rounds(A)
+    assert [before for before, _ in seen] == [1, 3, 3]
+    assert all(after > 0 for _, after in seen)
+
+
+def test_worklist_keeps_classes_contiguous(monkeypatch):
+    # each class is the run of order from first[c] of size[c]
+    refine = rcr._Partition.refine
+
+    def checked(part, bags):
+        renamed = refine(part, bags)
+        assert sorted(part.order) == list(range(len(part.names)))
+        assert all(part.where[v] == p for p, v in enumerate(part.order))
+        for c in range(part.count):
+            run = part.order[part.first[c]:part.first[c] + part.size[c]]
+            assert run and all(part.names[v] == c for v in run)
+        assert sum(part.size) == len(part.names)
+        return renamed
+
+    monkeypatch.setattr(rcr._Partition, "refine", checked)
+    monkeypatch.setattr(rcr, "HANDOVER_PER_TUPLE", 0)   # hand over at round 1
+    for A, want in with_reference()[:200]:
+        assert kernel_ids(A) == want
 
 
 def test_kernel_rounds_respect_max_rounds():
     A = directed_path(40)
     for m in (0, 1, 5):
-        assert kernel_rounds(A, m) == reference_rounds(A, m)
+        assert kernel_ids(A, m) == reference_rounds(A, m)
 
 
 def test_kernel_on_relations_sharing_vectors():
@@ -129,7 +191,7 @@ def test_kernel_on_relations_sharing_vectors():
                 for name in "RST"}
         rels["U"] = [(x,) for x in range(6)]
         A = Structure(sig, rels)
-        assert kernel_rounds(A) == reference_rounds(A)
+        assert kernel_ids(A) == reference_rounds(A)
 
 
 def test_kernel_on_five_ary_tuples():
@@ -143,12 +205,12 @@ def test_kernel_on_five_ary_tuples():
                  for _ in range(rng.randint(1, 12))]
         A = Structure.from_named(sig, facts + [("E", (x(), x()))
                                                for _ in range(6)])
-        assert kernel_rounds(A) == reference_rounds(A)
+        assert kernel_ids(A) == reference_rounds(A)
 
 
 def test_kernel_on_empty_structure():
     A = Structure(Signature([("E", 2)]), {})
-    assert kernel_rounds(A) == reference_rounds(A) == ([[]], [0])
+    assert kernel_ids(A) == reference_rounds(A) == ([[]], [0])
 
 
 def test_cr_run_ids_equal_per_node_loop():
@@ -197,7 +259,7 @@ def test_every_hash_colliding_leaves_ids_unchanged(monkeypatch):
     want_cr = [per_node_cr_run(G) for G in graphs]
     monkeypatch.setattr(cr, "_mix", constant_mix)
     for A, want in with_reference():
-        assert kernel_rounds(A) == want
+        assert kernel_ids(A) == want
     for G, w in zip(graphs, want_cr):
         assert same_ids(cr_run(G), w)
 
@@ -236,8 +298,9 @@ def test_refine_step_numbers_by_first_occurrence():
 
 def test_kernel_check_reports_wrong_ids(monkeypatch):
     assert checks.check_kernel(7, 30, None) == []
-    monkeypatch.setattr(rcr, "kernel_rounds",
-                        lambda A: ([[0] * A.size()], [1]))
+    none = np.empty(0, dtype=np.int64)
+    monkeypatch.setattr(rcr, "kernel_rounds", lambda A: (
+        np.zeros(A.size(), dtype=np.int64), none, none, [0], [1]))
     assert checks.check_kernel(7, 30, None)
 
 

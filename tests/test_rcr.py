@@ -1,10 +1,16 @@
+import io
 import random
+from collections import Counter
 
 import pytest
+from test_kernel import directed_path
 
 from relcr import fixtures, generate
+from relcr.checks import published_rounds
 from relcr.core import Signature, Structure, disjoint_union, stp
+from relcr.cr import cr_run, multigraph_union
 from relcr.rcr import rcr_compare, rcr_distinguishes, rcr_run
+from relcr.representations import vgrep
 
 
 def naive_rcr(A):
@@ -104,7 +110,7 @@ def test_unequal_sizes_separate_at_round_zero():
 
 def test_separate_runs_give_identical_rounds():
     for A in (fixtures.a1(), fixtures.a2(), fixtures.slice_example()):
-        assert rcr_run(A).rounds == rcr_run(A).rounds
+        assert published_rounds(rcr_run(A)) == published_rounds(rcr_run(A))
 
 
 def test_compare_sides_cover_all_positions():
@@ -143,16 +149,61 @@ def test_decode_holds_for_every_position_of_a_color():
         for k, vec in enumerate(vecs):
             atp = tuple(sorted(A.atp(vec)))
             own = tuple(sorted(stp(vec, vec)))
-            assert t.decode(t.rounds[0][k]) == ("base", atp, own)
+            assert t.decode(t.colors_at(0)[k]) == ("base", atp, own)
             for i in range(1, t.stable_round + 1):
-                prev = t.rounds[i - 1]
+                prev = t.colors_at(i - 1).tolist()
                 bag = sorted((tuple(sorted(stp(vec, w))), prev[b])
                              for b, w in enumerate(vecs) if stp(vec, w))
-                assert t.decode(t.rounds[i][k]) == ("step", prev[k], tuple(bag))
+                assert t.decode(t.colors_at(i)[k]) == ("step", prev[k], tuple(bag))
 
 
 def test_trace_csv_shape():
     t = rcr_run(fixtures.slice_example())
-    lines = t.to_csv().strip().splitlines()
+    out = io.StringIO()
+    t.write_csv(out)
+    lines = out.getvalue().strip().splitlines()
     assert lines[0] == "round,relation,tuple_index,color_id"
-    assert len(lines) == 1 + len(t.rounds) * fixtures.slice_example().size()
+    assert len(lines) == 1 + (t.stable_round + 1) * fixtures.slice_example().size()
+
+
+def counter_difference(trace, left, right):
+    """first_difference as a Counter comparison of every round."""
+    for i in range(trace.stable_round + 1):
+        cols = trace.colors_at(i).tolist()
+        hl = Counter(cols[k] for k in left)
+        hr = Counter(cols[k] for k in right)
+        if hl != hr:
+            return i, min(c for c in hl.keys() | hr.keys() if hl[c] != hr[c])
+    return None
+
+
+def test_first_difference_equals_counter_comparison():
+    # random pairs below and above the kernel's size cutoff, path/cycle
+    # pairs with many rounds, and random position lists with repeats
+    sig = Signature([("R", 3), ("E", 2)])
+    rng = random.Random(11)
+    pairs = []
+    for s in range(40):
+        n = rng.choice((6, 40, 200))
+        A = generate.random_structure(sig, rng.randint(max(3, n // 4), n), {
+            "R": rng.randint(1, n // 2), "E": rng.randint(1, n // 2)}, s)
+        pairs.append((A, generate.random_structure_like(A, 100 + s)))
+        pairs.append((A, A))
+    for m, c in ((20, 5), (200, 50), (300, 100)):
+        pairs.append((directed_path(m), directed_path(m, cycle=c)))
+    for A, B in pairs:
+        res = rcr_compare(A, B)
+        got = None if res.round is None else (res.round, res.color)
+        assert got == counter_difference(res.trace, res.pos["A"], res.pos["B"])
+        n = res.union.size()
+        for _ in range(3):
+            left = [rng.randrange(n) for _ in range(rng.randint(0, n))]
+            right = [rng.randrange(n) for _ in range(rng.randint(0, n))]
+            assert (res.trace.first_difference(left, right)
+                    == counter_difference(res.trace, left, right))
+    # the CR trace shares the code
+    for A, B in pairs[:20] + pairs[-3:]:
+        U, off = multigraph_union(vgrep(A)[0], vgrep(B)[0])
+        t = cr_run(U)
+        left, right = range(off), range(off, U.n)
+        assert t.first_difference(left, right) == counter_difference(t, left, right)

@@ -7,13 +7,17 @@ Run from the repository root, at two versions of the code, and compare:
 
 It prints one sha256 over, for every structure of a fixed corpus (the five
 fixtures, seeded random R/3,E/2 structures with partners of equal size,
-hubs, directed paths, structures with repeated entries and 5-ary tuples):
+hubs, directed paths, structures with repeated entries and 5-ary tuples, a
+shuffled 600-fact directed chain; the pairs also path(400) against
+path(300) plus cycle(100), and path(400) against a relabelled, shuffled
+copy):
 
   refine      `relcr refine --csv` (stdout and CSV)
   export      `relcr export --rep R` DOT for all six representations
   cr-ids      every round's `cr_run` ids on each representation
   rcr-ids     every round's `rcr_run` ids
-  distinguish `relcr distinguish` on each pair
+  distinguish `relcr distinguish` on each pair, and the round and witness
+              color of `rcr_distinguishes`
   game        `relcr game` on the pairs of at most 12 tuples a side
   homcount    `relcr homcount` of walks and seeded random acyclic patterns
               into each structure, once with `--join-tree` from `relcr gyo
@@ -37,7 +41,7 @@ import numpy as np
 from relcr import acyclic, cli, generate, representations
 from relcr.core import Signature, Structure, parse_structure, serialize_structure
 from relcr.cr import cr_run
-from relcr.rcr import rcr_run
+from relcr.rcr import rcr_distinguishes, rcr_run
 
 ROOT = Path(__file__).resolve().parent.parent
 SIG = Signature([("R", 3), ("E", 2)])
@@ -57,6 +61,28 @@ def path(n):
     facts += [("R", ("p%d" % i, "p%d" % (i + 1), "p%d" % i))
               for i in range(0, n, 3)]
     return Structure.from_named(SIG, facts)
+
+
+def chain(n, seed):
+    """A directed E chain of n facts, listed in shuffled order."""
+    facts = [("E", ("c%d" % i, "c%d" % (i + 1))) for i in range(n)]
+    random.Random(seed).shuffle(facts)
+    return Structure.from_named(Signature([("E", 2)]), facts)
+
+
+def path_cycle(n, cycle, seed=None):
+    """A directed E path of n - cycle facts and a directed cycle of `cycle`
+    facts on fresh elements; with a seed, relabelled and shuffled."""
+    pairs = [(i, i + 1) for i in range(n - cycle)]
+    pairs += [(n + 1 + i, n + 1 + (i + 1) % cycle) for i in range(cycle)]
+    if seed is not None:
+        rng = random.Random(seed)
+        image = list(range(2 * n + 2))
+        rng.shuffle(image)
+        pairs = [(image[x], image[y]) for x, y in pairs]
+        rng.shuffle(pairs)
+    return Structure.from_named(Signature([("E", 2)]), [
+        ("E", ("v%d" % x, "v%d" % y)) for x, y in pairs])
 
 
 def wide(n, seed):
@@ -90,6 +116,9 @@ def corpus():
     singles.append(("repeated", repeated))
     singles.append(("five-ary", wide(70, 3)))
     singles.append(("five-ary-small", wide(6, 4)))
+    singles.append(("chain-600", chain(600, 5)))
+    pairs.append(("path-cycle-400", path_cycle(400, 0), path_cycle(400, 100)))
+    pairs.append(("path-iso-400", path_cycle(400, 0), path_cycle(400, 0, 6)))
     return singles, pairs
 
 
@@ -124,9 +153,10 @@ def big_count():
     return star, complete
 
 
-def ids_bytes(rounds):
-    return b"".join(np.asarray(r, dtype=np.int64).tobytes() + b"|"
-                    for r in rounds)
+def ids_bytes(trace):
+    """Every round's ids of a refinement trace."""
+    return b"".join(np.asarray(trace.colors_at(i), dtype=np.int64).tobytes()
+                    + b"|" for i in range(trace.stable_round + 1))
 
 
 def encodings(A):
@@ -162,8 +192,8 @@ def sections(work):
         for rep in cli.REPRESENTATIONS:
             out["export"].update(run_cli("export", f, "--rep", rep).encode())
         for rep, g in encodings(A):
-            out["cr-ids"].update(rep.encode() + ids_bytes(cr_run(g).rounds))
-        out["rcr-ids"].update(ids_bytes(rcr_run(A).rounds))
+            out["cr-ids"].update(rep.encode() + ids_bytes(cr_run(g)))
+        out["rcr-ids"].update(ids_bytes(rcr_run(A)))
     for k, (name, A) in enumerate(singles):
         for cname, C in hom_patterns(A, 10 * k):
             c = work / ("%s.%s.struct" % (name, cname))
@@ -184,6 +214,7 @@ def sections(work):
     for name, A, B in pairs:
         a, b = str(files[name + "a"]), str(files[name + "b"])
         out["distinguish"].update(run_cli("distinguish", a, b).encode())
+        out["distinguish"].update(repr(rcr_distinguishes(A, B)).encode())
         if max(A.size(), B.size()) <= GAME_MAX_TUPLES:
             out["game"].update(run_cli("game", a, b).encode())
     return {k: h.hexdigest() for k, h in out.items()}
