@@ -207,6 +207,8 @@ def cmd_eval(args):
         f = logic.from_sexp(Path(args.formula).read_text())
     except (OSError, logic.FormulaError) as e:
         raise DomainError(str(e))
+    except RecursionError:
+        raise DomainError("formula nested too deeply")
     assignment = {}
     for item in args.assign or []:
         if "=" not in item:
@@ -219,6 +221,8 @@ def cmd_eval(args):
         print("true" if logic.evaluate(f, A, assignment) else "false")
     except logic.FormulaError as e:
         raise DomainError(str(e))
+    except RecursionError:
+        raise DomainError("formula nested too deeply")
     return 0
 
 

@@ -1,26 +1,28 @@
-"""Classical Color Refinement on colored multigraphs.
+"""Classical Color Refinement on colored multigraphs, and the round driver
+that both refinement engines share.
 
 The base color of a node is its unary labels together with its loop labels.
 Each round refines by the multiset of (edge-label-set, neighbor color) pairs
 over Gaifman neighbors, where the label set of an ordered pair (v, w) collects
 every edge relation holding (v, w) (tagged +) or (w, v) (tagged -).
 
-A round is one call of refine_step, the refinement kernel that rcr_run
-uses as well: nodes are grouped by a multiset hash of their (label,
+refine_rounds runs cr_run, one half-step a round, and rcr.kernel_rounds, two
+half-steps a round on the tuple-slice incidence.  A half-step is one exact
+refine_step: nodes are grouped by a multiset hash of their (label,
 neighbor-color) codes, and every group is verified exactly, so no class
-depends on the hash.  cr_run hands it only the nodes next to a class that
-split in the previous round (every node in the first round), so a round
-costs O(m' log m') for the m' edges at those nodes.  Rounds are synchronous:
-colors_at(i) is exactly the i-th refinement of the base coloring, which the
-tuple/graph round-correspondence tests rely on.  Both engines record a run
-as a Coloring of per-round changes.
+depends on the hash.  Later rounds re-key only the nodes next to a class
+that split, and once a round renames few nodes a worklist re-keys only the
+nodes next to a renamed node, so a node is renamed at most log2 n times.
+Rounds are synchronous: colors_at(i) is exactly the i-th refinement of the
+base coloring, which the tuple/graph round-correspondence tests rely on.
+Both engines record a run as a Coloring of per-round changes.
 
 A multigraph's labels reach cr_run as ints; label names are never read.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 
 import numpy as np
 
@@ -178,16 +180,15 @@ def keep_largest(prev, new, count):
     k = int(new.max()) + 1 if len(new) else 0
     parent = np.empty(k, dtype=np.int64)
     parent[new] = prev
-    size = np.bincount(new, minlength=k)
-    order = np.lexsort((-size, parent))
-    head = np.ones(k, dtype=bool)
-    np.not_equal(parent[order[1:]], parent[order[:-1]], out=head[1:])
-    moves = np.ones(k, dtype=bool)
-    moves[order[head]] = False
-    name = parent.copy()
+    # parts by old name, the largest first: one stable sort of a packed key
+    order = np.argsort(parent * (len(new) + 1) - np.bincount(new, minlength=k),
+                       kind="stable")
+    moves = np.zeros(k, dtype=bool)
+    by_name = parent[order]
+    moves[order[1:]] = by_name[1:] == by_name[:-1]
     fresh = np.flatnonzero(moves)
-    name[fresh] = count + np.arange(len(fresh))
-    return name[new], np.flatnonzero(moves[new]), count + len(fresh)
+    parent[fresh] = count + np.arange(len(fresh))
+    return parent[new], np.flatnonzero(moves[new]), count + len(fresh)
 
 
 def _lambda_adjacency(G: ColoredMultigraph):
@@ -347,78 +348,238 @@ def _number(group, firsts):
 
 def cr_run(G: ColoredMultigraph, max_rounds=None, trace=True) -> Coloring:
     """Refine until the partition is stable (or max_rounds).  With trace=False
-    only the last round is kept, which the benchmark path uses.
-
-    From the second round on, only the nodes next to a class that split in
-    the previous round can split.  Two nodes of one class have equal
-    multisets over the previous round's classes, so they see the same
-    number of neighbours in every class that did not split, and either both
-    or neither have a neighbour in one that did.  A round refines just
-    those nodes when they number at most (n - 256) / 2, 256 nodes being
-    about the cost of cutting them out.  With a trace, names follow
-    keep_largest, which gives the trace its changes."""
+    only the last round is kept, which the benchmark path uses."""
     if max_rounds is None:
         max_rounds = G.n
     src, dst, lam = _lambda_adjacency(G)
     starts = np.searchsorted(src, np.arange(G.n + 1))  # src is sorted
     names, count = _base_colors(G)
-    base = names
+    return Coloring(*refine_rounds([(starts, dst, lam)], names, count,
+                                   max_rounds, trace))
+
+
+# refine_rounds hands over to its worklist after a round that renames at most
+# (n - classes) / HANDOVER_PER_TUPLE of the n traced nodes, once the rounds
+# since the last one that renamed more have cost the handover: at most
+# n - classes rounds can follow, and converting the n + m nodes and edges to
+# lists pays only when many do.  A half-step costs the nodes and edges it
+# re-keys plus a sixteenth of its side, so a full round pays at once.  In ms,
+# rcr_run / cr_run(trace=False) on vgrep, mean over the benchmark's 12 full
+# pairs of 4 input sets (seed 7), best of 9, 2-core x86, Python 3.11, numpy
+# 2.4, for no handover / after round 1 / this rule / 16 / 256: long-path
+# 34.8/31.8, 5.7/4.5, 5.3/4.5, 5.4/4.5, 36.6/34.7; random-sparse 9.5/10.8,
+# 17.1/35.6, 9.4/10.6, 9.6/10.9, 9.4/10.8; hub-star 2.8/2.3, 4.3/4.5, 2.8/2.3,
+# 2.8/2.3, 2.8/2.2; oracles 0.8/0.8 for all.  Without the cost, random
+# R/3,E/2 vgreps of 8e3, 1.6e4, 6.4e4, 1e5 tuples (seed 7) handed over for
+# their last 1-2 rounds: cr_run took 0.18, 0.35, 1.58, 3.24 s, not 0.14,
+# 0.27, 1.33, 2.60 s.
+HANDOVER_PER_TUPLE = 64
+
+
+def refine_rounds(steps, base, count, max_rounds, trace=True):
+    """(base, moved, renamed, ends, class_counts) of a synchronous
+    refinement, as Coloring keeps a run.
+
+    steps holds one CSR (starts, other, label) per side, from its nodes to
+    those of the other side (itself when there is one side).  A round is one
+    refine_step half-step per side, in order: a node takes the class of its
+    previous class and the multiset of (label, class of the other end).  The
+    last side, traced, starts from the count classes base, another from one
+    class.  Without a trace, the base returned is the last round's names.
+
+    From round 2 on, on sides of more than 512 nodes, a half-step re-keys
+    only the nodes next to a class of the other side that split in the
+    half-step before, if they number at most (n - 256) / 2.  Nodes of one
+    class had equal multisets over the other side, so a class is re-keyed
+    whole (the nodes next to a renamed node alone would leave two parts of a
+    class with one name).  keep_largest names the classes where the trace, a
+    partial half-step or the handover needs it."""
+    sides = len(steps)
+    size = [len(starts) - 1 for starts, _, _ in steps]
+    names = [np.zeros(n, dtype=np.int64) for n in size[:-1]] + [base]
+    counts = [1] * (sides - 1) + [count]
     moved, renamed, ends = [_NONE], [_NONE], [0]
     class_counts = [count]
-    rows = None   # the nodes to refine; None for all of them
-    for _ in range(max_rounds):
-        if rows is None:
-            old = names
-            local, k = refine_step(starts, dst, lam, names, names)
-        else:
-            old = names[rows]
-            sub, edges = _csr_rows(starts, rows)
-            local, k = refine_step(sub, dst[edges], lam[edges], old, names)
+    rows = [None] * sides   # the nodes each half-step re-keys; None for all
+    price = sum(len(starts) - 1 + len(other) for starts, other, _ in steps)
+    spent = 0
+    for done in range(max_rounds):
+        for j, (starts, other, label) in enumerate(steps):
+            nxt = (j + 1) % sides
+            prev, r = names[j], rows[j]
+            if r is None:
+                old, csr = prev, (starts, other, label)
+            else:
+                old = prev[r]
+                sub, edges = _csr_rows(starts, r)
+                csr = (sub, other[edges], label[edges])
+            local, k = refine_step(*csr, old, names[nxt])
+            spent += len(local) + len(csr[1]) + size[j] // 16
+            # a round that adds k - count classes renames at least as many
+            # nodes, too many for a handover when this fails
+            part, changed, new_count = local, None, k
+            if r is not None or j == sides - 1 and k > counts[j] and (
+                    trace or (k - counts[j]) * HANDOVER_PER_TUPLE
+                    <= size[j] - k):
+                part, changed, new_count = keep_largest(old, local, counts[j])
+                if r is not None:
+                    changed = r[changed]
+                    part, named = prev.copy(), part
+                    part[r] = named
+            if new_count > counts[j] and size[nxt] > 512 and (
+                    done or j == sides - 1):
+                parent = np.empty(k, dtype=np.int64)
+                parent[local] = old
+                split = np.flatnonzero(
+                    np.bincount(parent, minlength=counts[j])[old] > 1)
+                _, edges = _csr_rows(starts, split if r is None else r[split])
+                near = np.zeros(size[nxt], dtype=bool)
+                near[other[edges]] = True
+                rows[nxt] = np.flatnonzero(near)
+                if 2 * len(rows[nxt]) + 256 > size[nxt]:
+                    rows[nxt] = None
+            names[j], counts[j] = part, new_count
+        if new_count == class_counts[-1]:
+            break   # refinement: equal class count, equal partition
         if trace:
-            part, changed, new_count = keep_largest(old, local, count)
-        elif rows is None:
-            part, new_count = local, k
-        else:
-            # names need not stay put without a trace: old ones, then fresh
-            reuse = np.flatnonzero(np.bincount(old, minlength=count))
-            new_count = count + k - len(reuse)
-            part = np.concatenate((reuse, np.arange(count, new_count)))[local]
-        if new_count == count:
-            break  # count equality implies partition equality (refinement)
-        if rows is None:
-            new = part
-        else:
-            new = names.copy()
-            new[rows] = part
-        if trace:
-            changed = changed if rows is None else rows[changed]
             moved.append(changed)
-            renamed.append(new[changed])
+            renamed.append(part[changed])
             ends.append(ends[-1] + len(changed))
         class_counts.append(new_count)
-        if G.n > 256:
-            rows = _next_rows(starts, dst, rows, old, local, k, count)
-        names, count = new, new_count
-    return Coloring(base if trace else names, np.concatenate(moved),
-                    np.concatenate(renamed), ends, class_counts)
+        if (changed is None or len(changed) * HANDOVER_PER_TUPLE
+                > size[-1] - new_count):
+            spent = 0
+        elif spent >= price:
+            log = moved, renamed, ends, class_counts
+            names[-1] = _worklist_rounds(steps, names, changed,
+                                         max_rounds - done - 1, trace, log)
+            break
+    return (base if trace else names[-1], np.concatenate(moved),
+            np.concatenate(renamed), ends, class_counts)
 
 
-def _next_rows(starts, dst, rows, old, local, k, count):
-    """The nodes next to a class that split when rows (None for all nodes)
-    with old names took the new local ids 0..k-1; None when they number
-    more than (n - 256) / 2."""
-    n = len(starts) - 1
-    parent = np.empty(k, dtype=np.int64)
-    parent[local] = old
-    split = np.bincount(parent, minlength=count) > 1
-    moved = np.flatnonzero(split[old])
-    if rows is not None:
-        moved = rows[moved]
-    _, edges = _csr_rows(starts, moved)
-    near = np.zeros(n, dtype=bool)
-    near[dst[edges]] = True
-    nxt = np.flatnonzero(near)
-    return None if 2 * len(nxt) + 256 > n else nxt
+def _worklist_rounds(steps, names, moved, max_rounds, trace, log):
+    """Continue refine_rounds from the names of each side, after a round
+    that renamed the traced nodes moved, and add the rounds to its log
+    (moved, renamed, ends, class_counts).  Returns the traced side's names.
+
+    A half-step re-keys only the nodes next to a node renamed in the
+    half-step before, by their old name and the sorted codes (name *
+    nlabels + label) of their edges to renamed nodes.  Two nodes of one
+    class had equal multisets over the old names (a class fixes the
+    multiset it was refined by, on the traced side from round 1 on), so
+    they have equal multisets over the new ones exactly when their keys
+    agree; the nodes of a class with no such edge form one more part.  A
+    class's largest part keeps its name, so a node is renamed at most log2
+    n times, and the rounds cost O(M log N) together for M edges."""
+    sides, (_, _, ends, class_counts) = len(steps), log
+    nlabels = 1 + max(int(label.max()) if len(label) else 0
+                      for _, _, label in steps)
+    parts = [_Partition(x) for x in names]
+    lists = [[x.tolist() for x in step] for step in steps]
+    moved, all_moved, renamed = moved.tolist(), [], []
+    for _ in range(max_rounds):
+        for j in range(sides):
+            nxt = (j + 1) % sides
+            moved = parts[j].refine(
+                _bags(moved, *lists[nxt], parts[nxt].names, nlabels))
+        if not moved:
+            break
+        if trace:
+            all_moved += moved
+            renamed += [parts[-1].names[a] for a in moved]
+            ends.append(ends[-1] + len(moved))
+        class_counts.append(parts[-1].count)
+    log[0].append(np.array(all_moved, dtype=np.int64))
+    log[1].append(np.array(renamed, dtype=np.int64))
+    return np.array(parts[-1].names, dtype=np.int64)
+
+
+def _bags(moved, starts, other, lab, names, nlabels):
+    """node -> codes of its edges to the moved nodes of the other side."""
+    bags = defaultdict(list)
+    for v in moved:
+        code = names[v] * nlabels
+        lo, hi = starts[v], starts[v + 1]
+        for w, label in zip(other[lo:hi], lab[lo:hi]):
+            bags[w].append(code + label)
+    return bags
+
+
+class _Partition:
+    """Dense names of nodes 0..n-1, each class a contiguous run of order,
+    so that a split moves and renames only the nodes that leave a class."""
+
+    def __init__(self, names):
+        order = np.argsort(names, kind="stable")
+        where = np.empty(len(names), dtype=np.int64)
+        where[order] = np.arange(len(names))
+        size = np.bincount(names)
+        self.names = names.tolist()
+        self.order = order.tolist()
+        self.where = where.tolist()
+        self.size = size.tolist()
+        self.first = (np.cumsum(size) - size).tolist()
+        self.count = len(size)
+
+    def refine(self, bags):
+        """Split every class by the sorted codes of its nodes in bags; its
+        nodes not in bags form one more part.  The largest part keeps the
+        name, the untouched part first among equals, and the others take
+        fresh names.  Returns the renamed nodes."""
+        names, order, where = self.names, self.order, self.where
+        first, size = self.first, self.size
+        parts: dict = {}
+        for v, bag in bags.items():
+            bag.sort()
+            key = (names[v], *bag)
+            part = parts.get(key)
+            if part is None:
+                parts[key] = [v]
+            else:
+                part.append(v)
+        by_class = defaultdict(list)
+        for key, part in parts.items():
+            by_class[key[0]].append(part)
+        renamed = []
+        for c, split in by_class.items():
+            start, end = first[c], first[c] + size[c]
+            rest = size[c] - sum(map(len, split))
+            if not rest and len(split) == 1:
+                continue
+            keep = max(split, key=len)
+            if len(keep) <= rest:
+                keep = None
+                size[c] = rest
+            # lay the parts out at the end of the class's run
+            for part in split:
+                end -= len(part)
+                for q, v in enumerate(part, end):
+                    p = where[v]
+                    if p != q:
+                        u = order[q]
+                        order[p], order[q] = u, v
+                        where[u], where[v] = p, q
+                if part is keep:
+                    first[c], size[c] = end, len(part)
+                else:
+                    self._rename(part, end)
+                    renamed += part
+            if rest and keep is not None:
+                part = order[start:start + rest]
+                self._rename(part, start)
+                renamed += part
+        return renamed
+
+    def _rename(self, part, start):
+        """Give the nodes of part, the run of order from start, a fresh name."""
+        new = self.count
+        self.count += 1
+        self.first.append(start)
+        self.size.append(len(part))
+        names = self.names
+        for v in part:
+            names[v] = new
 
 
 def _csr_rows(starts, rows):

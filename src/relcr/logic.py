@@ -332,10 +332,11 @@ class SynthesisContext:
             return got
         if len(xvars) != self.color_arity(color):
             raise FormulaError("variable tuple does not match color arity")
-        if round_i == 0:
-            out = self._base_formula(color, xvars)
-        else:
-            out = self._step_formula(round_i, color, xvars)
+        try:
+            out = (self._step_formula(round_i, color, xvars) if round_i
+                   else self._base_formula(color, xvars))
+        except RecursionError:   # Python frames per round and nesting level
+            raise SynthesisBudgetError("formula nested too deeply") from None
         self.memo[key] = out
         return out
 

@@ -9,30 +9,28 @@ a representative occurrence.  Ids are only comparable within one run, so
 cross-structure questions refine the disjoint union.
 
 Two engines compute the same ids.  kernel_rounds refines the tuple-slice
-incidence in two half-steps per round.  Its first rounds are exact
-vectorized cr.refine_step half-steps over the whole incidence, O(N log N)
-a round for a fixed signature.  After the first round that renames at most
-(N + HANDOVER_TUPLES) / HANDOVER_PER_TUPLE tuples, a worklist re-keys only
-the nodes next to a renamed node, and a class that splits keeps its name
-for its largest part; a tuple is renamed at most log2 N times, so all the
-rounds after the handover cost O(N log N) together.  reference_rounds
-interns each occurrence's multiset over all its overlaps, which is
-quadratic on hubs; it serves small inputs, where it is faster, and the
-tests as oracle.  A run is kept as cr.Coloring keeps it: base classes and
-per-round changes.
+incidence in two half-steps per round with cr.refine_rounds, the round
+driver of cr_run: exact vectorized cr.refine_step half-steps, O(N log N) a
+round for a fixed signature, then, after a round that renames few tuples, a
+worklist that re-keys only the nodes next to a renamed node.  A class that
+splits keeps its name for its largest part, so a tuple is renamed at most
+log2 N times and the worklist's rounds cost O(N log N) together.
+reference_rounds interns each occurrence's multiset over all its overlaps,
+which is quadratic on hubs; it serves small inputs, where it is faster, and
+the tests as oracle.  A run is kept as cr.Coloring keeps it: base classes
+and per-round changes.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections import defaultdict
 from itertools import accumulate, permutations
 from typing import Optional
 
 import numpy as np
 
 from .core import Structure, disjoint_union, stp, strictly_equal_size
-from .cr import Coloring, first_occurrence, keep_largest, refine_step
+from .cr import Coloring, first_occurrence, refine_rounds
 
 # rcr_run uses the kernel from this many tuple occurrences on.  The kernel
 # pays ~1 ms to build its arrays and ~0.1 ms a half-step, so it loses on
@@ -53,26 +51,6 @@ KERNEL_MIN_TUPLES = 64
 # random inputs, memory already at 5 (4096 random tuples, k = 5: 0.12 s,
 # 113 MB against 0.54 s, 58 MB); the benchmark has no tuple longer than 3.
 KERNEL_MAX_ARITY = 5
-# kernel_rounds hands over to its worklist after the first round that
-# renames at most (n + HANDOVER_TUPLES) / HANDOVER_PER_TUPLE of the n tuples:
-# 22 at n = 400, 41 at 1600, 1578 at 1e5.  A refine_step round costs about
-# 0.3 ms on 400 path tuples and 1 ms on 1600 random R/3,E/2 tuples, a
-# worklist round about 10 us per renamed tuple, and the frontier can grow
-# again after a handover (1600 random tuples: 1583, 86, 92, 262, 306, 92, 9
-# and 1 renamed in rounds 1-8).  kernel_rounds time in ms, mean over the
-# benchmark's unions of 3 input sets (seed 7), best of 7, shared 2-core x86
-# machine, Python 3.11, numpy 2.4, for no handover / handover after round 1
-# / this rule / (n + 1024) / 16 / (n + 512) / 8: long-path 33.8, 6.1, 6.1,
-# 5.7, 5.3; random-sparse 14.0, 22.0, 13.8, 16.2, 16.5; hub-star 4.2, 6.3,
-# 4.4, 4.3, 4.3; oracles 1.95, 1.72, 1.72, 1.73, 1.73; 2000 random tuples
-# 13.0, 22.4, 13.3, 12.9, 12.8.  A directed chain of 1e4 E facts takes 0.13
-# s with the rule, 33 s without.
-HANDOVER_PER_TUPLE = 64
-HANDOVER_TUPLES = 1024
-
-_NONE = np.empty(0, dtype=np.int64)
-
-
 class RefinementTrace(Coloring):
     """Per-round colors of an RCR run, with on-demand color decoding.
 
@@ -219,170 +197,22 @@ def kernel_rounds(A: Structure, max_rounds: Optional[int] = None):
     color is a function of that tuple's previous color, and the tuple's stp
     fixes which slices it has.
 
-    The first rounds are refine_step half-steps over the whole incidence.
-    The first tuple half-step must re-key every tuple: tuples of one base
-    class can own different numbers of shared slices.  After the first
-    round that renames at most (n + HANDOVER_TUPLES) / HANDOVER_PER_TUPLE
-    tuples, _worklist_rounds takes over."""
+    cr.refine_rounds runs the rounds, slices first.  Its first round re-keys
+    every tuple: tuples of one base class may own unequal shared slices."""
     if max_rounds is None:
         max_rounds = A.size()
     rels = relation_rows(A)
     base, count = _base_classes(A, rels)
-    moved, renamed, ends = [_NONE], [_NONE], [0]
-    class_counts = [count]
-    tup, sl, lab, _, taus = slice_incidence(A, rels)
+    tup, sl, lab, _, _ = slice_incidence(A, rels)
     # keep the slices held by more than one tuple, renumbered densely
     shared = np.bincount(sl) > 1
     keep = shared[sl]
     tup, lab = tup[keep], lab[keep]
     sl = (np.cumsum(shared) - 1)[sl[keep]]
     nslices = int(shared.sum())
-    t_csr = _csr(tup, sl, lab, A.size())
-    s_csr = _csr(sl, tup, lab, nslices)
-    no_prev = np.zeros(nslices, dtype=np.int64)
-    names = base
-    for done in range(max_rounds):
-        slice_names, _ = refine_step(*s_csr, no_prev, names)
-        local, k = refine_step(*t_csr, names, slice_names)
-        if k == count:
-            break
-        names, changed, count = keep_largest(names, local, count)
-        moved.append(changed)
-        renamed.append(names[changed])
-        ends.append(ends[-1] + len(changed))
-        class_counts.append(count)
-        if len(changed) * HANDOVER_PER_TUPLE <= A.size() + HANDOVER_TUPLES:
-            tail = _worklist_rounds(t_csr, s_csr, len(taus), names,
-                                    slice_names, changed,
-                                    max_rounds - done - 1, ends, class_counts)
-            moved.append(np.array(tail[0], dtype=np.int64))
-            renamed.append(np.array(tail[1], dtype=np.int64))
-            break
-    return (base, np.concatenate(moved), np.concatenate(renamed), ends,
-            class_counts)
-
-
-def _worklist_rounds(t_csr, s_csr, nlabels, names, slice_names, moved,
-                     max_rounds, ends, class_counts):
-    """Continue kernel_rounds after a round that renamed the tuples moved.
-    Returns the (moved, renamed) lists of the rounds it adds to ends and
-    class_counts.
-
-    A half-step re-keys only the nodes next to a node renamed in the
-    half-step before, by their old name and the sorted codes (name *
-    nlabels + label) of their edges to renamed nodes.  Two nodes of one
-    class had equal multisets over the old names, so they have equal
-    multisets over the new ones exactly when their keys agree; the nodes of
-    a class with no such edge form one more part.  That holds for the
-    slices because a slice's class (from the previous half-step) fixes its
-    multiset over the tuples' names before, and for the tuples because
-    their class after round 1 includes their multiset over slice names.  A
-    class's largest part keeps its name, so a node is renamed at most log2
-    n times, and the rounds cost O(M log N) together for M edges."""
-    tuples, slices = _Partition(names), _Partition(slice_names)
-    t_starts, t_other, t_lab = (x.tolist() for x in t_csr)
-    s_starts, s_other, s_lab = (x.tolist() for x in s_csr)
-    moved = moved.tolist()
-    all_moved, renamed = [], []
-    for _ in range(max_rounds):
-        split = slices.refine(
-            _bags(moved, t_starts, t_other, t_lab, tuples.names, nlabels))
-        moved = tuples.refine(
-            _bags(split, s_starts, s_other, s_lab, slices.names, nlabels))
-        if not moved:
-            break
-        all_moved += moved
-        renamed += [tuples.names[a] for a in moved]
-        ends.append(ends[-1] + len(moved))
-        class_counts.append(tuples.count)
-    return all_moved, renamed
-
-
-def _bags(moved, starts, other, lab, names, nlabels):
-    """node -> codes of its edges to the moved nodes of the other side."""
-    bags = defaultdict(list)
-    for v in moved:
-        code = names[v] * nlabels
-        lo, hi = starts[v], starts[v + 1]
-        for w, label in zip(other[lo:hi], lab[lo:hi]):
-            bags[w].append(code + label)
-    return bags
-
-
-class _Partition:
-    """Dense names of nodes 0..n-1, each class a contiguous run of order,
-    so that a split moves and renames only the nodes that leave a class."""
-
-    def __init__(self, names):
-        order = np.argsort(names, kind="stable")
-        where = np.empty(len(names), dtype=np.int64)
-        where[order] = np.arange(len(names))
-        size = np.bincount(names)
-        self.names = names.tolist()
-        self.order = order.tolist()
-        self.where = where.tolist()
-        self.size = size.tolist()
-        self.first = (np.cumsum(size) - size).tolist()
-        self.count = len(size)
-
-    def refine(self, bags):
-        """Split every class by the sorted codes of its nodes in bags; its
-        nodes not in bags form one more part.  The largest part keeps the
-        name, the untouched part first among equals, and the others take
-        fresh names.  Returns the renamed nodes."""
-        names, order, where = self.names, self.order, self.where
-        first, size = self.first, self.size
-        parts: dict = {}
-        for v, bag in bags.items():
-            bag.sort()
-            key = (names[v], *bag)
-            part = parts.get(key)
-            if part is None:
-                parts[key] = [v]
-            else:
-                part.append(v)
-        by_class = defaultdict(list)
-        for key, part in parts.items():
-            by_class[key[0]].append(part)
-        renamed = []
-        for c, split in by_class.items():
-            start, end = first[c], first[c] + size[c]
-            rest = size[c] - sum(map(len, split))
-            if not rest and len(split) == 1:
-                continue
-            keep = max(split, key=len)
-            if len(keep) <= rest:
-                keep = None
-                size[c] = rest
-            # lay the parts out at the end of the class's run
-            for part in split:
-                end -= len(part)
-                for q, v in enumerate(part, end):
-                    p = where[v]
-                    if p != q:
-                        u = order[q]
-                        order[p], order[q] = u, v
-                        where[u], where[v] = p, q
-                if part is keep:
-                    first[c], size[c] = end, len(part)
-                else:
-                    self._rename(part, end)
-                    renamed += part
-            if rest and keep is not None:
-                part = order[start:start + rest]
-                self._rename(part, start)
-                renamed += part
-        return renamed
-
-    def _rename(self, part, start):
-        """Give the nodes of part, the run of order from start, a fresh name."""
-        new = self.count
-        self.count += 1
-        self.first.append(start)
-        self.size.append(len(part))
-        names = self.names
-        for v in part:
-            names[v] = new
+    return refine_rounds([_csr(sl, tup, lab, nslices),
+                          _csr(tup, sl, lab, A.size())],
+                         base, count, max_rounds)
 
 
 def relation_rows(A: Structure):

@@ -247,3 +247,24 @@ def test_eval_truncated_formula_is_an_error(tmp_path, capsys):
         formula.write_text(text)
         code, _, err = run(capsys, "eval", str(formula), str(FIX / "A1.struct"))
         assert (code, err) == (1, "error: %s\n" % message), text
+
+
+def test_deep_formula_is_an_error(tmp_path, capsys):
+    # a formula nested past Python's recursion limit is an error, not a
+    # traceback
+    formula = tmp_path / "f.sexp"
+    formula.write_text("(not " * 3000 + "(eq y1 y1)" + ")" * 3000)
+    code, _, err = run(capsys, "eval", str(formula), str(FIX / "A1.struct"),
+                       "--assign", "y1=1")
+    assert (code, err) == (1, "error: formula nested too deeply\n")
+
+
+def test_deep_synthesis_is_an_error(tmp_path, capsys):
+    # a 1000-fact path has 500 rounds; its formula nests past the recursion
+    # limit, which synthesis reports as its budget
+    path = tmp_path / "path.struct"
+    path.write_text("signature: E/2\n" + "".join(
+        "E(%d, %d)\n" % (i, i + 1) for i in range(1000)))
+    code, _, err = run(capsys, "synthesize", str(path), "--tuple", "E,0")
+    assert code == 1
+    assert err.startswith("error: ") and "Traceback" not in err

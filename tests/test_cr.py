@@ -4,6 +4,7 @@ import random
 import numpy as np
 
 from relcr import fixtures, generate, representations
+from relcr.core import Signature, Structure
 from relcr.cr import _set_ids, cr_distinguishes, cr_run, multigraph_union
 from relcr.multigraph import ColoredMultigraph, sorted_distinct
 
@@ -111,10 +112,16 @@ def test_triangle_vs_path_unlabeled():
 
 
 def test_trace_false_keeps_final_partition():
-    G = random_multigraph(17)
-    full = cr_run(G)
-    last = cr_run(G, trace=False)
-    assert blocks_of(full.colors.tolist()) == blocks_of(last.colors.tolist())
+    # the vgrep of a path hands over to the worklist; that of a random
+    # structure re-keys only the nodes next to a split in later rounds
+    path = Structure.from_named(Signature([("E", 2)]), [
+        ("E", (str(i), str(i + 1))) for i in range(300)])
+    sig = Signature([("R", 3), ("E", 2)])
+    wide = generate.random_structure(sig, 1000, {"R": 500, "E": 500}, 0)
+    graphs = [random_multigraph(17), representations.vgrep(path)[0],
+              representations.vgrep(wide)[0]]
+    for G in graphs:
+        assert np.array_equal(cr_run(G, trace=False).colors, cr_run(G).colors)
 
 
 def test_edge_dedup_and_lookup():

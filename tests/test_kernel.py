@@ -86,15 +86,33 @@ def directed_path(k, cycle=0):
     return Structure.from_named(Signature([("E", 2)]), facts)
 
 
+def random_with_path(n, k, seed):
+    """A random R/3,E/2 structure of n tuples on n elements and, on fresh
+    elements, a directed E path of k facts."""
+    sig = Signature([("R", 3), ("E", 2)])
+    A = generate.random_structure(sig, n, {"R": n // 2, "E": n - n // 2}, seed)
+    facts = [(rel, tuple(A.element_names[x] for x in t))
+             for rel in ("R", "E") for t in A.relations[rel]]
+    facts += [("E", ("p%d" % i, "p%d" % (i + 1))) for i in range(k)]
+    return Structure.from_named(sig, facts)
+
+
+def matching_with_path(k, path):
+    """k E facts on 2k distinct elements and a directed path of path E
+    facts whose first element starts two more: only the path's tuples have
+    shared slices, which split into two classes in round 1."""
+    facts = [("E", ("a%d" % i, "b%d" % i)) for i in range(k)]
+    facts += [("E", (str(i), str(i + 1))) for i in range(path)]
+    facts += [("E", ("0", "s%d" % i)) for i in range(2)]
+    return Structure.from_named(Signature([("E", 2)]), facts)
+
+
 def handover_cases():
     """Structures on which kernel_rounds hands over to the worklist after
     one or more refine_step rounds, and the worklist still splits: a path
-    plus a cycle (from round 2 on), a 2000-tuple random R/3,E/2 structure
-    (round 4 renames 1 tuple) and a hub (round 4 renames 1 tuple)."""
-    sig = Signature([("R", 3), ("E", 2)])
-    return [directed_path(400, cycle=100),
-            generate.random_structure(sig, 3000, {"R": 1000, "E": 1000}, 3),
-            hub(300, 1)]
+    plus a cycle (after round 1) and a random structure plus a path (after
+    round 4, once the random part is stable)."""
+    return [directed_path(400, cycle=100), random_with_path(600, 200, 0)]
 
 
 def corpus():
@@ -106,9 +124,14 @@ def corpus():
 
 @functools.lru_cache(maxsize=None)
 def with_reference():
-    """The corpus, a 300-tuple hub, the handover cases and a 2100-fact path
-    (1050 rounds), each with its reference_rounds."""
-    cases = corpus() + [hub(300)] + handover_cases() + [directed_path(2100)]
+    """The corpus, two 300-tuple hubs, a 2000-tuple random R/3,E/2
+    structure, a matching plus a path (whose first tuple half-step must
+    re-key every tuple), the handover cases and a 2100-fact path (1050
+    rounds), each with its reference_rounds."""
+    sig = Signature([("R", 3), ("E", 2)])
+    wide = generate.random_structure(sig, 3000, {"R": 1000, "E": 1000}, 3)
+    cases = (corpus() + [hub(300), hub(300, 1), wide, matching_with_path(
+        1000, 100)] + handover_cases() + [directed_path(2100)])
     return [(A, reference_rounds(A)) for A in cases]
 
 
@@ -137,30 +160,35 @@ def test_kernel_ids_equal_reference_ids():
 
 
 def test_handover_cases_switch_mid_run(monkeypatch):
-    # each case runs refine_step rounds, then worklist rounds that split
+    # each case runs refine_step rounds, then worklist rounds that split;
+    # cr_run and kernel_rounds hand over by the same rule
     seen = []
-    worklist = rcr._worklist_rounds
+    worklist = cr._worklist_rounds
 
     def spy(*args):
-        ends = args[-2]
-        before = len(ends) - 1
-        tail = worklist(*args)
-        seen.append((before, len(ends) - 1 - before))
-        return tail
+        class_counts = args[-1][-1]   # the driver's log
+        before = len(class_counts) - 1
+        out = worklist(*args)
+        seen.append((before, len(class_counts) - 1 - before))
+        return out
 
-    monkeypatch.setattr(rcr, "_worklist_rounds", spy)
+    monkeypatch.setattr(cr, "_worklist_rounds", spy)
     for A in handover_cases():
         kernel_rounds(A)
-    assert [before for before, _ in seen] == [1, 3, 3]
+    for A in [directed_path(300)] + handover_cases():
+        cr_run(representations.vgrep(A)[0])
+    assert [before for before, _ in seen] == [1, 4, 3, 3, 18]
     assert all(after > 0 for _, after in seen)
 
 
 def test_worklist_keeps_classes_contiguous(monkeypatch):
     # each class is the run of order from first[c] of size[c]
-    refine = rcr._Partition.refine
+    refine = cr._Partition.refine
+    calls = []
 
     def checked(part, bags):
         renamed = refine(part, bags)
+        calls.append(len(renamed))
         assert sorted(part.order) == list(range(len(part.names)))
         assert all(part.where[v] == p for p, v in enumerate(part.order))
         for c in range(part.count):
@@ -169,10 +197,16 @@ def test_worklist_keeps_classes_contiguous(monkeypatch):
         assert sum(part.size) == len(part.names)
         return renamed
 
-    monkeypatch.setattr(rcr._Partition, "refine", checked)
-    monkeypatch.setattr(rcr, "HANDOVER_PER_TUPLE", 0)   # hand over at round 1
+    monkeypatch.setattr(cr._Partition, "refine", checked)
+    monkeypatch.setattr(cr, "HANDOVER_PER_TUPLE", 0)   # hand over at round 1
     for A, want in with_reference()[:200]:
         assert kernel_ids(A) == want
+    assert any(calls)
+    calls.clear()
+    for A in corpus()[:60] + [directed_path(40)]:
+        G = representations.vgrep(A)[0]
+        assert same_ids(cr_run(G), per_node_cr_run(G))
+    assert any(calls)
 
 
 def test_kernel_rounds_respect_max_rounds():
@@ -214,11 +248,12 @@ def test_kernel_on_empty_structure():
 
 
 def test_cr_run_ids_equal_per_node_loop():
-    # paths take many rounds in which few classes split, the rounds where
-    # cr_run refines only the nodes next to a split (on graphs of more than
-    # 256 nodes)
+    # paths take many rounds in which few classes split: on graphs of more
+    # than 512 nodes cr_run re-keys only the nodes next to a split, then
+    # hands over to the worklist
     graphs = []
-    for A in corpus()[:120] + [hub(300), directed_path(40), directed_path(300)]:
+    for A in corpus()[:120] + [hub(300), directed_path(40), directed_path(300),
+                               directed_path(400, cycle=100)]:
         graphs.append(representations.vgrep(A)[0])
         graphs.append(representations.grep(A)[0])
     for G in graphs:

@@ -171,3 +171,17 @@ def test_synthesis_budget_enforced():
     with pytest.raises(logic.SynthesisBudgetError):
         logic.synthesize_color_formula(
             trace, trace.stable_round, color, node_budget=3)
+
+
+def test_deep_sentence_exceeds_the_budget():
+    # a 1200-fact path and a 1197-fact path plus a 3-cycle first differ
+    # near round 600, past Python's recursion limit for the formula
+    sig = Signature([("E", 2)])
+    A = Structure.from_named(sig, [("E", (str(i), str(i + 1)))
+                                   for i in range(1200)])
+    B = Structure.from_named(sig, [("E", (str(i), str(i + 1)))
+                                   for i in range(1197)]
+                             + [("E", ("c%d" % i, "c%d" % ((i + 1) % 3)))
+                                for i in range(3)])
+    with pytest.raises(logic.SynthesisBudgetError):
+        logic.distinguishing_sentence(A, B)

@@ -14,7 +14,8 @@ copy):
 
   refine      `relcr refine --csv` (stdout and CSV)
   export      `relcr export --rep R` DOT for all six representations
-  cr-ids      every round's `cr_run` ids on each representation
+  cr-ids      every round's `cr_run` ids on each representation, and the
+              final ids of `cr_run(g, trace=False)`
   rcr-ids     every round's `rcr_run` ids
   distinguish `relcr distinguish` on each pair, and the round and witness
               color of `rcr_distinguishes`
@@ -193,6 +194,7 @@ def sections(work):
             out["export"].update(run_cli("export", f, "--rep", rep).encode())
         for rep, g in encodings(A):
             out["cr-ids"].update(rep.encode() + ids_bytes(cr_run(g)))
+            out["cr-ids"].update(cr_run(g, trace=False).colors.tobytes())
         out["rcr-ids"].update(ids_bytes(rcr_run(A)))
     for k, (name, A) in enumerate(singles):
         for cname, C in hom_patterns(A, 10 * k):
