@@ -472,7 +472,7 @@ def _worklist_rounds(steps, names, moved, max_rounds, trace, log):
     agree; the nodes of a class with no such edge form one more part.  A
     class's largest part keeps its name, so a node is renamed at most log2
     n times, and the rounds cost O(M log N) together for M edges."""
-    sides, (_, _, ends, class_counts) = len(steps), log
+    sides, ends, class_counts = len(steps), log[2], log[3]
     nlabels = 1 + max(int(label.max()) if len(label) else 0
                       for _, _, label in steps)
     parts = [_Partition(x) for x in names]
