@@ -10,6 +10,7 @@ structure together with a join tree.
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -98,58 +99,61 @@ def gyo_join_tree(C: Structure) -> Optional[JoinTree]:
     """GYO reduction: repeatedly detach an ear (a tuple whose shared elements
     all fit inside one other tuple) onto a witness.  Deterministic: the
     smallest-position ear with the smallest-position witness goes first.
-    Returns None when the reduction gets stuck, i.e. C is cyclic."""
-    refs = list(C.tuple_refs)
+    Returns None when the reduction gets stuck, i.e. C is cyclic.
+
+    Witnesses are sought among the holders of one shared element.  A tuple
+    can become or stop being an ear only when a tuple sharing an element
+    with it goes, so a heap holds just those positions to test again."""
+    refs = C.tuple_refs
     sets = [set(C.vector(r)) for r in refs]
-    remaining = set(range(len(refs)))
-    count: dict = {}
-    for k in remaining:
-        for x in sets[k]:
-            count[x] = count.get(x, 0) + 1
+    holders = C.element_positions()
+    count = [len(h) for h in holders]   # remaining holders per element
+    alive = [True] * len(refs)
+    todo = list(range(len(refs)))       # a heap
+    queued = set(todo)
+    first = 0                           # no position below it remains
     edges = []
-    while len(remaining) > 1:
-        found = None
-        for k in sorted(remaining):
-            shared = {x for x in sets[k] if count[x] > 1}
-            for w in sorted(remaining):
-                if w != k and shared <= sets[w]:
-                    found = (k, w)
-                    break
-            if found:
-                break
-        if found is None:
-            return None
-        k, w = found
-        remaining.remove(k)
+    while len(edges) < len(refs) - 1 and todo:
+        k = heapq.heappop(todo)
+        queued.remove(k)
+        shared = [x for x in sets[k] if count[x] > 1]
+        if shared:
+            near = holders[min(shared, key=count.__getitem__)]
+        else:   # any other tuple is a witness
+            while not alive[first]:
+                first += 1
+            near = range(first, len(refs))
+        w = next((w for w in near if alive[w] and w != k
+                  and sets[w].issuperset(shared)), None)
+        if w is None:
+            continue
+        alive[k] = False
+        edges.append((refs[k], refs[w]))
         for x in sets[k]:
             count[x] -= 1
-        edges.append((refs[k], refs[w]))
-    root = refs[next(iter(remaining))] if remaining else None
-    return JoinTree(refs, edges, root=root)
+            for t in holders[x]:
+                if alive[t] and t not in queued:
+                    queued.add(t)
+                    heapq.heappush(todo, t)
+    if len(edges) < len(refs) - 1:
+        return None
+    return JoinTree(refs, edges, root=refs[alive.index(True)] if refs else None)
 
 
 def validate_join_tree(C: Structure, J: JoinTree):
     """(ok, counterexample): ok iff J is a tree on exactly Tup(C) and every
-    element's occurrences induce a connected subtree."""
+    element's occurrences induce a connected subtree, that is, one with
+    one J-edge fewer than the element has holders."""
     if set(J.nodes) != set(C.tuple_refs) or len(J.nodes) != len(C.tuple_refs):
         raise ValueError("join-tree node set differs from Tup(C)")
     if not J.is_tree():
         return False, None
-    adj = J.adjacency()
-    occurrences: dict = {}
-    for r in C.tuple_refs:
-        for x in set(C.vector(r)):
-            occurrences.setdefault(x, set()).add(r)
-    for x, occ in occurrences.items():
-        start = next(iter(occ))
-        seen = {start}
-        stack = [start]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w in occ and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if seen != occ:
+    inside = [0] * C.n   # per element, the J-edges between two holders
+    for u, v in J.edges:
+        for x in set(C.vector(u)) & set(C.vector(v)):
+            inside[x] += 1
+    for x, positions in enumerate(C.element_positions()):
+        if positions and inside[x] != len(positions) - 1:
             return False, x
     return True, None
 

@@ -1,18 +1,21 @@
 """Condensed cross-oracle property suite behind `relcr check`.
 
-Each check draws seeded random instances and confronts two independent
-implementations; disagreement dumps the offending instance as a structure
-file so it can be replayed through the other subcommands.
+Each check confronts two independent implementations on a list of instances
+and returns (message, structures) per disagreement, naming the instance by
+its index; `relcr check` dumps the structures so that they can be replayed.
+CHECKS pairs each check with the seeded generator of its instances; the
+acceptance suite passes its own corpora to the same checks.
 """
 
 from __future__ import annotations
 
+import random
 from pathlib import Path
 
 from . import acyclic, game, generate, homcount, logic, rcr, representations
-from .core import Signature, disjoint_union, serialize_structure
+from .core import Signature, self_stp, serialize_structure, stp
 from .cr import cr_run
-from .rcr import rcr_compare, rcr_run
+from .rcr import rcr_distinguishes, rcr_run
 
 SIG = Signature([("R", 3), ("E", 2)])
 
@@ -30,59 +33,53 @@ def _dump(report_dir, name, structures):
     return paths
 
 
-def check_homcounts(seed, cases, report_dir):
+def hom_triples(seed, cases):
+    """(C, J, A): a random acyclic C with its join tree, a random A."""
+    return [(*acyclic.random_acyclic(SIG, 3, s),
+             generate.random_structure(SIG, 6, {"R": 4, "E": 4}, s ^ 1))
+            for s in generate.spawn_seeds(seed, cases)]
+
+
+def check_homcounts(triples):
     """hom(C, A) by brute force, join-tree dynamic programming and the
-    multigraph count must coincide for random acyclic C."""
+    multigraph count must coincide for acyclic C."""
     bad = []
-    for s in generate.spawn_seeds(seed, cases):
-        try:
-            C, J = acyclic.random_acyclic(SIG, 3, s)
-        except acyclic.InconsistentPrintError:
-            continue
-        A = generate.random_structure(SIG, 6, {"R": 4, "E": 4}, s ^ 1)
+    for case, (C, J, A) in enumerate(triples):
         brute = homcount.hom_bruteforce(C, A)
         dp = homcount.hom_acyclic(C, J, A)
         mg = homcount.hom_multigraph(
             representations.jtrep(C, J)[0], representations.grep(A)[0])
         if not brute == dp == mg:
-            bad.append(("seed %d: brute=%d dp=%d multigraph=%d"
-                        % (s, brute, dp, mg), [("C", C), ("A", A)]))
+            bad.append(("case %d: brute=%d dp=%d multigraph=%d"
+                        % (case, brute, dp, mg), [("C", C), ("A", A)]))
     return bad
 
 
-def check_round_correspondence(seed, cases, report_dir):
+def random_structures(seed, cases):
+    return [generate.random_structure(SIG, 5, {"R": 4, "E": 3}, s)
+            for s in generate.spawn_seeds(seed, cases)]
+
+
+def check_round_correspondence(structures):
     """RCR round i on tuples must equal plain refinement round 2i+1 on the
-    w-nodes of the variable-gadget graph, and match refinement on the
-    overlap graph round by round."""
+    w-nodes of the variable-gadget graph (vgrep), and round i on the overlap
+    graph (grep).  One failure per structure and encoding names the first
+    round that differs."""
     bad = []
-    for s in generate.spawn_seeds(seed, cases):
-        A = generate.random_structure(SIG, 5, {"R": 4, "E": 3}, s)
-        if not A.tuple_refs:
-            continue
+    for case, A in enumerate(structures):
         trace = rcr_run(A)
-        gv, node_of_v, _ = representations.vgrep(A)
-        cv = cr_run(gv)
-        gg, node_of_g = representations.grep(A)
-        cg = cr_run(gg)
-        refs = A.tuple_refs
-        for i in range(trace.stable_round + 1):
-            rho = trace.colors_at(i)
-
-            def classes(colors, node_of):
-                out = {}
-                for r in refs:
-                    out.setdefault(colors[node_of[r]], []).append(r)
-                return sorted(sorted(v) for v in out.values())
-
-            want = sorted(
-                sorted(refs[k] for k in block)
-                for block in trace.partition_at(i))
-            if classes(cv.colors_at(2 * i + 1), node_of_v) != want:
-                bad.append(("seed %d: vgrep round %d" % (s, i), [("A", A)]))
-                break
-            if classes(cg.colors_at(i), node_of_g) != want:
-                bad.append(("seed %d: grep round %d" % (s, i), [("A", A)]))
-                break
+        for name, (g, node_of), step, shift in (
+                ("vgrep", representations.vgrep(A)[:2], 2, 1),
+                ("grep", representations.grep(A), 1, 0)):
+            colors = cr_run(g)
+            nodes = [node_of[r] for r in A.tuple_refs]
+            for i in range(trace.stable_round + 1):
+                want = {frozenset(nodes[p] for p in block)
+                        for block in trace.partition_at(i)}
+                if colors.partition_at(step * i + shift, nodes) != want:
+                    bad.append(("case %d: %s round %d" % (case, name, i),
+                                [("A", A)]))
+                    break
     return bad
 
 
@@ -93,36 +90,42 @@ def published_rounds(trace):
             trace.class_counts)
 
 
-def check_kernel(seed, cases, report_dir):
-    """The vectorized kernel must give the reference engine's color ids,
-    round for round, whatever the size of the structure."""
-    import random
-    bad = []
+def kernel_structures(seed, cases):
+    out = []
     for s in generate.spawn_seeds(seed, cases):
         rng = random.Random(s)
         n = rng.randint(2, 8)
         sizes = {"R": rng.randint(0, 12), "E": rng.randint(1, min(12, n * n))}
-        A = generate.random_structure(SIG, n, sizes, s)
+        out.append(generate.random_structure(SIG, n, sizes, s))
+    return out
+
+
+def check_kernel(structures):
+    """The vectorized kernel must give the reference engine's color ids,
+    round for round, whatever the size of the structure."""
+    bad = []
+    for case, A in enumerate(structures):
         trace = rcr.RefinementTrace(A, *rcr.kernel_rounds(A))
         if published_rounds(trace) != rcr.reference_rounds(A):
-            bad.append(("seed %d: kernel ids differ" % s, [("A", A)]))
+            bad.append(("case %d: kernel ids differ" % case, [("A", A)]))
     return bad
 
 
-def check_graph_specialization(seed, cases, report_dir):
-    """On graph-shaped structures the stable tuple partition restricted to
-    the U loops must match textbook color refinement of the graph."""
-    import itertools
+def random_graphs(seed, cases):
+    return [generate.random_graph_structure(6, 0.4, s)
+            for s in generate.spawn_seeds(seed, cases)]
+
+
+def check_graph_specialization(graphs):
+    """On graph-shaped structures, as generate.random_graph_structure builds
+    them, the stable tuple partition restricted to the U loops must match
+    textbook color refinement of the graph."""
     bad = []
-    for s in generate.spawn_seeds(seed, cases):
-        A = generate.random_graph_structure(6, 0.4, s)
+    for case, A in enumerate(graphs):
         trace = rcr_run(A)
         stable = trace.colors_at(trace.stable_round)
-        ours = {}
-        for r in A.tuple_refs:
-            if r.relation == "U":
-                v = A.relations["U"][r.index][0]
-                ours.setdefault(stable[A.tuple_pos[r]], set()).add(v)
+        ours = {A.vector(r)[0]: stable[k]
+                for k, r in enumerate(A.tuple_refs) if r.relation == "U"}
         adj = {v: set() for v in range(A.n)}
         for (u, v) in A.relations.get("E", []):
             adj[u].add(v)
@@ -135,83 +138,110 @@ def check_graph_specialization(seed, cases, report_dir):
             if len(set(nxt.values())) == len(set(col.values())):
                 break
             col = nxt
-        theirs = {}
-        for v, c in col.items():
-            theirs.setdefault(c, set()).add(v)
-        if sorted(map(sorted, ours.values())) != sorted(map(sorted, theirs.values())):
-            bad.append(("seed %d" % s, [("G", A)]))
+        # two colorings partition alike iff pairing them adds no class
+        if not (len(set(ours.values())) == len(set(col.values()))
+                == len({(ours[v], col[v]) for v in col})):
+            bad.append(("case %d" % case, [("G", A)]))
     return bad
 
 
-def check_oracle_agreement(seed, cases, report_dir):
-    """The refinement verdict, the game and the synthesized sentence must
-    agree on random strictly-equal-size pairs."""
-    bad = []
+def oracle_pairs(seed, cases):
+    out = []
     for s in generate.spawn_seeds(seed, cases):
         A = generate.random_structure(SIG, 4, {"R": 2, "E": 2}, s)
-        B = generate.random_structure_like(A, s ^ 1)
-        cmp = rcr_compare(A, B)
-        refined = cmp.round is not None
+        out.append((A, generate.random_structure_like(A, s ^ 1)))
+    return out
+
+
+def check_oracle_agreement(pairs):
+    """The refinement verdict, the game and the synthesized sentence must
+    agree, and the sentence must hold on its side only."""
+    bad = []
+    for case, (A, B) in enumerate(pairs):
+        refined = rcr_distinguishes(A, B) is not None
         won, _ = game.spoiler_wins(A, B)
+        sent = logic.distinguishing_sentence(A, B) if refined == won else None
         if refined != won:
-            bad.append(("seed %d: rcr=%s game=%s" % (s, refined, won),
-                        [("A", A), ("B", B)]))
+            why = "rcr=%s game=%s" % (refined, won)
+        elif (sent is not None) != refined:
+            why = "rcr=%s sentence=%s" % (refined, sent is not None)
+        elif sent is not None and (
+                logic.evaluate(sent[0], A, {}) != (sent[1] == "A")
+                or logic.evaluate(sent[0], B, {}) != (sent[1] == "B")):
+            why = "sentence not separating"
+        else:
             continue
-        sent = logic.distinguishing_sentence(A, B)
-        if (sent is not None) != refined:
-            bad.append(("seed %d: rcr=%s sentence=%s"
-                        % (s, refined, sent is not None), [("A", A), ("B", B)]))
-            continue
-        if sent is not None:
-            f, side = sent
-            on_a = logic.evaluate(f, A, {})
-            on_b = logic.evaluate(f, B, {})
-            hold, other = (on_a, on_b) if side == "A" else (on_b, on_a)
-            if not (hold and not other):
-                bad.append(("seed %d: sentence not separating" % s,
-                            [("A", A), ("B", B)]))
+        bad.append(("case %d: %s" % (case, why), [("A", A), ("B", B)]))
     return bad
 
 
-def check_slices(seed, cases, report_dir):
-    """slice_bijection must map the slice set of one vector onto the slice
-    set of the other exactly when their self-overlap patterns agree."""
-    import random
-    bad = []
+def slice_pairs(seed, cases, length=4, values=4):
+    """(a, b, pick): vectors a and b of one random length up to `length`
+    over `values` elements; when their self types agree, pick is two slices
+    of a drawn from the same stream, else None."""
     rng = random.Random(seed)
+    out = []
     for _ in range(cases):
-        k = rng.randrange(1, 5)
-        a = tuple(rng.randrange(4) for _ in range(k))
-        b = tuple(rng.randrange(4) for _ in range(k))
-        from .core import self_stp
+        k = rng.randint(1, length)
+        a = tuple(rng.randrange(values) for _ in range(k))
+        b = tuple(rng.randrange(values) for _ in range(k))
+        pick = None
+        if self_stp(a) == self_stp(b):
+            sa = representations.slices(a)
+            pick = rng.choice(sa), rng.choice(sa)
+        out.append((a, b, pick))
+    return out
+
+
+def check_slices(pairs):
+    """The slice lemmas: stp(a, b) is empty iff a and b share no element;
+    distinct slices s of a have distinct stp(a, s); slice_bijection(a, b)
+    exists iff a and b have one self type, and then maps the slices of a one
+    to one onto those of b, keeping length, stp and, on the picked slices,
+    inclusion."""
+    bad = []
+    for case, (a, b, pick) in enumerate(pairs):
+        sa = representations.slices(a)
         pi = representations.slice_bijection(a, b)
-        if (pi is None) == (self_stp(a) == self_stp(b)):
-            bad.append(("a=%s b=%s" % (a, b), []))
+        if bool(stp(a, b)) != bool(set(a) & set(b)):
+            why = "stp and shared elements disagree"
+        elif len({stp(a, s) for s in sa}) != len(sa):
+            why = "two slices of a with one stp"
+        elif (pi is None) == (self_stp(a) == self_stp(b)):
+            why = "bijection existence"
+        elif pi is None:
             continue
-        if pi is not None:
-            if sorted(pi) != sorted(representations.slices(a)):
-                bad.append(("a=%s: domain mismatch" % (a,), []))
-            elif sorted(pi.values()) != sorted(representations.slices(b)):
-                bad.append(("a=%s b=%s: image mismatch" % (a, b), []))
+        elif (sorted(pi) != sorted(sa)
+              or sorted(pi.values()) != sorted(representations.slices(b))):
+            why = "not onto the slices of b"
+        elif any(stp(a, s) != stp(b, t) or len(s) != len(t)
+                 for s, t in pi.items()):
+            why = "stp or length not kept"
+        elif pick and ((set(pick[0]) <= set(pick[1]))
+                       != (set(pi[pick[0]]) <= set(pi[pick[1]]))):
+            why = "inclusion not kept"
+        else:
+            continue
+        bad.append(("case %d: a=%s b=%s: %s" % (case, a, b, why), []))
     return bad
 
 
 CHECKS = [
-    ("homcounts", check_homcounts, 20),
-    ("round-correspondence", check_round_correspondence, 25),
-    ("graph-specialization", check_graph_specialization, 25),
-    ("oracle-agreement", check_oracle_agreement, 12),
-    ("slices", check_slices, 400),
-    ("kernel", check_kernel, 100),
+    ("homcounts", check_homcounts, hom_triples, 20),
+    ("round-correspondence", check_round_correspondence, random_structures, 25),
+    ("graph-specialization", check_graph_specialization, random_graphs, 25),
+    ("oracle-agreement", check_oracle_agreement, oracle_pairs, 12),
+    ("slices", check_slices, slice_pairs, 400),
+    ("kernel", check_kernel, kernel_structures, 100),
 ]
 
 
 def run_all(seed=0, quick=False, report_dir=None):
     report = []
-    for i, (name, fn, cases) in enumerate(CHECKS):
+    for i, (name, check, instances, cases) in enumerate(CHECKS):
         if quick:
             cases = max(3, cases // 5)
-        failures = fn(seed + i * 1000, cases, report_dir)
+        failures = check(instances(seed + i * 1000, cases))
         entry = {"name": name, "ok": not failures, "cases": cases,
                  "seed": seed + i * 1000}
         if failures:

@@ -17,8 +17,8 @@ import time
 from pathlib import Path
 
 from . import acyclic, fixtures, game, generate, homcount, logic, representations
-from .core import (ParseError, Structure, StructureError, parse_structure,
-                   serialize_structure, structure_to_json)
+from .core import (ParseError, Structure, StructureError, parse_signature,
+                   parse_structure, serialize_structure, structure_to_json)
 from .cr import cr_run
 from .rcr import rcr_distinguishes, rcr_run
 
@@ -226,47 +226,42 @@ def cmd_eval(args):
     return 0
 
 
-def _parse_signature(text):
-    from .core import Signature
-    symbols = []
-    for part in text.split(","):
-        name, ar = part.strip().rsplit("/", 1)
-        symbols.append((name, int(ar)))
-    return Signature(symbols)
+def tuple_counts(text):
+    """NAME=COUNT,...: an argument type, whose ValueErrors argparse reports."""
+    return {name.strip(): int(count) for name, count in
+            (part.split("=") for part in text.split(","))}
 
 
 def cmd_gen(args):
-    sig = _parse_signature(args.signature)
-    if args.acyclic:
-        C, _ = acyclic.random_acyclic(sig, args.nodes, args.seed)
-        out = serialize_structure(C)
-    else:
-        sizes = {}
-        for part in args.tuples.split(","):
-            name, cnt = part.strip().split("=")
-            sizes[name.strip()] = int(cnt)
-        A = generate.random_structure(sig, args.elements, sizes, args.seed)
-        out = structure_to_json(A) + "\n" if args.json else serialize_structure(A)
+    try:
+        if args.acyclic:
+            C, _ = acyclic.random_acyclic(args.signature, args.nodes, args.seed)
+            out = serialize_structure(C)
+        else:
+            A = generate.random_structure(args.signature, args.elements,
+                                          args.tuples, args.seed)
+            out = structure_to_json(A) + "\n" if args.json else serialize_structure(A)
+    except ValueError as e:   # too few elements, or no nodes
+        raise DomainError(str(e))
     _write(args.output, out)
     return 0
 
 
-def _parse_sizes(text):
-    if ".." in text:
+def size_ladder(text):
+    """N,N,... or LO..HI: LO, its doublings below HI, and HI."""
+    try:
+        if ".." not in text:
+            return [int(float(x)) for x in text.split(",")]
         lo, hi = (int(float(x)) for x in text.split("..", 1))
-        sizes = []
-        n = lo
-        while n < hi:
-            sizes.append(n)
-            n *= 2
-        sizes.append(hi)
-        return sizes
-    return [int(float(x)) for x in text.split(",")]
+    except OverflowError as e:   # from inf
+        raise ValueError(e)
+    if lo < 1:
+        raise ValueError("the ladder must start at 1 or more")
+    return [lo << k for k in range(hi.bit_length()) if lo << k < hi] + [hi]
 
 
 def bench_once(n_tuples: int, seed: int) -> float:
-    from .core import Signature
-    sig = Signature([("R", 3), ("E", 2)])
+    sig = parse_signature("R/3, E/2")
     sizes = {"R": n_tuples // 2, "E": n_tuples - n_tuples // 2}
     A = generate.random_structure(sig, max(4, n_tuples), sizes, seed)
     t0 = time.perf_counter()
@@ -276,9 +271,8 @@ def bench_once(n_tuples: int, seed: int) -> float:
 
 
 def cmd_bench(args):
-    sizes = _parse_sizes(args.sizes)
     print("N,seconds")
-    for n in sizes:
+    for n in args.sizes:
         dt = bench_once(n, args.seed)
         print("%d,%.6f" % (n, dt))
         sys.stdout.flush()
@@ -368,9 +362,10 @@ def build_parser():
     q.set_defaults(func=cmd_eval)
 
     q = sub.add_parser("gen", help="emit random structures")
-    q.add_argument("--signature", required=True, metavar="NAME/AR,...")
+    q.add_argument("--signature", required=True, type=parse_signature,
+                   metavar="NAME/AR,...")
     q.add_argument("--elements", type=int, default=8)
-    q.add_argument("--tuples", default="", metavar="NAME=COUNT,...")
+    q.add_argument("--tuples", type=tuple_counts, default={}, metavar="NAME=COUNT,...")
     q.add_argument("--acyclic", action="store_true")
     q.add_argument("--nodes", type=int, default=4)
     q.add_argument("--seed", type=int, default=0)
@@ -379,7 +374,7 @@ def build_parser():
     q.set_defaults(func=cmd_gen)
 
     q = sub.add_parser("bench", help="time refinement across a size ladder")
-    q.add_argument("--sizes", default="1e3..1e5")
+    q.add_argument("--sizes", type=size_ladder, default="1e3..1e5")
     q.add_argument("--seed", type=int, default=7)
     q.set_defaults(func=cmd_bench)
 

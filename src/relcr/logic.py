@@ -292,7 +292,9 @@ class SynthesisContext:
         self.nodes = 0
         self.memo: dict = {}
         self._bases: dict = {}   # color -> color_base(color)
-        self.realized_taus = trace.realized_taus()
+        # stp encodings over all overlapping pairs, each tuple with itself too
+        self.realized_taus = sorted({tau for near in trace.structure.overlaps()
+                                     for _, tau in near})
 
     def _tick(self, f):
         self.nodes += 1
@@ -302,15 +304,13 @@ class SynthesisContext:
         return f
 
     # -- color decoding ----------------------------------------------------
-    def decode(self, color: int):
-        return self.trace.decode(color)
-
     def color_base(self, color: int):
         """("base", atp, stp) of the round-0 color under a color."""
         got = self._bases.get(color)
         if got is None:
             k = self.trace.representative(color)
-            got = self._bases[color] = self.decode(int(self.trace.colors_at(0)[k]))
+            got = self._bases[color] = self.trace.decode(
+                int(self.trace.colors_at(0)[k]))
         return got
 
     def color_atp(self, color: int) -> tuple:
@@ -341,7 +341,7 @@ class SynthesisContext:
         return out
 
     def _base_formula(self, color, xvars):
-        kind, atp, tau = self.decode(color)
+        kind, atp, tau = self.trace.decode(color)
         if kind != "base":
             raise FormulaError("color %d is not a round-0 color" % color)
         k = len(xvars)
@@ -361,7 +361,7 @@ class SynthesisContext:
         return conjoin(parts)
 
     def _step_formula(self, round_i, color, xvars):
-        kind, prev, mset = self.decode(color)
+        kind, prev, mset = self.trace.decode(color)
         if kind != "step":
             raise FormulaError("color %d is a round-0 color" % color)
         parts = [self.formula(round_i - 1, prev, xvars)]

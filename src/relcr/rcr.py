@@ -29,7 +29,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Structure, disjoint_union, stp, strictly_equal_size
+from .core import Structure, disjoint_union, stp, stp_key, strictly_equal_size
 from .cr import Coloring, first_occurrence, refine_rounds
 
 # rcr_run uses the kernel from this many tuple occurrences on.  The kernel
@@ -66,7 +66,6 @@ class RefinementTrace(Coloring):
                          [0, *accumulate(class_counts)])
         self.structure = structure
         self._keys: dict = {}
-        self._buckets = None       # element -> positions containing it
 
     def round_of_color(self, color: int) -> int:
         """Refinement round a color id belongs to."""
@@ -85,25 +84,6 @@ class RefinementTrace(Coloring):
         i = self.round_of_color(color)
         return int(self._publish(i)[1][color - self.offsets[i]])
 
-    def overlaps(self, k):
-        """(position, stp-encoding) of every occurrence overlapping position
-        k, k itself included."""
-        A = self.structure
-        if self._buckets is None:
-            self._buckets = A.element_tuples()
-        vec = A.vector(A.tuple_refs[k])
-        near = set()
-        for x in set(vec):
-            near.update(self._buckets[x])
-        return [(b, _stp_key(stp(vec, A.vector(A.tuple_refs[b]))))
-                for b in sorted(near)]
-
-    def realized_taus(self) -> list:
-        """Sorted stp encodings over all overlapping pairs of positions,
-        each position paired with itself too."""
-        return sorted({tau for k in range(len(self.base))
-                       for _, tau in self.overlaps(k)})
-
     def decode(self, color: int):
         key = self._keys.get(color)
         if key is None:
@@ -114,7 +94,8 @@ class RefinementTrace(Coloring):
             else:
                 cols = self.colors_at(i - 1)
                 key = ("step", *_step_key(int(cols[k]), [
-                    (tau, int(cols[b])) for b, tau in self.overlaps(k)]))
+                    (tau, int(cols[b]))
+                    for b, tau in self.structure.overlaps()[k]]))
             self._keys[color] = key
         return key
 
@@ -128,12 +109,8 @@ class RefinementTrace(Coloring):
                                zip(refs, self.colors_at(i).tolist())]))
 
 
-def _stp_key(tau) -> tuple:
-    return tuple(sorted(tau))
-
-
 def _base_key(A: Structure, vec) -> tuple:
-    return tuple(sorted(A.atp(vec))), _stp_key(stp(vec, vec))
+    return tuple(sorted(A.atp(vec))), stp_key(stp(vec, vec))
 
 
 def _step_key(own, pairs) -> tuple:
@@ -147,31 +124,21 @@ def reference_rounds(A: Structure, max_rounds: Optional[int] = None):
     all its overlaps; the reference for kernel_rounds."""
     if max_rounds is None:
         max_rounds = A.size()  # the stable round index never exceeds |Tup|
-    refs = A.tuple_refs
-    vecs = [A.vector(r) for r in refs]
-    nbrs = A.overlap_neighbours()
-    # stp never changes across rounds, compute the encodings once; the
-    # occurrence itself always overlaps itself and belongs in the multiset
-    overlaps = [
-        [(b, _stp_key(stp(vecs[a], vecs[b]))) for b in nbrs[a]] +
-        [(a, _stp_key(stp(vecs[a], vecs[a])))]
-        for a in range(len(refs))]
-
+    overlaps = A.overlaps()
     # each round interns its keys in a table of its own; ids continue from
     # the previous rounds, so that a color id names its round
     table: dict = {}
-    colors = [table.setdefault(_base_key(A, vec), len(table)) for vec in vecs]
+    colors = [table.setdefault(_base_key(A, A.vector(r)), len(table))
+              for r in A.tuple_refs]
     rounds = [colors]
     class_counts = [len(table)]
     next_id = len(table)
     for _ in range(max_rounds):
         prev = rounds[-1]
         table = {}
-        nxt = [
-            table.setdefault(
-                _step_key(prev[a], [(tau, prev[b]) for b, tau in overlaps[a]]),
-                next_id + len(table))
-            for a in range(len(refs))]
+        nxt = [table.setdefault(_step_key(own, [(tau, prev[b]) for b, tau in near]),
+                                next_id + len(table))
+               for own, near in zip(prev, overlaps)]
         if len(table) == class_counts[-1]:
             break  # refinement: equal class count means equal partition
         rounds.append(nxt)
@@ -280,8 +247,8 @@ def slice_incidence(A: Structure, rels):
             distinct = sorted(set(pat))
             for length in range(1, len(distinct) + 1):
                 for t in permutations(distinct, length):
-                    tau = _stp_key((i + 1, j + 1) for i in range(arity)
-                                   for j in range(length) if pat[i] == pat[t[j]])
+                    tau = stp_key((i + 1, j + 1) for i in range(arity)
+                                  for j in range(length) if pat[i] == pat[t[j]])
                     lab = taus.setdefault(tau, len(taus))
                     part = by_length.setdefault(length, ([], [], []))
                     part[0].append(sub[:, t])

@@ -11,13 +11,12 @@ import math
 import random
 import time
 
-from relcr import fixtures, generate, logic, representations
+from relcr import checks, fixtures, generate, logic, representations
 from relcr.acyclic import gyo_join_tree, random_acyclic
-from relcr.core import Signature, Structure, self_stp, stp
-from relcr.cr import cr_distinguishes, cr_run
-from relcr.game import spoiler_wins
-from relcr.homcount import hom_acyclic, hom_bruteforce, hom_multigraph
-from relcr.rcr import rcr_compare, rcr_distinguishes, rcr_run
+from relcr.core import Signature, Structure
+from relcr.cr import cr_distinguishes
+from relcr.homcount import hom_acyclic, hom_bruteforce
+from relcr.rcr import rcr_compare, rcr_distinguishes
 
 SIG3 = Signature([("R", 3), ("E", 2)])
 SIG4 = Signature([("Q", 4), ("R", 3), ("E", 2)])
@@ -26,13 +25,6 @@ SIG4 = Signature([("Q", 4), ("R", 3), ("E", 2)])
 def report(num, ok, detail):
     print("criterion %d: %s — %s" % (num, "PASS" if ok else "FAIL", detail))
     assert ok, "criterion %d: %s" % (num, detail)
-
-
-def blocks(values):
-    out = {}
-    for k, c in enumerate(values):
-        out.setdefault(c, set()).add(k)
-    return frozenset(frozenset(b) for b in out.values())
 
 
 def test_criterion_01_cycle_fixtures():
@@ -80,19 +72,15 @@ def test_criterion_03_fixture_hom_counts():
 def test_criterion_04_three_hom_engines():
     t0 = time.monotonic()
     rng = random.Random(40)
-    mismatches = 0
+    triples = []
     for _ in range(300):
         C, J = random_acyclic(SIG3, rng.randint(1, 4), rng.getrandbits(40))
         A = generate.random_structure(
             SIG3, rng.randint(3, 8),
             {"R": rng.randint(1, 4), "E": rng.randint(1, 4)},
             rng.getrandbits(40))
-        brute = hom_bruteforce(C, A)
-        dp = hom_acyclic(C, J, A)
-        mg = hom_multigraph(representations.jtrep(C, J)[0],
-                            representations.grep(A)[0])
-        if not brute == dp == mg:
-            mismatches += 1
+        triples.append((C, J, A))
+    mismatches = len(checks.check_homcounts(triples))
     dt = time.monotonic() - t0
     ok = mismatches == 0 and dt < 60.0
     report(4, ok, "300 triples, %d mismatches, %.1fs" % (mismatches, dt))
@@ -108,21 +96,19 @@ def _random_sig4(rng):
         SIG4, n, {"Q": q, "R": r, "E": e}, rng.getrandbits(40))
 
 
+def _round_mismatches(encoding):
+    """Structures of the criterion-5 corpus (500, seed 50) whose RCR rounds
+    differ from CR on the encoding; checks.check_round_correspondence
+    compares vgrep and grep on each."""
+    rng = random.Random(50)
+    corpus = [_random_sig4(rng) for _ in range(500)]
+    return sum(": %s round " % encoding in message
+               for message, _ in checks.check_round_correspondence(corpus))
+
+
 def test_criterion_05_vgrep_round_correspondence():
     t0 = time.monotonic()
-    rng = random.Random(50)
-    mismatches = 0
-    for _ in range(500):
-        A = _random_sig4(rng)
-        trace = rcr_run(A)
-        g, node_of, _ = representations.vgrep(A)
-        nc = cr_run(g)
-        wnodes = [node_of[r] for r in A.tuple_refs]
-        for i in range(trace.stable_round + 1):
-            cols = nc.colors_at(2 * i + 1)
-            if blocks([cols[w] for w in wnodes]) != blocks(trace.colors_at(i)):
-                mismatches += 1
-                break
+    mismatches = _round_mismatches("vgrep")
     dt = time.monotonic() - t0
     ok = mismatches == 0 and dt < 120.0
     report(5, ok, "500 structures, %d mismatches, %.1fs" % (mismatches, dt))
@@ -130,52 +116,14 @@ def test_criterion_05_vgrep_round_correspondence():
 
 def test_criterion_06_grep_correspondence_and_graph_cr():
     t0 = time.monotonic()
-    rng = random.Random(50)   # same corpus as criterion 5
-    mismatches = 0
-    for _ in range(500):
-        A = _random_sig4(rng)
-        trace = rcr_run(A)
-        g, node_of = representations.grep(A)
-        nc = cr_run(g)
-        wnodes = [node_of[r] for r in A.tuple_refs]
-        for i in range(trace.stable_round + 1):
-            cols = nc.colors_at(i)
-            if blocks([cols[w] for w in wnodes]) != blocks(trace.colors_at(i)):
-                mismatches += 1
-                break
-
+    mismatches = _round_mismatches("grep")
     rng = random.Random(60)
-    graph_mismatches = 0
+    graphs = []
     for _ in range(200):
         n = rng.randint(2, 25)
-        G = generate.random_graph_structure(n, rng.uniform(0.1, 0.7),
-                                            rng.getrandbits(40))
-        trace = rcr_run(G)
-        stable = trace.colors_at(trace.stable_round)
-        ours = {}
-        for r in G.tuple_refs:
-            if r.relation == "U":
-                ours.setdefault(stable[G.tuple_pos[r]], set()).add(
-                    G.relations["U"][r.index][0])
-        adj = {v: set() for v in range(G.n)}
-        for (u, v) in G.relations["E"]:
-            adj[u].add(v)
-            adj[v].add(u)
-        col = {v: 0 for v in range(G.n)}
-        while True:
-            key = {v: (col[v], tuple(sorted(col[w] for w in adj[v])))
-                   for v in adj}
-            ids = {k: i for i, k in enumerate(sorted(set(key.values())))}
-            nxt = {v: ids[key[v]] for v in adj}
-            if len(set(nxt.values())) == len(set(col.values())):
-                break
-            col = nxt
-        theirs = {}
-        for v, c in col.items():
-            theirs.setdefault(c, set()).add(v)
-        if (frozenset(frozenset(b) for b in ours.values())
-                != frozenset(frozenset(b) for b in theirs.values())):
-            graph_mismatches += 1
+        graphs.append(generate.random_graph_structure(
+            n, rng.uniform(0.1, 0.7), rng.getrandbits(40)))
+    graph_mismatches = len(checks.check_graph_specialization(graphs))
     dt = time.monotonic() - t0
     ok = mismatches == 0 and graph_mismatches == 0 and dt < 60.0
     report(6, ok, "grep %d mismatches, graphs %d mismatches, %.1fs"
@@ -198,21 +146,8 @@ def _random_pair(rng):
 def test_criterion_07_three_way_agreement():
     t0 = time.monotonic()
     rng = random.Random(70)
-    violations = 0
-    for _ in range(200):
-        A, B = _random_pair(rng)
-        refined = rcr_distinguishes(A, B) is not None
-        game, _ = spoiler_wins(A, B)
-        sent = logic.distinguishing_sentence(A, B)
-        if not (refined == game == (sent is not None)):
-            violations += 1
-            continue
-        if sent is not None:
-            f, side = sent
-            hold, other = (A, B) if side == "A" else (B, A)
-            if not (logic.evaluate(f, hold, {})
-                    and not logic.evaluate(f, other, {})):
-                violations += 1
+    pairs = [_random_pair(rng) for _ in range(200)]
+    violations = len(checks.check_oracle_agreement(pairs))
     dt = time.monotonic() - t0
     ok = violations == 0 and dt < 600.0
     report(7, ok, "200 pairs, %d violations, %.1fs" % (violations, dt))
@@ -258,17 +193,17 @@ def _sub_structure(A, refs):
 
 
 def _connected(A):
-    adj = A.gaifman()
-    if A.n == 0:
+    """Every tuple reaches every other through shared elements."""
+    if A.size() == 0:
         return False
     seen = {0}
     stack = [0]
     while stack:
-        for w in adj[stack.pop()]:
+        for w, _ in A.overlaps()[stack.pop()]:
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
-    return len(seen) == A.n
+    return len(seen) == A.size()
 
 
 def _candidate_patterns(A, B, rng, budget=40):
@@ -361,37 +296,8 @@ def test_criterion_11_slice_fixture():
 
 def test_criterion_12_slice_lemmas():
     t0 = time.monotonic()
-    rng = random.Random(120)
-    violations = 0
-    for _ in range(10 ** 4):
-        k = rng.randint(1, 5)
-        a = tuple(rng.randrange(5) for _ in range(k))
-        b = tuple(rng.randrange(5) for _ in range(k))
-        if bool(stp(a, b)) != bool(set(a) & set(b)):
-            violations += 1
-            continue
-        sa = representations.slices(a)
-        if len({stp(a, s) for s in sa}) != len(sa):
-            violations += 1
-            continue
-        pi = representations.slice_bijection(a, b)
-        if (pi is None) != (self_stp(a) != self_stp(b)):
-            violations += 1
-            continue
-        if pi is None:
-            continue
-        inv = {t: s for s, t in pi.items()}
-        for s in sa:
-            if stp(a, s) != stp(b, pi[s]) or len(pi[s]) != len(s):
-                violations += 1
-                break
-            if inv[pi[s]] != s:
-                violations += 1
-                break
-        else:
-            s1, s2 = rng.choice(sa), rng.choice(sa)
-            if (set(s1) <= set(s2)) != (set(pi[s1]) <= set(pi[s2])):
-                violations += 1
+    violations = len(checks.check_slices(
+        checks.slice_pairs(120, 10 ** 4, length=5, values=5)))
     dt = time.monotonic() - t0
     ok = violations == 0 and dt < 30.0
     report(12, ok, "10^4 instances, %d violations, %.1fs" % (violations, dt))

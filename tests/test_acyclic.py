@@ -1,3 +1,4 @@
+import random
 import re
 
 import pytest
@@ -39,6 +40,15 @@ def test_a1_is_acyclic():
     assert J is not None
     assert validate_join_tree(A, J) == (True, None)
     assert J.root == TupleRef("R", 0)
+
+
+def test_gyo_on_a_long_shuffled_path():
+    # a scan of every remaining pair per ear would be cubic in the length
+    facts = edges(*(("c%d" % i, "c%d" % (i + 1)) for i in range(2000)))
+    random.Random(5).shuffle(facts)
+    path = Structure.from_named(SIG_E, facts)
+    J = gyo_join_tree(path)
+    assert validate_join_tree(path, J) == (True, None)
 
 
 def test_gyo_is_deterministic():
@@ -108,15 +118,14 @@ def test_random_acyclic_is_acyclic_and_connected():
         C, J = random_acyclic(SIG_RE, 5, seed)
         assert validate_join_tree(C, J) == (True, None)
         assert gyo_join_tree(C) is not None
-        adj = C.gaifman()
-        seen = {0}
+        seen = {0}   # tuples reached through shared elements
         stack = [0]
         while stack:
-            for w in adj[stack.pop()]:
+            for w, _ in C.overlaps()[stack.pop()]:
                 if w not in seen:
                     seen.add(w)
                     stack.append(w)
-        assert len(seen) == C.n
+        assert len(seen) == C.size()
 
 
 def test_random_acyclic_is_deterministic():

@@ -221,6 +221,26 @@ def test_gen_acyclic(tmp_path, capsys):
     assert "cyclic" not in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "--signature", "E"],
+    ["gen", "--signature", "E/x"],
+    ["gen", "--signature", "E/2", "--tuples", "E"],
+    ["gen", "--signature", "E/2", "--elements", "1", "--tuples", "E=5"],
+    ["bench", "--sizes", "abc"],
+    ["bench", "--sizes", "0..5"],
+    ["bench", "--sizes", "inf"],
+])
+def test_bad_gen_and_bench_arguments_are_errors(capsys, argv):
+    # a domain error exits 1, a usage error 2; neither ends in a traceback,
+    # nor a ladder from 0 in an endless loop
+    try:
+        code = main(argv)
+    except SystemExit as e:
+        code = e.code
+    err = capsys.readouterr().err
+    assert code in (1, 2) and "error: " in err and "Traceback" not in err
+
+
 def test_bench_tiny(capsys):
     code, out, _ = run(capsys, "bench", "--sizes", "50,100", "--seed", "1")
     assert code == 0

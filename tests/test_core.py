@@ -4,11 +4,12 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from relcr import fixtures
+from relcr import core, fixtures, logic
 from relcr.core import (ParseError, Signature, Structure, StructureError,
                         disjoint_union, is_transitive_stp, parse_structure,
                         projection, self_stp, serialize_structure, stp,
                         structure_to_json, strictly_equal_size)
+from relcr.rcr import rcr_compare
 
 small_tuples = st.lists(st.integers(0, 4), min_size=1, max_size=5).map(tuple)
 
@@ -153,3 +154,37 @@ def test_rename_keeps_metrics():
     perm = list(range(A.n))
     random.Random(0).shuffle(perm)
     assert A.rename(perm).metrics() == A.metrics()
+
+
+fact_lists = st.lists(st.one_of(
+    st.tuples(st.just("R"), st.tuples(*[st.integers(0, 5)] * 3)),
+    st.tuples(st.just("E"), st.tuples(*[st.integers(0, 5)] * 2))),
+    min_size=1, max_size=12)
+
+
+@given(fact_lists, st.randoms(use_true_random=False))
+def test_overlaps_match_a_pair_scan(fs, rnd):
+    sig = Signature([("R", 3), ("E", 2)])
+    A = Structure.from_named(sig, fs)
+    vecs = [A.vector(r) for r in A.tuple_refs]
+    scan = [[(b, tuple(sorted(stp(va, vb))))
+             for b, vb in enumerate(vecs) if set(va) & set(vb)]
+            for va in vecs]
+    assert A.overlaps() == scan
+    assert A.overlaps() is A.overlaps()
+    assert A.metrics() == (len(vecs), sum(len(near) - 1 for near in scan))
+    perm = list(range(A.n))
+    rnd.shuffle(perm)
+    assert A.rename(perm).overlaps() == scan
+
+
+def test_synthesis_reuses_the_reference_overlaps(monkeypatch):
+    res = rcr_compare(fixtures.a1(), fixtures.b1())   # 14 tuples: reference
+    U = res.union
+    calls = []
+    monkeypatch.setattr(core, "stp", lambda a, b: calls.append(1) or stp(a, b))
+    ctx = logic.SynthesisContext(res.trace)
+    assert not calls   # the lists reference_rounds built, not new ones
+    assert ctx.realized_taus == sorted({tau for near in U.overlaps()
+                                        for _, tau in near})
+    assert ctx.trace.structure.overlaps() is U.overlaps()

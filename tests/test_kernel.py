@@ -332,11 +332,12 @@ def test_refine_step_numbers_by_first_occurrence():
 
 
 def test_kernel_check_reports_wrong_ids(monkeypatch):
-    assert checks.check_kernel(7, 30, None) == []
+    structures = checks.kernel_structures(7, 30)
+    assert checks.check_kernel(structures) == []
     none = np.empty(0, dtype=np.int64)
     monkeypatch.setattr(rcr, "kernel_rounds", lambda A: (
         np.zeros(A.size(), dtype=np.int64), none, none, [0], [1]))
-    assert checks.check_kernel(7, 30, None)
+    assert checks.check_kernel(structures)
 
 
 def test_rcr_run_picks_the_engine_by_size_and_arity(monkeypatch):

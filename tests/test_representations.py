@@ -37,12 +37,9 @@ def per_edge_grep(A):
     b = PerEdge(len(refs))
     for k, ref in enumerate(refs):
         b.add_label(k, unary_label(ref.relation))
-    nbrs = A.overlap_neighbours()
-    for a in range(len(refs)):
-        for (i, j) in stp(vecs[a], vecs[a]):
-            b.add_edge(overlap_label(i, j), a, a)
-        for bb in nbrs[a]:
-            for (i, j) in stp(vecs[a], vecs[bb]):
+    for a, near in enumerate(A.overlaps()):
+        for bb, tau in near:
+            for (i, j) in tau:
                 b.add_edge(overlap_label(i, j), a, bb)
     return b.build(["w%s" % (v,) for v in vecs]), {r: k for k, r in enumerate(refs)}
 

@@ -23,6 +23,9 @@ copy):
   homcount    `relcr homcount` of walks and seeded random acyclic patterns
               into each structure, once with `--join-tree` from `relcr gyo
               -o`, and a count above 2^63
+  overlaps    `relcr validate --json` and `relcr gyo` of each structure,
+              and `relcr synthesize` of every tuple of the disjoint union
+              of each pair of at most 12 tuples a side
 
 With -v it prints one hash per section as well.
 """
@@ -40,7 +43,8 @@ from pathlib import Path
 import numpy as np
 
 from relcr import acyclic, cli, generate, representations
-from relcr.core import Signature, Structure, parse_structure, serialize_structure
+from relcr.core import (Signature, Structure, disjoint_union, parse_structure,
+                        serialize_structure)
 from relcr.cr import cr_run
 from relcr.rcr import rcr_distinguishes, rcr_run
 
@@ -184,7 +188,7 @@ def sections(work):
 
     out = {k: hashlib.sha256() for k in (
         "refine", "export", "cr-ids", "rcr-ids", "distinguish", "game",
-        "homcount")}
+        "homcount", "overlaps")}
     csv = work / "trace.csv"
     for name, A in singles:
         f = str(files[name])
@@ -196,6 +200,8 @@ def sections(work):
             out["cr-ids"].update(rep.encode() + ids_bytes(cr_run(g)))
             out["cr-ids"].update(cr_run(g, trace=False).colors.tobytes())
         out["rcr-ids"].update(ids_bytes(rcr_run(A)))
+        out["overlaps"].update(run_cli("validate", f, "--json").encode())
+        out["overlaps"].update(run_cli("gyo", f).encode())
     for k, (name, A) in enumerate(singles):
         for cname, C in hom_patterns(A, 10 * k):
             c = work / ("%s.%s.struct" % (name, cname))
@@ -219,6 +225,12 @@ def sections(work):
         out["distinguish"].update(repr(rcr_distinguishes(A, B)).encode())
         if max(A.size(), B.size()) <= GAME_MAX_TUPLES:
             out["game"].update(run_cli("game", a, b).encode())
+            U, _ = disjoint_union(A, B)
+            u = work / ("%s.union.struct" % name)
+            u.write_text(serialize_structure(U))
+            for r in U.tuple_refs:
+                out["overlaps"].update(run_cli(
+                    "synthesize", str(u), "--tuple", "%s,%d" % r).encode())
     return {k: h.hexdigest() for k, h in out.items()}
 
 
