@@ -9,24 +9,30 @@ the sizes differ), Spoiler moves the configuration to a tuple and its image.
 Duplicator survives the round when the similarity types of the old and new
 pins agree on both sides and the new configuration is not distinguishing.
 
-The solver is exact.  Bijection enumeration is pruned block-wise: a useful
-Duplicator bijection must preserve the similarity type with the pinned tuple
-and the refinement color at the remaining round budget, because mapping
-across either kind of class hands Spoiler a win (a color difference at round
-j is expressible by a guarded formula of depth j, hence a j-round strategy).
-The pruning is applied only to pairs of strictly equal size; other pairs are
-an immediate 1-round Spoiler win.
+The solver is exact and polynomial (Hella, "Logical hierarchies in PTIME",
+Inf. Comput. 1996).  By Hall's theorem, Duplicator survives Spoiler's pick
+of R from pins (a, b) with r rounds left exactly when R^A x R^B has a
+perfect matching whose pairs (t, t') keep stp(a, t) = stp(b, t') and lie
+outside W_{r-1}, the fact pairs that Spoiler wins from within r - 1 rounds.
+W_0 holds the distinguishing pairs, and W_{r+1} adds each pair with a
+relation that has no such matching under W_r (found by augmenting paths).
+W grows to a fixpoint or the budget, and the root configuration is tested
+against W_{rounds-1}.  The game reads no refinement colours, so it checks
+refinement independently.
 """
 
 from __future__ import annotations
 
-from itertools import permutations, product
+from itertools import product
 from typing import Optional
 
-from .core import Structure, TupleRef, stp, strictly_equal_size
-from .rcr import rcr_compare
+from .core import Structure, stp
 
-DEFAULT_RELATION_LIMIT = 6
+# Each round matches every fact pair (n^2 a relation) in every relation.  At
+# 24 tuples, on a 2-core x86 machine: path(24) against path(18) + cycle(6)
+# takes 0.16 s; an R/3,E/2 chain of 24 + 24 tuples against itself, which
+# runs W to its fixpoint, 0.39 s; random 24 + 24 pairs and hubs <= 0.04 s.
+DEFAULT_RELATION_LIMIT = 24
 
 
 class GameError(ValueError):
@@ -79,117 +85,93 @@ def default_round_bound(A: Structure, B: Structure) -> int:
     return A.size() + B.size() + 2
 
 
-class _Solver:
-    def __init__(self, A, B, relation_limit):
+def _has_perfect_matching(adj) -> bool:
+    """Whether the bipartite graph with n vertices a side, left vertex k
+    adjacent to the right vertices adj[k], matches every vertex.  Each left
+    vertex in turn is matched along an augmenting path found by breadth-first
+    search."""
+    n = len(adj)
+    owner = [-1] * n      # right vertex -> its left partner
+    partner = [-1] * n    # left vertex -> its right partner
+    for root in range(n):
+        via = [-1] * n    # right vertex -> the left vertex that reached it
+        queue = [root]
+        end = -1
+        for u in queue:
+            for v in adj[u]:
+                if via[v] < 0:
+                    via[v] = u
+                    if owner[v] < 0:
+                        end = v
+                        break
+                    queue.append(owner[v])
+            if end >= 0:
+                break
+        if end < 0:
+            return False
+        while end >= 0:
+            u = via[end]
+            owner[end] = u
+            partner[u], end = end, partner[u]
+    return True
+
+
+class _Fixpoint:
+    """W_r of one solve: won[R][i][j] says that Spoiler wins from the pins
+    (R^A[i], R^B[j]) within the rounds stepped so far."""
+
+    def __init__(self, A, B):
         self.A = A
         self.B = B
-        for name in A.signature.names():
-            if max(len(A.relations[name]), len(B.relations[name])) > relation_limit:
-                raise GameError(
-                    "relation %s exceeds the bijection-enumeration guard" % name)
-        self.memo: dict = {}
-        # a solve pins at most |Tup| + 1 tuples a side, each one's facts
-        # are computed once; the memo lives and dies with this solve's A, B
-        self._facts: dict = {}
-        self.equal_size = strictly_equal_size(A, B)
-        if self.equal_size:
-            cmp = rcr_compare(A, B)
-            self.cmp = cmp
-            rounds: dict = {}
+        self.names = A.signature.names()
+        self._stps: dict = {}      # similarity type -> small int
+        self._profiles: dict = {}
+        facts: dict = {}
 
-            def color(side, rel, idx, budget):
-                ref = cmp.info.from_original(side, TupleRef(rel, idx))
-                k = cmp.union.tuple_pos[ref]
-                cols = rounds.get(budget)
-                if cols is None:
-                    cols = rounds[budget] = cmp.trace.colors_at(budget).tolist()
-                return cols[k]
+        def realized(x, S):        # each pin's facts, once a side
+            key = (S is B, x)
+            if key not in facts:
+                facts[key] = _realized_subvectors(x, S)
+            return facts[key]
 
-            self.color = color
+        self.won = {name: [[is_distinguishing(Configuration(ta, tb), A, B,
+                                              realized)
+                            for tb in B.relations[name]]
+                           for ta in A.relations[name]]
+                    for name in self.names}
 
-    def _realized(self, x, S):
-        key = (S is self.B, x)
-        got = self._facts.get(key)
-        if got is None:
-            got = self._facts[key] = _realized_subvectors(x, S)
-        return got
+    def _profile(self, S, pin, name):
+        """stp(pin, t) for each row t of relation name in S, as small ints."""
+        key = (S is self.B, pin, name)
+        if key not in self._profiles:
+            self._profiles[key] = [
+                self._stps.setdefault(stp(pin, row), len(self._stps))
+                for row in S.relations[name]]
+        return self._profiles[key]
 
-    def spoiler_wins(self, cfg: Configuration, rounds: int, trace=None):
-        if is_distinguishing(cfg, self.A, self.B, self._realized):
-            return True
-        if rounds <= 0:
+    def survives(self, a, b, name):
+        """Whether Duplicator has a bijection of relation name under which
+        every pick keeps the similarity types with the pins (a, b) and lands
+        outside W."""
+        pa = self._profile(self.A, a, name)
+        pb = self._profile(self.B, b, name)
+        if len(pa) != len(pb):
             return False
-        key = (cfg.a, cfg.b, rounds)
-        hit = self.memo.get(key)
-        if hit is not None:
-            return hit
-        self.memo[key] = False  # cycles cannot arise (rounds decreases), safe default
-        result = False
-        for rel in self.A.signature.names():
-            if self._spoiler_wins_with(cfg, rounds, rel, trace):
-                result = True
-                if trace is not None:
-                    trace.append((rounds, rel))
-                break
-        self.memo[key] = result
-        return result
+        adj = [[j for j, tb in enumerate(pb) if tb == ta and not lost[j]]
+               for ta, lost in zip(pa, self.won[name])]
+        return _has_perfect_matching(adj)
 
-    def _spoiler_wins_with(self, cfg, rounds, rel, trace):
-        rows_a = self.A.relations[rel]
-        rows_b = self.B.relations[rel]
-        if len(rows_a) != len(rows_b):
-            return bool(rows_a) or bool(rows_b)  # Duplicator has no bijection
-        if not rows_a:
-            return False  # nothing for Spoiler to pick
-        for bij in self._bijections(cfg, rounds, rel):
-            if bij is None:
-                return True  # no block-respecting bijection exists at all
-            if not any(self._round_win(cfg, rounds, rows_a[i], rows_b[j])
-                       for i, j in bij):
-                return False  # this bijection survives every Spoiler pick
-        return True
-
-    def _round_win(self, cfg, rounds, ta, tb):
-        if stp(cfg.a, ta) != stp(cfg.b, tb):
-            return True
-        # spoiler_wins checks first whether the new configuration is
-        # distinguishing
-        return self.spoiler_wins(Configuration(ta, tb), rounds - 1)
-
-    def _bijections(self, cfg, rounds, rel):
-        """Yield bijections (as lists of index pairs) grouped block-wise; a
-        single None means the blocks cannot be matched, which is itself a
-        Spoiler win through this relation."""
-        rows_a = self.A.relations[rel]
-        rows_b = self.B.relations[rel]
-        if not self.equal_size:
-            # no color pruning available; enumerate everything
-            for perm in permutations(range(len(rows_b))):
-                yield list(enumerate(perm))
-            return
-        budget = rounds - 1
-
-        def key(side, rows, pin, idx):
-            k = (stp(pin, rows[idx]),)
-            return k + (self.color(side, rel, idx, budget),)
-
-        blocks_a: dict = {}
-        for i in range(len(rows_a)):
-            blocks_a.setdefault(key("A", rows_a, cfg.a, i), []).append(i)
-        blocks_b: dict = {}
-        for j in range(len(rows_b)):
-            blocks_b.setdefault(key("B", rows_b, cfg.b, j), []).append(j)
-        if set(blocks_a) != set(blocks_b) or any(
-                len(blocks_a[k]) != len(blocks_b[k]) for k in blocks_a):
-            yield None
-            return
-        keys = sorted(blocks_a, key=repr)
-        per_block = [
-            [list(zip(blocks_a[k], perm))
-             for perm in permutations(blocks_b[k])]
-            for k in keys]
-        for combo in product(*per_block):
-            yield [pair for part in combo for pair in part]
+    def step(self) -> bool:
+        """Grow W_r to W_{r+1}; False when it stays the same."""
+        new = [(name, i, j)
+               for name in self.names
+               for i, ta in enumerate(self.A.relations[name])
+               for j, tb in enumerate(self.B.relations[name])
+               if not self.won[name][i][j]
+               and not all(self.survives(ta, tb, s) for s in self.names)]
+        for name, i, j in new:
+            self.won[name][i][j] = True
+        return bool(new)
 
 
 def spoiler_wins(A: Structure, B: Structure, rounds: Optional[int] = None,
@@ -197,13 +179,27 @@ def spoiler_wins(A: Structure, B: Structure, rounds: Optional[int] = None,
                  relation_limit: int = DEFAULT_RELATION_LIMIT):
     """Exact decision of "Spoiler has an i-round winning strategy from cfg".
 
-    Returns (winner_is_spoiler, trace); the trace lists (remaining rounds,
-    relation picked) along Spoiler's winning line, outermost last."""
+    Returns (winner_is_spoiler, trace); the trace is [(rounds, relation)],
+    the first relation in signature order that Spoiler wins with from cfg,
+    or [] when cfg is already distinguishing or Spoiler has no win."""
     if A.signature != B.signature:
         raise GameError("signature mismatch")
+    for name in A.signature.names():
+        if max(len(A.relations[name]), len(B.relations[name])) > relation_limit:
+            raise GameError("relation %s has more than %d tuples "
+                            "(the game's size guard)" % (name, relation_limit))
     if rounds is None:
         rounds = default_round_bound(A, B)
-    solver = _Solver(A, B, relation_limit)
-    trace: list = []
-    win = solver.spoiler_wins(cfg or Configuration(), rounds, trace)
-    return win, list(reversed(trace))
+    cfg = cfg or Configuration()
+    if is_distinguishing(cfg, A, B):
+        return True, []
+    if rounds <= 0:
+        return False, []
+    w = _Fixpoint(A, B)
+    for _ in range(rounds - 1):
+        if not w.step():
+            break
+    for name in w.names:
+        if not w.survives(cfg.a, cfg.b, name):
+            return True, [(rounds, name)]
+    return False, []

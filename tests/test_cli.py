@@ -5,6 +5,7 @@ import pytest
 
 from relcr.cli import REPRESENTATIONS, main
 from relcr.core import parse_structure, serialize_structure
+from test_kernel import directed_path
 from test_representations import (per_edge_encodings, sig4_corpus,
                                   special_structures)
 
@@ -179,6 +180,22 @@ def test_game(capsys):
     code, out, _ = run(capsys, "game", str(FIX / "A1.struct"),
                        str(FIX / "A1.struct"), "--rounds", "4")
     assert "duplicator survives 4" in out
+
+
+def test_game_on_paths(tmp_path, capsys):
+    def play(m, c):
+        a, b = tmp_path / "a.struct", tmp_path / "b.struct"
+        a.write_text(serialize_structure(directed_path(m)))
+        b.write_text(serialize_structure(directed_path(m, c)))
+        return run(capsys, "game", str(a), str(b))
+
+    code, out, _ = play(20, 5)
+    assert code == 0
+    assert out.startswith("spoiler wins within ")
+    code, out, err = play(1000, 10)
+    assert code == 1 and out == ""
+    assert err == "error: relation E has more than 24 tuples " \
+        "(the game's size guard)\n"
 
 
 def test_synthesize_then_eval(tmp_path, capsys):
