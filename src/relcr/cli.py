@@ -61,7 +61,7 @@ def cmd_validate(args):
     size, cohesion = A.metrics()
     report = {
         "elements": A.n,
-        "relations": {n: len(r) for n, r in A.relations.items()},
+        "relations": dict(A.counts),
         "size": size,
         "cohesion": cohesion,
     }
@@ -168,18 +168,17 @@ def cmd_homcount(args):
 def cmd_game(args):
     A = _load(args.a)
     B = _load(args.b)
+    rounds = game.default_round_bound(A, B) if args.rounds is None else args.rounds
     try:
-        win, trace = game.spoiler_wins(A, B, rounds=args.rounds)
+        win, trace = game.spoiler_wins(A, B, rounds=rounds)
     except game.GameError as e:
         raise DomainError(str(e))
     if win:
-        print("spoiler wins within %d rounds"
-              % (args.rounds or game.default_round_bound(A, B)))
+        print("spoiler wins within %d rounds" % rounds)
         for rounds_left, rel in trace:
             print("  with %d rounds left: pick relation %s" % (rounds_left, rel))
     else:
-        print("duplicator survives %d rounds"
-              % (args.rounds or game.default_round_bound(A, B)))
+        print("duplicator survives %d rounds" % rounds)
     return 0
 
 
@@ -224,6 +223,15 @@ def cmd_eval(args):
     except RecursionError:
         raise DomainError("formula nested too deeply")
     return 0
+
+
+def round_budget(text):
+    """A number of rounds, 0 or more: an argument type, whose ValueErrors
+    argparse reports."""
+    rounds = int(text)
+    if rounds < 0:
+        raise ValueError(text)
+    return rounds
 
 
 def tuple_counts(text):
@@ -345,7 +353,8 @@ def build_parser():
     q = sub.add_parser("game", help="solve the bijection game")
     q.add_argument("a")
     q.add_argument("b")
-    q.add_argument("--rounds", type=int, default=None)
+    q.add_argument("--rounds", type=round_budget, default=None,
+                   help="rounds to play (default: |Tup(A)| + |Tup(B)| + 2)")
     q.set_defaults(func=cmd_game)
 
     q = sub.add_parser("synthesize", help="formula describing a tuple's color")

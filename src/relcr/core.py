@@ -1,13 +1,21 @@
 """Signatures, relational structures, tuple occurrences and similarity types.
 
 Element ids are dense integers assigned at construction; the original names
-are kept in a side table for output.  A structure is immutable once built.
+are kept in a side table for output.  Each relation is one int64 array of
+rows, or a tuple of tuples in a structure of fewer than SMALL_FACTS facts;
+the other form and the per-tuple views (TupleRefs, membership sets) are
+built on first use.  A structure is immutable once built.
 """
 
 from __future__ import annotations
 
 import json
+import re
+from functools import cached_property
+from itertools import chain, count, islice
 from typing import Iterable, NamedTuple, Optional, Sequence
+
+import numpy as np
 
 
 class StructureError(ValueError):
@@ -96,59 +104,69 @@ def is_transitive_stp(tau: Iterable[tuple[int, int]]) -> bool:
     )
 
 
+# Below this many facts a structure is built and kept as tuples, and its row
+# arrays are made on first use.  A numpy call right after a garbage
+# collection, as each benchmark operation starts, costs 20-60 us (np.array of
+# six ints 40 us, np.sort 58 us, median of 200, shared 2-core x86 machine,
+# numpy 2.4), more than all the per-tuple work of a small structure: with
+# arrays alone, the CLI took 11-18% longer on the benchmark's 8-tuple pairs.
+SMALL_FACTS = 64
+
+
 class Structure:
     """A finite relational structure.
 
-    relations maps each symbol name to an ordered list of element-id vectors.
-    Every universe element must occur in at least one tuple (coverage).
+    relations maps each symbol name to the tuple of its vectors, each a
+    tuple of element ids, and rows to the same vectors as an int64 array,
+    one row each; a structure keeps the form it was built in and makes the
+    other on first use.  A vector occurs once within a relation (set
+    semantics).  Every universe element must occur in at least one tuple
+    (coverage).
     """
 
-    def __init__(self, signature: Signature, relations: dict, element_names=None, _validate=True):
+    def __init__(self, signature: Signature, relations: dict, element_names=None,
+                 _checked=False):
+        """relations maps symbol names to element-id vectors, as 2-d arrays
+        or iterables of sequences; a repeated vector keeps its first place.
+        _checked: relations maps every symbol to distinct vectors, all as
+        int64 row arrays or all as tuples of tuples, which together cover
+        range(len(element_names))."""
         self.signature = signature
-        rels = {}
-        for name, _ in signature.symbols:
-            seen = set()
-            rows = []
-            for t in relations.get(name, []):
-                t = tuple(int(x) for x in t)
-                if len(t) != signature.arity[name]:
-                    raise StructureError(
-                        "arity mismatch for %s: %r" % (name, t))
-                if t not in seen:  # set semantics within one relation
-                    seen.add(t)
-                    rows.append(t)
-            rels[name] = tuple(rows)
+        if _checked:
+            self._store(relations, element_names)
+            return
+        rows = {name: _int_rows(relations.get(name, ()), name, arity)
+                for name, arity in signature.symbols}
         for name in relations:
             if name not in signature.arity:
                 raise StructureError("unknown relation symbol %s" % name)
-        self.relations = rels
-
-        used = sorted({x for rows in rels.values() for t in rows for x in t})
+        used = np.concatenate([r.ravel() for r in rows.values()])
         if element_names is None:
-            self.n = (used[-1] + 1) if used else 0
-            element_names = [str(i) for i in range(self.n)]
-        else:
-            self.n = len(element_names)
-        self.element_names = list(element_names)
-        if _validate:
-            for x in used:
-                if not (0 <= x < self.n):
-                    raise StructureError("element id %d out of range" % x)
-            if len(used) != self.n:
-                missing = sorted(set(range(self.n)) - set(used))
-                raise StructureError(
-                    "uncovered universe element(s): %s"
-                    % ", ".join(self.element_names[i] for i in missing))
+            element_names = [str(i) for i in range(used.max() + 1 if len(used) else 0)]
+        n = len(element_names)
+        try:
+            seen = np.bincount(used, minlength=n)
+        except ValueError:   # a negative id
+            seen = None
+        if seen is None or len(seen) > n:
+            raise StructureError("element id %d out of range" % (
+                used[(used < 0) | (used >= n)].min()))
+        if np.count_nonzero(seen) < n:
+            _uncovered(element_names, np.flatnonzero(seen == 0))
+        self._store({name: _first_rows(r, n) for name, r in rows.items()},
+                    element_names)
 
-        # canonical Tup(A) enumeration: signature order, then tuple index
-        self.tuple_refs = tuple(
-            TupleRef(name, i)
-            for name, _ in signature.symbols
-            for i in range(len(rels[name]))
-        )
-        self.tuple_pos = {r: k for k, r in enumerate(self.tuple_refs)}
-        self._membership = {
-            name: frozenset(rows) for name, rows in rels.items()}
+    def _store(self, relations, element_names):
+        self.element_names = list(element_names)
+        self.n = len(element_names)
+        self.counts = {name: len(vecs) for name, vecs in relations.items()}
+        self._size = sum(self.counts.values())
+        if isinstance(next(iter(relations.values())), np.ndarray):
+            for r in relations.values():
+                r.flags.writeable = False
+            self.rows = relations
+        else:
+            self.relations = relations
         # caches built on first use, so that parsing and the kernel pay nothing
         self._positions = None
         self._overlaps = None
@@ -162,31 +180,72 @@ class Structure:
         With pad_universe a fresh unary relation holding every element is added,
         so declared-but-unused elements become legal.
         """
-        ids: dict[str, int] = {}
-        names: list[str] = []
+        rel, flat = [], []
+        for name, vec in facts:
+            if name not in signature.arity:
+                raise StructureError("unknown relation symbol %s" % name)
+            if len(vec) != signature.arity[name]:
+                raise StructureError("arity mismatch for %s: %r" % (name, tuple(vec)))
+            rel.append(name)
+            flat.extend(map(str, vec))
+        return cls._from_names(signature, rel, flat, universe, pad_universe)
 
-        def intern(x):
-            x = str(x)
-            if x not in ids:
-                ids[x] = len(names)
-                names.append(x)
-            return ids[x]
-
-        if universe:
-            for x in universe:
-                intern(x)
-        relations: dict[str, list] = {}
-        for rel, vec in facts:
-            relations.setdefault(rel, []).append(tuple(intern(x) for x in vec))
-        if pad_universe:
-            pad = _fresh_name("All", set(signature.arity))
+    @classmethod
+    def _from_names(cls, signature, rel, flat, universe, pad_universe):
+        """The structure of the facts whose symbols are rel, in order, and
+        whose element names, concatenated, are flat."""
+        index: dict = {}   # name -> id, in first-occurrence order
+        for x in universe or ():
+            index.setdefault(x, len(index))
+        ids = [index.setdefault(x, len(index)) for x in flat]
+        names = list(index)
+        if pad_universe:   # a fact All(x) for every x; All1, All2, ... if taken
+            pad = next(name for name in ("All%s" % (k or "") for k in count())
+                       if name not in signature.arity)
             signature = Signature(list(signature.symbols) + [(pad, 1)])
-            relations[pad] = [(i,) for i in range(len(names))]
-        return cls(signature, relations, element_names=names)
+            rel, ids = rel + [pad] * len(names), ids + list(range(len(names)))
+        if len(rel) >= SMALL_FACTS:
+            return cls(signature, _group(signature, rel, ids), names)
+        vecs: dict = {name: {} for name in signature.names()}
+        it = iter(ids)
+        for name in rel:   # the dicts keep each vector's first occurrence
+            vecs[name][tuple(islice(it, signature.arity[name]))] = None
+        if universe and len(set(ids)) < len(names):
+            _uncovered(names, sorted(set(range(len(names))) - set(ids)))
+        return cls(signature, {name: tuple(v) for name, v in vecs.items()}, names,
+                   _checked=True)
+
+    @cached_property
+    def rows(self) -> dict:
+        """Symbol name -> int64 array of its vectors, one row each."""
+        rows = {name: np.array(self.relations[name], dtype=np.int64).reshape(-1, a)
+                for name, a in self.signature.symbols}
+        for r in rows.values():
+            r.flags.writeable = False
+        return rows
+
+    @cached_property
+    def relations(self) -> dict:
+        """Symbol name -> the tuple of its vectors, each a tuple of ids."""
+        return {name: tuple(map(tuple, r.tolist())) for name, r in self.rows.items()}
+
+    @cached_property
+    def tuple_refs(self) -> tuple:
+        """The canonical Tup(A) enumeration: signature order, then tuple index."""
+        return tuple(map(TupleRef._make, ((name, i) for name, m in self.counts.items()
+                                          for i in range(m))))
+
+    @cached_property
+    def tuple_pos(self) -> dict:
+        return {r: k for k, r in enumerate(self.tuple_refs)}
+
+    @cached_property
+    def _membership(self) -> dict:
+        return {name: frozenset(vecs) for name, vecs in self.relations.items()}
 
     def size(self):
         """|Tup(A)|, the number of tuple occurrences."""
-        return len(self.tuple_refs)
+        return self._size
 
     def vector(self, ref: TupleRef) -> tuple:
         return self.relations[ref.relation][ref.index]
@@ -206,8 +265,8 @@ class Structure:
         vector holds it."""
         if self._positions is None:
             self._positions = [[] for _ in range(self.n)]
-            for k, ref in enumerate(self.tuple_refs):
-                for x in set(self.vector(ref)):
+            for k, vec in enumerate(chain.from_iterable(self.relations.values())):
+                for x in set(vec):
                     self._positions[x].append(k)
         return self._positions
 
@@ -215,10 +274,10 @@ class Structure:
         """Per Tup position a, the sorted (b, stp_key(stp(a, b))) over every
         position b whose vector shares an element with a's, a included."""
         if self._overlaps is None:
-            vecs = [self.vector(ref) for ref in self.tuple_refs]
+            vecs = list(chain.from_iterable(self.relations.values()))
             keys: dict = {}   # one key object per similarity type
-            self._overlaps = [[(b, keys.setdefault(tau := stp(va, vecs[b]),
-                                                   stp_key(tau)))
+            self._overlaps = [[(b, keys.get(tau := stp(va, vecs[b]))
+                                or keys.setdefault(tau, stp_key(tau)))
                                for b in sorted(self._near(va))] for va in vecs]
         return self._overlaps
 
@@ -230,18 +289,17 @@ class Structure:
         """(size, cohesion): cohesion counts ordered pairs of distinct
         overlapping tuple occurrences, from position sets: overlaps() takes
         5.9 s and 210 MB on a 1,766-tuple hub (2-core x86), the sets 0.12 s."""
-        return len(self.tuple_refs), sum(len(self._near(self.vector(ref))) - 1
-                                         for ref in self.tuple_refs)
+        return self.size(), sum(len(self._near(vec)) - 1 for vec in
+                                chain.from_iterable(self.relations.values()))
 
     def rename(self, perm: Sequence[int]):
         """Apply a universe permutation; perm[i] is the new id of element i."""
-        rels = {
-            name: [tuple(perm[x] for x in t) for t in rows]
-            for name, rows in self.relations.items()}
         names = [None] * self.n
         for i, nm in enumerate(self.element_names):
             names[perm[i]] = nm
-        return Structure(self.signature, rels, element_names=names)
+        image = np.asarray(perm, dtype=np.int64)
+        return Structure(self.signature, {
+            name: image[r] for name, r in self.rows.items()}, element_names=names)
 
     def __eq__(self, other):
         return (isinstance(other, Structure)
@@ -252,24 +310,71 @@ class Structure:
     def __repr__(self):
         return "Structure(n=%d, %s)" % (
             self.n,
-            ", ".join("|%s|=%d" % (n, len(r)) for n, r in self.relations.items()))
+            ", ".join("|%s|=%d" % item for item in self.counts.items()))
 
 
-def _fresh_name(base, taken):
-    name = base
-    k = 0
-    while name in taken:
-        k += 1
-        name = "%s%d" % (base, k)
-    return name
+def _group(signature, rel, ids):
+    """Symbol name -> int64 array of the vectors of the facts whose symbols
+    are rel, in order, and whose ids, concatenated, are ids."""
+    arity = [a for _, a in signature.symbols]
+    rel = list(map({name: k for k, (name, _) in enumerate(
+        signature.symbols)}.__getitem__, rel))
+    ids = np.array(ids, dtype=np.int64)
+    if rel != sorted(rel):   # one block of ids per relation, facts in order
+        rel = np.array(rel, dtype=np.int64)
+        ids = ids[np.argsort(np.repeat(rel, np.array(arity)[rel]), kind="stable")]
+        rel = rel.tolist()
+    rows, end = {}, 0
+    for k, (name, a) in enumerate(signature.symbols):
+        start, end = end, end + a * rel.count(k)
+        rows[name] = ids[start:end].reshape(-1, a)
+    return rows
+
+
+def _uncovered(names, missing):
+    raise StructureError("uncovered universe element(s): %s" % ", ".join(
+        names[i] for i in missing))
+
+
+def _int_rows(vectors, name, arity):
+    """Element-id vectors as a new int64 array of shape (len(vectors), arity)."""
+    if isinstance(vectors, np.ndarray):
+        bad = None if vectors.shape[1:] == (arity,) else vectors.shape[1:]
+    else:
+        vectors = list(vectors)
+        bad = next((tuple(t) for t in vectors if len(t) != arity), None)
+    if bad is not None:
+        raise StructureError("arity mismatch for %s: %r" % (name, bad))
+    return np.array(vectors, dtype=np.int64).reshape(-1, arity)
+
+
+def _first_rows(rows, n):
+    """The rows of a relation over range(n) without repeats, each row at its
+    first place: sorts of packed row keys where they fit in an int64, a
+    lexsort of the columns otherwise."""
+    if len(rows) < 2:
+        return rows
+    if max(n - 1, 1).bit_length() * rows.shape[1] < 63:
+        key = rows @ [n ** j for j in range(rows.shape[1] - 1, -1, -1)]
+        ordered = np.sort(key)
+        if not np.count_nonzero(ordered[1:] == ordered[:-1]):
+            return rows
+        order = key.argsort(kind="stable")
+        repeat = key[order][1:] == key[order][:-1]
+    else:
+        order = np.lexsort(rows.T[::-1])
+        ordered = rows[order]
+        repeat = (ordered[1:] == ordered[:-1]).all(axis=1)
+    keep = np.ones(len(rows), dtype=bool)
+    keep[order[1:][repeat]] = False   # a stable sort puts the first place first
+    return rows[keep]
 
 
 def strictly_equal_size(A: Structure, B: Structure) -> bool:
     """|R^A| = |R^B| for every relation symbol."""
     if A.signature != B.signature:
         return False
-    return all(
-        len(A.relations[n]) == len(B.relations[n]) for n in A.signature.names())
+    return A.counts == B.counts
 
 
 class UnionInfo(NamedTuple):
@@ -278,11 +383,6 @@ class UnionInfo(NamedTuple):
 
     def side(self, ref: TupleRef) -> str:
         return "A" if ref.index < self.counts_a[ref.relation] else "B"
-
-    def from_original(self, side: str, ref: TupleRef) -> TupleRef:
-        if side == "A":
-            return ref
-        return TupleRef(ref.relation, ref.index + self.counts_a[ref.relation])
 
 
 def disjoint_union(A: Structure, B: Structure):
@@ -293,33 +393,16 @@ def disjoint_union(A: Structure, B: Structure):
     """
     if A.signature != B.signature:
         raise StructureError("signature mismatch")
-    off = A.n
-    rels = {}
-    counts_a = {}
-    for name in A.signature.names():
-        rows = list(A.relations[name])
-        rows += [tuple(x + off for x in t) for t in B.relations[name]]
-        rels[name] = rows
-        counts_a[name] = len(A.relations[name])
+    if A.size() + B.size() < SMALL_FACTS:
+        rels = {name: vecs + tuple(tuple(x + A.n for x in t) for t in B.relations[name])
+                for name, vecs in A.relations.items()}
+    else:
+        rels = {name: np.concatenate((r, B.rows[name] + A.n))
+                for name, r in A.rows.items()}
     names = (["A:" + s for s in A.element_names]
              + ["B:" + s for s in B.element_names])
-    return Structure(A.signature, rels, element_names=names), UnionInfo(off, counts_a)
-
-
-def projection(U: Structure, info: UnionInfo, side: str) -> Structure:
-    """Recover one half of a disjoint union."""
-    rels = {}
-    for name in U.signature.names():
-        ca = info.counts_a[name]
-        rows = U.relations[name][:ca] if side == "A" else U.relations[name][ca:]
-        if side == "B":
-            rows = [tuple(x - info.offset for x in t) for t in rows]
-        rels[name] = rows
-    if side == "A":
-        names = [s[2:] for s in U.element_names[:info.offset]]
-    else:
-        names = [s[2:] for s in U.element_names[info.offset:]]
-    return Structure(U.signature, rels, element_names=names)
+    return (Structure(A.signature, rels, names, _checked=True),
+            UnionInfo(A.n, dict(A.counts)))
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +423,16 @@ def parse_signature(text: str) -> Signature:
     return Signature(symbols)
 
 
+# One match per line of a text whose every line ends in "\n": a header, a
+# fact NAME(args), or anything else (a blank line when empty), each without
+# the blanks around it and a trailing comment.
+_LINE = re.compile(r"""[^\S\n]*
+    (?: (signature|universe): ([^#\n]*)
+      | ([^(#\n]*?) [^\S\n]* (\() ([^#\n]*) \)
+      | ([^#\n]*?) )
+    [^\S\n]* (?:\#[^\n]*)? \n""", re.X)
+
+
 def parse_structure(text: str, fmt="text", pad_universe=False) -> Structure:
     """Parse the structure file format.
 
@@ -347,49 +440,46 @@ def parse_structure(text: str, fmt="text", pad_universe=False) -> Structure:
     line, ``E(1, 2)``.  An optional ``universe: a, b, c`` line declares
     elements up front.  ``#`` starts a comment.  JSON files carry the fields
     ``signature`` (list of [name, arity]) and ``relations`` (name -> list of
-    element-name vectors), plus an optional ``universe`` list.
+    element-name vectors), plus an optional ``universe`` list.  Elements are
+    numbered by first occurrence, the declared universe first.
     """
     if fmt == "json":
         return _parse_json(text, pad_universe)
-    signature = None
-    universe = None
-    facts = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("signature:"):
+    signature = universe = None
+    rel, args = [], []
+    lines = text.splitlines()
+    body = "\n".join(lines) + "\n" if lines else ""
+    for lineno, (head, rest, name, paren, fact, other) in enumerate(
+            _LINE.findall(body), 1):
+        if (paren or other) and signature is None:
+            raise ParseError("fact before signature header", lineno)
+        if paren:
+            if name not in signature.arity:
+                raise ParseError("unknown relation symbol %r" % name, lineno)
+            count = fact.count(",") + 1
+            if count != signature.arity[name] or count == 1 and not fact.strip():
+                raise ParseError(
+                    "arity mismatch: %s expects %d arguments, got %d" % (
+                        name, signature.arity[name], count if fact.strip() else 0),
+                    lineno)
+            rel.append(name)
+            args.append(fact)
+        elif head == "signature":
             if signature is not None:
                 raise ParseError("duplicate signature header", lineno)
             try:
-                signature = parse_signature(line[len("signature:"):])
+                signature = parse_signature(rest)
             except StructureError as e:
                 raise ParseError(str(e), lineno)
-            continue
-        if line.startswith("universe:"):
-            universe = [x.strip() for x in line[len("universe:"):].split(",") if x.strip()]
-            continue
-        if signature is None:
-            raise ParseError("fact before signature header", lineno)
-        if "(" not in line or not line.endswith(")"):
-            raise ParseError("expected NAME(elem, ...), got %r" % line, lineno)
-        name, rest = line.split("(", 1)
-        name = name.strip()
-        if name not in signature:
-            raise ParseError("unknown relation symbol %r" % name, lineno)
-        elems = [x.strip() for x in rest[:-1].split(",")]
-        if elems == [""]:
-            elems = []
-        if len(elems) != signature.arity[name]:
-            raise ParseError(
-                "arity mismatch: %s expects %d arguments, got %d"
-                % (name, signature.arity[name], len(elems)), lineno)
-        facts.append((name, elems))
+        elif head:
+            universe = [x.strip() for x in rest.split(",") if x.strip()]
+        elif other:
+            raise ParseError("expected NAME(elem, ...), got %r" % other, lineno)
     if signature is None:
         raise ParseError("missing signature header")
+    flat = list(map(str.strip, ",".join(args).split(","))) if args else []
     try:
-        return Structure.from_named(signature, facts, universe=universe,
-                                    pad_universe=pad_universe)
+        return Structure._from_names(signature, rel, flat, universe, pad_universe)
     except StructureError as e:
         raise ParseError(str(e))
 
@@ -403,33 +493,38 @@ def _parse_json(text, pad_universe):
         signature = Signature([(n, a) for n, a in doc["signature"]])
     except (KeyError, TypeError, ValueError) as e:
         raise ParseError("bad signature field: %s" % e)
-    facts = []
-    for name, rows in doc.get("relations", {}).items():
-        if name not in signature:
-            raise ParseError("unknown relation symbol %r" % name)
-        for vec in rows:
-            if len(vec) != signature.arity[name]:
-                raise ParseError("arity mismatch in %s: %r" % (name, vec))
-            facts.append((name, [str(x) for x in vec]))
-    universe = [str(x) for x in doc["universe"]] if "universe" in doc else None
-    return Structure.from_named(signature, facts, universe=universe,
-                                pad_universe=pad_universe)
+    try:
+        facts = []
+        for name, vecs in doc.get("relations", {}).items():
+            if name not in signature:
+                raise ParseError("unknown relation symbol %r" % name)
+            for vec in vecs:
+                if len(vec) != signature.arity[name]:
+                    raise ParseError("arity mismatch in %s: %r" % (name, vec))
+                facts.append((name, vec))
+        universe = [str(x) for x in doc["universe"]] if "universe" in doc else None
+        return Structure.from_named(signature, facts, universe, pad_universe)
+    except (AttributeError, TypeError) as e:
+        raise ParseError("bad relations or universe field: %s" % e)
+    except StructureError as e:
+        raise ParseError(str(e))
 
 
 def serialize_structure(A: Structure) -> str:
+    names = A.element_names
     lines = ["signature: " + ", ".join("%s/%d" % s for s in A.signature.symbols)]
-    for name, _ in A.signature.symbols:
-        for t in A.relations[name]:
-            lines.append("%s(%s)" % (name, ", ".join(A.element_names[x] for x in t)))
+    for name, vecs in A.relations.items():
+        lines += ["%s(%s)" % (name, ", ".join([names[x] for x in t]))
+                  for t in vecs]
     return "\n".join(lines) + "\n"
 
 
 def structure_to_json(A: Structure) -> str:
+    names = A.element_names
     doc = {
         "signature": [[n, a] for n, a in A.signature.symbols],
-        "universe": list(A.element_names),
-        "relations": {
-            name: [[A.element_names[x] for x in t] for t in A.relations[name]]
-            for name in A.signature.names()},
+        "universe": list(names),
+        "relations": {name: [[names[x] for x in t] for t in vecs]
+                      for name, vecs in A.relations.items()},
     }
     return json.dumps(doc, indent=2)

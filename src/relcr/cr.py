@@ -130,44 +130,68 @@ class Coloring:
     def first_difference(self, left, right):
         """(round, color) of the smallest round whose histograms over the two
         position lists differ, with the smallest color counted differently
-        there; None if no round tells them apart.
+        there; None if no round tells them apart.  SideCounts follows the
+        rounds' changed positions only."""
+        counts = SideCounts(self.base, left, right)
+        ends = self.ends
+        for i in range(len(ends) - 1):
+            if counts.unequal:
+                break
+            counts.advance(self.moved[ends[i]:ends[i + 1]].tolist(),
+                           self.renamed[ends[i]:ends[i + 1]].tolist())
+        if not counts.unequal:
+            return None
+        i = counts.round
+        return i, (self.offsets[i] if self.offsets else 0) + counts.witness()
 
-        diff[c] is the count of internal name c over left minus that over
-        right, and unequal the number of names where it is not zero; a round
-        updates both at its changed positions only.  In the first round
-        with unequal > 0, the smallest color counted differently belongs to
-        the first position whose name is counted differently."""
-        weight = [0] * len(self.base)
+
+class SideCounts:
+    """Per internal name, its count over the left positions minus its count
+    over the right ones, from a round's names on.  advance applies the next
+    round's renames and updates the counts at those positions only.  round
+    is the round reached, and unequal the number of names counted
+    differently there."""
+
+    def __init__(self, names, left, right):
+        self.names = names.tolist()
+        self.weight = weight = [0] * len(self.names)
         for k in left:
             weight[k] += 1
         for k in right:
             weight[k] -= 1
-        names = self.base.tolist()
-        diff = [0] * max(self.class_counts)
-        for c, w in zip(names, weight):
+        self.diff = diff = [0] * len(self.names)
+        for c, w in zip(self.names, weight):
             diff[c] += w
-        unequal = len(diff) - diff.count(0)
-        moved, renamed, ends = self.moved.tolist(), self.renamed.tolist(), self.ends
-        i = 0
-        while not unequal:
-            if i == len(ends) - 1:
-                return None
-            for j in range(ends[i], ends[i + 1]):
-                k, c = moved[j], renamed[j]
-                w = weight[k]
-                if w:
-                    o = names[k]
-                    unequal -= (diff[o] != 0) + (diff[c] != 0)
-                    diff[o] -= w
-                    diff[c] += w
-                    unequal += (diff[o] != 0) + (diff[c] != 0)
-                names[k] = c
-            i += 1
+        self.unequal = len(diff) - diff.count(0)
+        self.round = 0
+
+    def advance(self, moved, renamed) -> bool:
+        """Rename the positions moved (a list) to renamed; whether some name
+        is now counted differently."""
+        weight, names, diff = self.weight, self.names, self.diff
+        unequal = self.unequal
+        for k, c in zip(moved, renamed):
+            w = weight[k]
+            if w:
+                o = names[k]
+                unequal -= (diff[o] != 0) + (diff[c] != 0)
+                diff[o] -= w
+                diff[c] += w
+                unequal += (diff[o] != 0) + (diff[c] != 0)
+            names[k] = c
+        self.unequal = unequal
+        self.round += 1
+        return unequal > 0
+
+    def witness(self) -> int:
+        """The rank, among the names in order of their first position, of
+        the first one counted differently: the smallest color counted
+        differently, less the round's offset."""
         seen = set()
-        for c in names:
+        for c in self.names:
             if c not in seen:
-                if diff[c]:
-                    return i, (self.offsets[i] if self.offsets else 0) + len(seen)
+                if self.diff[c]:
+                    return len(seen)
                 seen.add(c)
 
 
@@ -376,7 +400,7 @@ def cr_run(G: ColoredMultigraph, max_rounds=None, trace=True) -> Coloring:
 HANDOVER_PER_TUPLE = 64
 
 
-def refine_rounds(steps, base, count, max_rounds, trace=True):
+def refine_rounds(steps, base, count, max_rounds, trace=True, stop=None):
     """(base, moved, renamed, ends, class_counts) of a synchronous
     refinement, as Coloring keeps a run.
 
@@ -393,7 +417,12 @@ def refine_rounds(steps, base, count, max_rounds, trace=True):
     class had equal multisets over the other side, so a class is re-keyed
     whole (the nodes next to a renamed node alone would leave two parts of a
     class with one name).  keep_largest names the classes where the trace, a
-    partial half-step or the handover needs it."""
+    partial half-step or the handover needs it.
+
+    With a trace, stop may end the run early: it is called after each round
+    with the traced nodes that the round renamed and their new names, as
+    lists, and the run ends with the first round for which it is true.
+    SideCounts.advance is such a test."""
     sides = len(steps)
     size = [len(starts) - 1 for starts, _, _ in steps]
     names = [np.zeros(n, dtype=np.int64) for n in size[:-1]] + [base]
@@ -446,22 +475,25 @@ def refine_rounds(steps, base, count, max_rounds, trace=True):
             renamed.append(part[changed])
             ends.append(ends[-1] + len(changed))
         class_counts.append(new_count)
+        if stop is not None and stop(changed.tolist(), renamed[-1].tolist()):
+            break
         if (changed is None or len(changed) * HANDOVER_PER_TUPLE
                 > size[-1] - new_count):
             spent = 0
         elif spent >= price:
             log = moved, renamed, ends, class_counts
             names[-1] = _worklist_rounds(steps, names, changed,
-                                         max_rounds - done - 1, trace, log)
+                                         max_rounds - done - 1, trace, stop, log)
             break
     return (base if trace else names[-1], np.concatenate(moved),
             np.concatenate(renamed), ends, class_counts)
 
 
-def _worklist_rounds(steps, names, moved, max_rounds, trace, log):
-    """Continue refine_rounds from the names of each side, after a round
-    that renamed the traced nodes moved, and add the rounds to its log
-    (moved, renamed, ends, class_counts).  Returns the traced side's names.
+def _worklist_rounds(steps, names, moved, max_rounds, trace, stop, log):
+    """Continue refine_rounds, with its stop test, from the names of each
+    side, after a round that renamed the traced nodes moved, and add the
+    rounds to its log (moved, renamed, ends, class_counts).  Returns the
+    traced side's names.
 
     A half-step re-keys only the nodes next to a node renamed in the
     half-step before, by their old name and the sorted codes (name *
@@ -486,10 +518,13 @@ def _worklist_rounds(steps, names, moved, max_rounds, trace, log):
         if not moved:
             break
         if trace:
+            new = [parts[-1].names[a] for a in moved]
             all_moved += moved
-            renamed += [parts[-1].names[a] for a in moved]
+            renamed += new
             ends.append(ends[-1] + len(moved))
         class_counts.append(parts[-1].count)
+        if stop is not None and stop(moved, new):
+            break
     log[0].append(np.array(all_moved, dtype=np.int64))
     log[1].append(np.array(renamed, dtype=np.int64))
     return np.array(parts[-1].names, dtype=np.int64)

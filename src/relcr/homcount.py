@@ -134,21 +134,13 @@ class _Images:
 
     def __init__(self, A: Structure):
         self.A = A
-        self.rows: dict = {}
         self.tables: dict = {}
-
-    def relation(self, name):
-        if name not in self.rows:
-            self.rows[name] = np.array(
-                self.A.relations[name], dtype=np.int64).reshape(
-                    -1, self.A.signature.arity[name])
-        return self.rows[name]
 
     def of(self, atp, vec):
         firsts = tuple(vec.index(x) for x in vec)
         key = (atp, firsts)
         if key not in self.tables:
-            pools = [self.relation(r) for r in sorted(atp)]
+            pools = [self.A.rows[r] for r in sorted(atp)]
             base = min(pools, key=len)
             keep = np.ones(len(base), dtype=bool)
             for i, f in enumerate(firsts):

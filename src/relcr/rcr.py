@@ -18,7 +18,9 @@ log2 N times and the worklist's rounds cost O(N log N) together.
 reference_rounds interns each occurrence's multiset over all its overlaps,
 which is quadratic on hubs; it serves small inputs, where it is faster, and
 the tests as oracle.  A run is kept as cr.Coloring keeps it: base classes
-and per-round changes.
+and per-round changes.  rcr_distinguishes stops the kernel at the first
+round whose side histograms differ, and decides round 0 before the slices
+are built.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .core import Structure, disjoint_union, stp, stp_key, strictly_equal_size
-from .cr import Coloring, first_occurrence, refine_rounds
+from .cr import Coloring, SideCounts, first_occurrence, refine_rounds
 
 # rcr_run uses the kernel from this many tuple occurrences on.  The kernel
 # pays ~1 ms to build its arrays and ~0.1 ms a half-step, so it loses on
@@ -128,8 +130,8 @@ def reference_rounds(A: Structure, max_rounds: Optional[int] = None):
     # each round interns its keys in a table of its own; ids continue from
     # the previous rounds, so that a color id names its round
     table: dict = {}
-    colors = [table.setdefault(_base_key(A, A.vector(r)), len(table))
-              for r in A.tuple_refs]
+    colors = [table.setdefault(_base_key(A, vec), len(table))
+              for vecs in A.relations.values() for vec in vecs]
     rounds = [colors]
     class_counts = [len(table)]
     next_id = len(table)
@@ -166,10 +168,15 @@ def kernel_rounds(A: Structure, max_rounds: Optional[int] = None):
 
     cr.refine_rounds runs the rounds, slices first.  Its first round re-keys
     every tuple: tuples of one base class may own unequal shared slices."""
+    rels = relation_rows(A)
+    return _slice_rounds(A, rels, *_base_classes(A, rels), max_rounds)
+
+
+def _slice_rounds(A: Structure, rels, base, count, max_rounds=None, stop=None):
+    """kernel_rounds from the round-0 classes, with refine_rounds' stop
+    test."""
     if max_rounds is None:
         max_rounds = A.size()
-    rels = relation_rows(A)
-    base, count = _base_classes(A, rels)
     tup, sl, lab, _, _ = slice_incidence(A, rels)
     # keep the slices held by more than one tuple, renumbered densely
     shared = np.bincount(sl) > 1
@@ -179,7 +186,7 @@ def kernel_rounds(A: Structure, max_rounds: Optional[int] = None):
     nslices = int(shared.sum())
     return refine_rounds([_csr(sl, tup, lab, nslices),
                           _csr(tup, sl, lab, A.size())],
-                         base, count, max_rounds)
+                         base, count, max_rounds, stop=stop)
 
 
 def relation_rows(A: Structure):
@@ -189,7 +196,7 @@ def relation_rows(A: Structure):
     out = []
     first = 0
     for index, (name, arity) in enumerate(A.signature.symbols):
-        rows = np.array(A.relations[name], dtype=np.int64).reshape(-1, arity)
+        rows = A.rows[name]
         pattern = np.tile(np.arange(arity), (len(rows), 1))
         for i in range(arity):
             for j in reversed(range(i)):
@@ -239,9 +246,10 @@ def slice_incidence(A: Structure, rels):
     by_length: dict = {}   # slice length -> ([element rows], [tuple], [label])
     for _, first, rows, pattern in rels:
         arity = rows.shape[1]
-        patterns, group = np.unique(pattern, axis=0, return_inverse=True)
-        group = group.ravel()
-        for g, pat in enumerate(patterns.tolist()):
+        group, count = _row_ids(pattern)   # np.unique(axis=0) took 3x longer
+        member = np.empty(count, dtype=np.int64)
+        member[group] = np.arange(len(group))
+        for g, pat in enumerate(pattern[member].tolist()):
             members = np.flatnonzero(group == g)
             sub = rows[members]
             distinct = sorted(set(pat))
@@ -277,23 +285,37 @@ def _csr(node, other, label, n):
 
 def _row_ids(rows):
     """Dense ids of the distinct rows of a 2-d array of ints >= -1, in
-    lexicographic order, and their count.  Columns are folded in one at a
-    time, so that each key stays below len(rows) times the column range."""
+    lexicographic order, and their count.  Columns are packed into one key
+    while the product of their ranges stays below 2^62, and the key is
+    renumbered densely, one sort, before it would pass that."""
     ids = np.zeros(len(rows), dtype=np.int64)
+    span = 1   # the key is below span
     for col in rows.T if len(rows) else ():
-        _, ids = np.unique(ids * (int(col.max()) + 2) + col + 1,
-                           return_inverse=True)
+        radix = int(col.max()) + 2
+        if span * radix >= 1 << 62:
+            _, ids = np.unique(ids, return_inverse=True)
+            span = int(ids.max()) + 1
+        ids = ids * radix + col + 1
+        span *= radix
+    if len(rows):
+        _, ids = np.unique(ids, return_inverse=True)
     return ids.ravel(), int(ids.max()) + 1 if len(ids) else 0
 
 
 def rcr_run(A: Structure, max_rounds: Optional[int] = None) -> RefinementTrace:
     """Refine A until stable (or max_rounds); both engines give equal ids."""
-    arity = max((len(rows[0]) for rows in A.relations.values() if rows),
-                default=0)
-    if A.size() >= KERNEL_MIN_TUPLES and arity <= KERNEL_MAX_ARITY:
+    if _kernel_applies(A):
         return RefinementTrace(A, *kernel_rounds(A, max_rounds))
     rounds, class_counts = reference_rounds(A, max_rounds)
     return RefinementTrace(A, *_changes(rounds, class_counts), class_counts)
+
+
+def _kernel_applies(A: Structure) -> bool:
+    """Whether rcr_run refines A with the kernel: KERNEL_MIN_TUPLES tuple
+    occurrences or more, none longer than KERNEL_MAX_ARITY."""
+    return A.size() >= KERNEL_MIN_TUPLES and max(
+        (a for name, a in A.signature.symbols if A.counts[name]),
+        default=0) <= KERNEL_MAX_ARITY
 
 
 def _changes(rounds, class_counts):
@@ -331,9 +353,7 @@ class CompareResult:
     def __init__(self, A, B):
         self.union, self.info = disjoint_union(A, B)
         self.trace = rcr_run(self.union)
-        self.pos = {"A": [], "B": []}
-        for k, ref in enumerate(self.union.tuple_refs):
-            self.pos[self.info.side(ref)].append(k)
+        self.pos = dict(zip("AB", _side_positions(self.union, self.info)))
         diff = self.trace.first_difference(self.pos["A"], self.pos["B"])
         self.round, self.color = (None, None) if diff is None else diff
 
@@ -345,13 +365,36 @@ def rcr_compare(A: Structure, B: Structure) -> CompareResult:
     return CompareResult(A, B)
 
 
+def _side_positions(U: Structure, info):
+    """The Tup positions of a disjoint union's tuples from A and from B, as
+    lists: each relation's first counts_a tuples come from A."""
+    left, right, first = [], [], 0
+    for name, count in U.counts.items():
+        split = first + info.counts_a[name]
+        left += range(first, split)
+        right += range(split, first + count)
+        first += count
+    return left, right
+
+
 def rcr_distinguishes(A: Structure, B: Structure):
     """Smallest round with a color count differing between A and B, plus a
-    witness color, or None.  Unequal relation sizes always show in round 0
-    because atomic types are part of the initial color."""
-    res = rcr_compare(A, B)
-    if res.round is None:
+    witness color, or None: the first_difference of rcr_run on the disjoint
+    union.  Where the kernel refines the union, it runs only up to that
+    round, and round 0 is read off the base classes before any slice is
+    built; unequal relation sizes always show there because atomic types
+    are part of the initial color."""
+    U, info = disjoint_union(A, B)
+    sides = _side_positions(U, info)
+    if not _kernel_applies(U):
+        return rcr_run(U).first_difference(*sides)
+    rels = relation_rows(U)
+    base, count = _base_classes(U, rels)
+    counts = SideCounts(base, *sides)
+    if counts.unequal:
+        return 0, counts.witness()
+    assert strictly_equal_size(A, B)
+    class_counts = _slice_rounds(U, rels, base, count, stop=counts.advance)[-1]
+    if not counts.unequal:
         return None
-    if not strictly_equal_size(A, B):
-        assert res.round == 0
-    return res.round, res.color
+    return counts.round, sum(class_counts[:counts.round]) + counts.witness()

@@ -87,7 +87,8 @@ def grep(A: Structure):
     """The direct colored-multigraph encoding: one node per tuple occurrence,
     edges (w_a, w_b) in E_{i,j} whenever a_i = b_j, loops encoding stp(a).
 
-    Returns (graph, node_of) with node_of mapping TupleRef -> node id."""
+    Returns (graph, node_of) with node_of mapping TupleRef -> node id, built
+    on first use; the node of Tup position k is k."""
     rels = relation_rows(A)
     tup, pos, elem = _entries(rels)
     # every ordered pair of entries holding one element is an edge
@@ -105,7 +106,7 @@ def grep(A: Structure):
         nu + pos[left] * k + pos[right],
         np.arange(nw), _tuple_relation(rels),
         lambda: ["w%s" % (A.vector(r),) for r in A.tuple_refs])
-    return g, dict(A.tuple_pos)
+    return g, _OnDemand(lambda: A.tuple_pos)
 
 
 def slices(a: Sequence[int]):
@@ -126,8 +127,9 @@ def vgrep(A: Structure):
     Built from the tuple-slice incidence of rcr.slice_incidence.  Slice
     nodes are numbered by first occurrence over the tuples in order, each
     tuple's slices in the order of slices().  Returns (graph, node_of,
-    slice_node_of), where slice_node_of maps a slice vector to its number
-    among the slice nodes (node nw + number) and is built on first use."""
+    slice_node_of): node_of as grep returns it, and slice_node_of, which
+    maps a slice vector to its number among the slice nodes (node nw +
+    number); both are built on first use."""
     rels = relation_rows(A)
     tup, sl, lab, nslices, taus = slice_incidence(A, rels)
     nw = A.size()
@@ -161,7 +163,7 @@ def vgrep(A: Structure):
         np.arange(nw), _tuple_relation(rels),
         lambda: (["w%s" % (A.vector(r),) for r in A.tuple_refs]
                  + ["v%s" % (s,) for s in numbers()]))
-    return g, dict(A.tuple_pos), _OnDemand(numbers)
+    return g, _OnDemand(lambda: A.tuple_pos), _OnDemand(numbers)
 
 
 def _element_and_tuple_names(A: Structure):

@@ -182,6 +182,21 @@ def test_game(capsys):
     assert "duplicator survives 4" in out
 
 
+def test_game_prints_the_budget_played(capsys):
+    a1, b1 = str(FIX / "A1.struct"), str(FIX / "B1.struct")
+    assert run(capsys, "game", a1, b1, "--rounds", "0") == (
+        0, "duplicator survives 0 rounds\n", "")
+    assert run(capsys, "game", a1, b1, "--rounds", "2") == (
+        0, "spoiler wins within 2 rounds\n  with 2 rounds left: pick relation "
+        "E\n", "")
+    code, out, _ = run(capsys, "game", a1, b1)   # |A1| + |B1| + 2 rounds
+    assert code == 0 and out.startswith("spoiler wins within 16 rounds\n")
+    with pytest.raises(SystemExit) as e:
+        main(["game", a1, b1, "--rounds", "-3"])
+    assert e.value.code == 2
+    assert "invalid round_budget value: '-3'" in capsys.readouterr().err
+
+
 def test_game_on_paths(tmp_path, capsys):
     def play(m, c):
         a, b = tmp_path / "a.struct", tmp_path / "b.struct"

@@ -26,6 +26,13 @@ copy):
   overlaps    `relcr validate --json` and `relcr gyo` of each structure,
               and `relcr synthesize` of every tuple of the disjoint union
               of each pair of at most 12 tuples a side
+  parse       `relcr validate --json` of each structure written as JSON,
+              and `relcr validate --json` and `relcr export --rep grep`
+              (whose node names spell element ids) of each structure
+              written with a `universe:` line, its facts shuffled across
+              relations and some repeated; the exit code and stderr of
+              `relcr validate` on every file of fixtures/malformed; and
+              `relcr distinguish` of pairs of unequal relation sizes
 
 With -v it prints one hash per section as well.
 """
@@ -44,7 +51,7 @@ import numpy as np
 
 from relcr import acyclic, cli, generate, representations
 from relcr.core import (Signature, Structure, disjoint_union, parse_structure,
-                        serialize_structure)
+                        serialize_structure, structure_to_json)
 from relcr.cr import cr_run
 from relcr.rcr import rcr_distinguishes, rcr_run
 
@@ -175,6 +182,28 @@ def encodings(A):
         yield "jtrep", representations.jtrep(A, J)[0]
 
 
+def declared(A, seed):
+    """A's text with a `universe:` line naming its elements in reverse, its
+    facts shuffled across relations and every fifth one repeated."""
+    rng = random.Random(seed)
+    facts = serialize_structure(A).splitlines()[1:]
+    facts += facts[::5]
+    rng.shuffle(facts)
+    universe = "universe: " + ", ".join(reversed(A.element_names))
+    return "\n".join(["signature: " + ", ".join("%s/%d" % s for s in
+                                                 A.signature.symbols),
+                      universe] + facts) + "\n"
+
+
+def plus_one(A):
+    """A with one more fact of its first relation, on a fresh element."""
+    name, arity = A.signature.symbols[0]
+    facts = [(r.relation, [A.element_names[x] for x in A.vector(r)])
+             for r in A.tuple_refs]
+    return Structure.from_named(A.signature, facts + [
+        (name, ["fresh"] + [A.element_names[0]] * (arity - 1))])
+
+
 def sections(work):
     singles, pairs = corpus()
     files = {}
@@ -188,7 +217,7 @@ def sections(work):
 
     out = {k: hashlib.sha256() for k in (
         "refine", "export", "cr-ids", "rcr-ids", "distinguish", "game",
-        "homcount", "overlaps")}
+        "homcount", "overlaps", "parse")}
     csv = work / "trace.csv"
     for name, A in singles:
         f = str(files[name])
@@ -231,6 +260,20 @@ def sections(work):
             for r in U.tuple_refs:
                 out["overlaps"].update(run_cli(
                     "synthesize", str(u), "--tuple", "%s,%d" % r).encode())
+    for k, (name, A) in enumerate(singles):
+        j, d = work / (name + ".json"), work / (name + ".declared.struct")
+        j.write_text(structure_to_json(A))
+        d.write_text(declared(A, k))
+        out["parse"].update(run_cli("validate", str(j), "--json").encode())
+        out["parse"].update(run_cli("validate", str(d), "--json").encode())
+        out["parse"].update(run_cli("export", str(d), "--rep", "grep").encode())
+    for path in sorted((ROOT / "fixtures" / "malformed").iterdir()):
+        out["parse"].update(run_cli("validate", str(path)).replace(
+            str(ROOT), "<root>").encode())
+    for name, A, _ in pairs:
+        a, b = str(files[name + "a"]), work / ("%s.plus-one.struct" % name)
+        b.write_text(serialize_structure(plus_one(A)))
+        out["parse"].update(run_cli("distinguish", a, str(b)).encode())
     return {k: h.hexdigest() for k, h in out.items()}
 
 
