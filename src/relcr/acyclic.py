@@ -1,21 +1,21 @@
-"""Alpha-acyclicity: GYO reduction, join-tree validation, and the
-print-to-structure construction used by the random acyclic generator.
+"""Alpha-acyclicity: GYO reduction, join-tree validation, and a seeded
+generator of random acyclic structures with their join trees.
 
 A join tree is a tree on the tuple occurrences of a structure such that the
-occurrences of every universe element induce a connected subtree.  A print is
-a tree annotated with atomic types, self similarity types and per-edge
-similarity types; materializing a consistent print yields an acyclic
-structure together with a join tree.
+occurrences of every universe element induce a connected subtree.  The
+generator draws a random tree of vectors in which a child shares some
+values with its parent and takes fresh ones for the rest, so the holders
+of every value are connected in the tree; with the twin facts of a vector
+linked to its first fact, the tree is a join tree.
 """
 
 from __future__ import annotations
 
 import heapq
 import random
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import Signature, Structure, TupleRef, stp
+from .core import Signature, Structure, TupleRef
 
 
 class JoinTree:
@@ -162,288 +162,78 @@ def is_acyclic(C: Structure) -> bool:
     return gyo_join_tree(C) is not None
 
 
-# ---------------------------------------------------------------------------
-# prints
-
-class InconsistentPrintError(ValueError):
-    pass
-
-
-@dataclass(frozen=True)
-class PrintNode:
-    rho: frozenset          # atomic type: non-empty set of symbols, one arity
-    arity: int
-    tau: frozenset          # self similarity type: an equivalence on [arity]
-
-
-class Print:
-    """Tree of PrintNodes; edges carry a similarity type oriented u -> v."""
-
-    def __init__(self, signature: Signature, nodes: Sequence[PrintNode], edges):
-        self.signature = signature
-        self.nodes = list(nodes)
-        self.edges = list(edges)   # (u_index, v_index, tau)
-        self._check()
-
-    def _check(self):
-        for k, nd in enumerate(self.nodes):
-            if not nd.rho:
-                raise InconsistentPrintError("node %d: empty atomic type" % k)
-            for r in nd.rho:
-                if self.signature.arity.get(r) != nd.arity:
-                    raise InconsistentPrintError(
-                        "node %d: symbol %s does not have arity %d" % (k, r, nd.arity))
-            if not _is_equivalence(nd.tau, nd.arity):
-                raise InconsistentPrintError(
-                    "node %d: self similarity type is not an equivalence" % k)
-        deg = {k: 0 for k in range(len(self.nodes))}
-        for u, v, tau in self.edges:
-            for (i, j) in tau:
-                if not (1 <= i <= self.nodes[u].arity and 1 <= j <= self.nodes[v].arity):
-                    raise InconsistentPrintError("edge (%d,%d): index out of range" % (u, v))
-            deg[u] += 1
-            deg[v] += 1
-        if self.nodes and len(self.edges) != len(self.nodes) - 1:
-            raise InconsistentPrintError("edge count does not form a tree")
-
-    def adjacency(self):
-        adj = {k: [] for k in range(len(self.nodes))}
-        for u, v, tau in self.edges:
-            adj[u].append((v, tau))
-            adj[v].append((u, frozenset((j, i) for i, j in tau)))
-        return adj
-
-
-def _is_equivalence(tau, k) -> bool:
-    tau = set(tau)
-    if any(not (1 <= i <= k and 1 <= j <= k) for i, j in tau):
-        return False
-    if any((i, i) not in tau for i in range(1, k + 1)):
-        return False
-    if any((j, i) not in tau for i, j in tau):
-        return False
-    return all((i, l) in tau for i, j in tau for jj, l in tau if jj == j)
-
-
-def _classes(tau, k):
-    """Equivalence classes of a self similarity type, as sorted tuples."""
-    rep = {}
-    for i in range(1, k + 1):
-        rep[i] = min(j for (a, j) in tau if a == i)
-    blocks: dict = {}
-    for i in range(1, k + 1):
-        blocks.setdefault(rep[i], []).append(i)
-    return [tuple(b) for _, b in sorted(blocks.items())]
-
-
-def structure_from_print(P: Print, root: int = 0):
-    """Materialize a print: the root gets fresh values per tau-class, every
-    child copies parent entries through the edge similarity type, closes its
-    own tau equalities and fills the rest with fresh values.
-
-    Returns (C, J).  Raises InconsistentPrintError when the annotations are
-    not realizable (a forced equality meets a forced inequality, an atomic
-    type is not exact, or two nodes materialize the same fact)."""
-    n = len(P.nodes)
-    if n == 0:
-        raise InconsistentPrintError("empty print")
-    adj = P.adjacency()
-    values: list = [None] * n
-    fresh = [0]
-
-    def new_value():
-        fresh[0] += 1
-        return "e%d" % fresh[0]
-
-    def fill(v, vec):
-        # close the tau_v equalities, fresh values for untouched classes
-        nd = P.nodes[v]
-        out = list(vec)
-        for block in _classes(nd.tau, nd.arity):
-            vals = {out[i - 1] for i in block if out[i - 1] is not None}
-            if len(vals) > 1:
-                raise InconsistentPrintError(
-                    "node %d: copied entries contradict its similarity type" % v)
-            val = vals.pop() if vals else new_value()
-            for i in block:
-                out[i - 1] = val
-        return tuple(out)
-
-    values[root] = fill(root, [None] * P.nodes[root].arity)
-    order = [root]
-    seen = {root}
-    queue = [root]
-    while queue:
-        u = queue.pop(0)
-        for v, tau in adj[u]:
-            if v in seen:
-                continue
-            seen.add(v)
-            vec = [None] * P.nodes[v].arity
-            for (i, j) in tau:
-                x = values[u][i - 1]
-                if vec[j - 1] is not None and vec[j - 1] != x:
-                    raise InconsistentPrintError(
-                        "edge (%d,%d): contradictory copies" % (u, v))
-                vec[j - 1] = x
-            values[v] = fill(v, vec)
-            order.append(v)
-            queue.append(v)
-    if len(seen) != n:
-        raise InconsistentPrintError("print tree is not connected")
-
-    # exactness checks: the annotations must be realized, not just contained
-    for v in range(n):
-        if stp(values[v], values[v]) != P.nodes[v].tau:
-            raise InconsistentPrintError(
-                "node %d: accidental equality violates its similarity type" % v)
-    for u, v, tau in P.edges:
-        if stp(values[u], values[v]) != tau:
-            raise InconsistentPrintError(
-                "edge (%d,%d): realized overlap differs from annotation" % (u, v))
-
-    facts = []
-    node_refs: list = [None] * n
-    per_rel_count: dict = {}
-    fact_seen = set()
-    for v in order:
-        refs = []
-        for rel in sorted(P.nodes[v].rho):
-            if (rel, values[v]) in fact_seen:
-                raise InconsistentPrintError(
-                    "two nodes materialize the same fact %s%s" % (rel, values[v]))
-            fact_seen.add((rel, values[v]))
-            idx = per_rel_count.get(rel, 0)
-            per_rel_count[rel] = idx + 1
-            facts.append((rel, values[v]))
-            refs.append(TupleRef(rel, idx))
-        node_refs[v] = refs
-    C = Structure.from_named(P.signature, facts)
-
-    jedges = []
-    parent = {root: None}
-    for v in order:
-        # twin chain for multi-symbol atomic types
-        for extra in node_refs[v][1:]:
-            jedges.append((node_refs[v][0], extra))
-    stack = [root]
-    visited = {root}
-    while stack:
-        u = stack.pop()
-        for v, _ in adj[u]:
-            if v not in visited:
-                visited.add(v)
-                jedges.append((node_refs[u][0], node_refs[v][0]))
-                stack.append(v)
-    J = JoinTree(C.tuple_refs, jedges, root=node_refs[root][0])
-
-    for v in range(n):
-        vec = C.vector(node_refs[v][0])
-        if C.atp(vec) != P.nodes[v].rho:
-            raise InconsistentPrintError(
-                "node %d: materialized atomic type is %s, annotated %s"
-                % (v, sorted(C.atp(vec)), sorted(P.nodes[v].rho)))
-    ok, bad = validate_join_tree(C, J)
-    assert ok, bad
-    return C, J
-
-
-def print_from_join_tree(C: Structure, J: JoinTree) -> Print:
-    """Extract the print of (C, J).  Tuple occurrences sharing one vector must
-    sit on adjacent join-tree nodes (as structure_from_print arranges them);
-    each such group becomes one print node."""
-    adj = J.adjacency()
-    group_of: dict = {}
-    groups: list = []
-    for r in C.tuple_refs:
-        if r in group_of:
-            continue
-        g = len(groups)
-        members = [r]
-        group_of[r] = g
-        stack = [r]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in group_of and C.vector(w) == C.vector(u):
-                    group_of[w] = g
-                    members.append(w)
-                    stack.append(w)
-        groups.append(members)
-    for r in C.tuple_refs:
-        for w in C.tuple_refs:
-            if (C.vector(r) == C.vector(w) and group_of[r] != group_of[w]):
-                raise ValueError(
-                    "duplicate occurrences of %s are not adjacent in J" % (C.vector(r),))
-    nodes = []
-    for members in groups:
-        vec = C.vector(members[0])
-        nodes.append(PrintNode(rho=C.atp(vec), arity=len(vec),
-                               tau=stp(vec, vec)))
-    edges = []
-    for u, v in J.edges:
-        gu, gv = group_of[u], group_of[v]
-        if gu == gv:
-            continue
-        edges.append((gu, gv, stp(C.vector(u), C.vector(v))))
-    return Print(C.signature, nodes, edges)
-
-
 def random_acyclic(signature: Signature, node_count: int, seed: int):
-    """Random connected acyclic structure with a join tree, built by sampling
-    a consistent print and materializing it.  Deterministic per seed."""
+    """Random connected acyclic structure C with a join tree J, as (C, J).
+    Deterministic per seed.  A draw in which two nodes share a vector is
+    redrawn whole; after 1000 such draws a ValueError gives up."""
     if node_count < 1:
         raise ValueError("node_count must be >= 1")
     rng = random.Random(seed)
     arities = sorted({a for _, a in signature.symbols})
     for _attempt in range(1000):
-        try:
-            return _sample_print(signature, node_count, arities, rng)
-        except InconsistentPrintError:
-            continue
-    raise RuntimeError("could not sample a consistent print")
+        parents, vectors, symbols = _draw(signature, node_count, arities, rng)
+        if len(set(vectors)) == node_count:
+            return _build(signature, parents, vectors, symbols)
+    raise ValueError("could not draw %d nodes with distinct vectors in 1000 tries"
+                     % node_count)
 
 
-def _sample_print(signature, node_count, arities, rng):
-    # sample concrete vectors along a random tree so every annotation is
-    # realizable by construction; the print is then re-materialized
+def _draw(signature, node_count, arities, rng):
+    """A random tree (parents[v] < v), per node an int vector that shares at
+    least one value with its parent's and takes fresh ones for the rest, and
+    per node a sorted list of one symbol of its arity (two, one time in ten,
+    where the arity has two)."""
     parents = [None] + [rng.randrange(v) for v in range(1, node_count)]
     vectors = []
-    fresh = [0]
-
-    def new_val():
-        fresh[0] += 1
-        return fresh[0]
-
+    fresh = 0
     for v in range(node_count):
         k = rng.choice(arities)
         nblocks = rng.randint(1, k)
         assignment = [rng.randrange(nblocks) for _ in range(k)]
         block_ids = sorted(set(assignment))
-        if v == 0:
-            block_val = {b: new_val() for b in block_ids}
-        else:
+        block_val = {}
+        if v > 0:
             pvals = sorted(set(vectors[parents[v]]))
             m = rng.randint(1, min(len(block_ids), len(pvals)))
-            shared = rng.sample(block_ids, m)
-            picked = rng.sample(pvals, m)
-            block_val = {}
-            for b, x in zip(shared, picked):
-                block_val[b] = x
-            for b in block_ids:
-                if b not in block_val:
-                    block_val[b] = new_val()
+            block_val = dict(zip(rng.sample(block_ids, m), rng.sample(pvals, m)))
+        for b in block_ids:
+            if b not in block_val:
+                fresh += 1
+                block_val[b] = fresh
         vectors.append(tuple(block_val[b] for b in assignment))
-
-    nodes = []
-    for v in range(node_count):
-        k = len(vectors[v])
-        syms = signature.symbols_of_arity(k)
+    symbols = []
+    for vec in vectors:
+        syms = signature.symbols_of_arity(len(vec))
         nrel = 1 if len(syms) == 1 or rng.random() < 0.9 else 2
-        rho = frozenset(rng.sample(syms, nrel))
-        nodes.append(PrintNode(rho=rho, arity=k, tau=stp(vectors[v], vectors[v])))
-    edges = [
-        (parents[v], v, stp(vectors[parents[v]], vectors[v]))
-        for v in range(1, node_count)]
-    P = Print(signature, nodes, edges)
-    return structure_from_print(P, root=0)
+        symbols.append(sorted(rng.sample(syms, nrel)))
+    return parents, vectors, symbols
+
+
+def _build(signature, parents, vectors, symbols):
+    """(C, J) of a draw with distinct vectors.  Nodes are taken breadth-first
+    from node 0, elements are named e1, e2, ... by first occurrence, and J
+    links each node's other facts (its twins) to its first one, then joins
+    the first facts along the tree's edges in depth-first order."""
+    children = [[] for _ in vectors]
+    for v in range(1, len(vectors)):
+        children[parents[v]].append(v)
+    order = [0]
+    for u in order:
+        order.extend(children[u])
+    names: dict = {}
+    facts, refs, counts = [], {}, dict.fromkeys(signature.arity, 0)
+    for v in order:
+        vec = ["e%d" % names.setdefault(x, len(names) + 1) for x in vectors[v]]
+        refs[v] = [TupleRef(rel, counts[rel]) for rel in symbols[v]]
+        for rel in symbols[v]:
+            counts[rel] += 1
+            facts.append((rel, vec))
+    C = Structure.from_named(signature, facts)
+    edges = [(refs[v][0], twin) for v in order for twin in refs[v][1:]]
+    stack = [0]
+    while stack:
+        u = stack.pop()
+        for v in children[u]:
+            edges.append((refs[u][0], refs[v][0]))
+            stack.append(v)
+    return C, JoinTree(C.tuple_refs, edges, root=refs[0][0])

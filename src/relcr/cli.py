@@ -80,7 +80,8 @@ def cmd_refine(args):
     trace = rcr_run(A, max_rounds=args.rounds)
     for i, c in enumerate(trace.class_counts):
         print("round %d: %d classes" % (i, c))
-    print("stable at round %d" % trace.stable_round)
+    stopped = trace.stable_round == args.rounds   # the budget ended the run
+    print("%s at round %d" % ("stopped" if stopped else "stable", trace.stable_round))
     if args.csv == "-":
         trace.write_csv(sys.stdout)
     elif args.csv:
@@ -249,7 +250,7 @@ def cmd_gen(args):
             A = generate.random_structure(args.signature, args.elements,
                                           args.tuples, args.seed)
             out = structure_to_json(A) + "\n" if args.json else serialize_structure(A)
-    except ValueError as e:   # too few elements, or no nodes
+    except ValueError as e:   # too few elements, no nodes, or no distinct draw
         raise DomainError(str(e))
     _write(args.output, out)
     return 0
@@ -321,7 +322,8 @@ def build_parser():
 
     q = sub.add_parser("refine", help="run refinement and report class counts")
     q.add_argument("structure")
-    q.add_argument("--rounds", type=int, default=None)
+    q.add_argument("--rounds", type=round_budget, default=None,
+                   help="rounds to refine at most (default: until stable)")
     q.add_argument("--csv", default=None, help="write the trace as CSV")
     q.set_defaults(func=cmd_refine)
 

@@ -31,27 +31,21 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Structure, disjoint_union, stp, stp_key, strictly_equal_size
+from .core import (SMALL_FACTS, Structure, disjoint_union, stp, stp_key,
+                   strictly_equal_size)
 from .cr import Coloring, SideCounts, first_occurrence, refine_rounds
 
-# rcr_run uses the kernel from this many tuple occurrences on.  The kernel
-# pays ~1 ms to build its arrays and ~0.1 ms a half-step, so it loses on
-# small inputs.  Best of 15 runs over 5 seeds, shared 2-core x86 machine,
-# Python 3.11, numpy 2.4, kernel time / reference time: at 16 tuples 1.8
-# (random R/3,E/2), 1.5 (hub), 2.6 (directed path); at 32 tuples 1.0, 0.43,
-# 2.0; at 64 tuples 0.49, 0.10, 0.98; at 128 tuples 0.26, 0.04, 0.63.
-KERNEL_MIN_TUPLES = 64
 # rcr_run keeps the reference for tuples longer than this.  A tuple with d
 # distinct elements has sum_k d!/(d-k)! slices: 64 at d = 4, 325 at 5, 1,956
-# at 6, 13,699 at 7.  Same machine, kernel against reference time (peak RSS
-# of the process, MB), 1024 tuples, half of them R(x1..xk), half E(x, y):
-# random k = 5 0.040 s (53) against 0.18 s (36), k = 6 0.18 s (169) against
-# 0.17 s (38); hub k = 5 0.034 s (53) against 4.5 s (233), k = 6 0.15 s
-# (169) against 3.9 s (234); chained path k = 5 0.17 s (67) against 0.55 s
-# (42), k = 6 0.30 s (178) against 0.56 s (42).  At 256 random tuples k = 6
-# the kernel takes 2.6 times as long.  Time crosses between 5 and 6 on
-# random inputs, memory already at 5 (4096 random tuples, k = 5: 0.12 s,
-# 113 MB against 0.54 s, 58 MB); the benchmark has no tuple longer than 3.
+# at 6, 13,699 at 7.  Shared 2-core x86 machine, kernel against reference time
+# (peak RSS of the process, MB), 1024 tuples, half of them R(x1..xk), half
+# E(x, y): random k = 5 0.040 s (53) against 0.18 s (36), k = 6 0.18 s (169)
+# against 0.17 s (38); hub k = 5 0.034 s (53) against 4.5 s (233), k = 6
+# 0.15 s (169) against 3.9 s (234); chained path k = 5 0.17 s (67) against
+# 0.55 s (42), k = 6 0.30 s (178) against 0.56 s (42).  At 256 random tuples k = 6
+# the kernel takes 2.6 times as long.  Time crosses between 5 and 6 on random
+# inputs, memory already at 5 (4096 random tuples, k = 5: 0.12 s, 113 MB
+# against 0.54 s, 58 MB); the benchmark has no tuple longer than 3.
 KERNEL_MAX_ARITY = 5
 class RefinementTrace(Coloring):
     """Per-round colors of an RCR run, with on-demand color decoding.
@@ -311,9 +305,9 @@ def rcr_run(A: Structure, max_rounds: Optional[int] = None) -> RefinementTrace:
 
 
 def _kernel_applies(A: Structure) -> bool:
-    """Whether rcr_run refines A with the kernel: KERNEL_MIN_TUPLES tuple
+    """Whether rcr_run refines A with the kernel: core.SMALL_FACTS tuple
     occurrences or more, none longer than KERNEL_MAX_ARITY."""
-    return A.size() >= KERNEL_MIN_TUPLES and max(
+    return A.size() >= SMALL_FACTS and max(
         (a for name, a in A.signature.symbols if A.counts[name]),
         default=0) <= KERNEL_MAX_ARITY
 

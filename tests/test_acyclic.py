@@ -5,12 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from relcr import fixtures
-from relcr.acyclic import (InconsistentPrintError, JoinTree, Print, PrintNode,
-                           gyo_join_tree, is_acyclic, print_from_join_tree,
-                           random_acyclic, structure_from_print,
+from relcr.acyclic import (JoinTree, gyo_join_tree, is_acyclic, random_acyclic,
                            validate_join_tree)
-from relcr.core import Signature, Structure, TupleRef
-from relcr.rcr import rcr_distinguishes
+from relcr.core import Signature, Structure, TupleRef, serialize_structure
 
 SIG_E = Signature([("E", 2)])
 SIG_RE = Signature([("R", 3), ("E", 2)])
@@ -103,56 +100,89 @@ def test_join_tree_text_names_a_bad_line(line):
         JoinTree.from_text("edge: (E,0) -- (E,1)\n" + line + "\n")
 
 
-def test_print_roundtrip():
-    for seed in range(30):
-        C, J = random_acyclic(SIG_RE, 4, seed)
-        P = print_from_join_tree(C, J)
-        C2, J2 = structure_from_print(P)
-        assert validate_join_tree(C2, J2) == (True, None)
-        # materialization renames elements, but the result is RCR-equivalent
-        assert rcr_distinguishes(C, C2) is None
+SIG_WIDE = Signature([("P", 5), ("E", 2), ("F", 2), ("R", 3)])
 
 
 def test_random_acyclic_is_acyclic_and_connected():
-    for seed in range(30):
-        C, J = random_acyclic(SIG_RE, 5, seed)
-        assert validate_join_tree(C, J) == (True, None)
-        assert gyo_join_tree(C) is not None
-        seen = {0}   # tuples reached through shared elements
-        stack = [0]
-        while stack:
-            for w, _ in C.overlaps()[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        assert len(seen) == C.size()
+    for sig in (SIG_RE, SIG_TWINS, SIG_WIDE):
+        for seed in range(30):
+            nodes = 5 if sig is SIG_RE else 1 + seed % 8
+            C, J = random_acyclic(sig, nodes, seed)
+            assert validate_join_tree(C, J) == (True, None)
+            assert gyo_join_tree(C) is not None
+            seen = {0}   # tuples reached through shared elements
+            stack = [0]
+            while stack:
+                for w, _ in C.overlaps()[stack.pop()]:
+                    if w not in seen:
+                        seen.add(w)
+                        stack.append(w)
+            assert len(seen) == C.size()
+            # one vector per node, held by the one or two symbols it drew;
+            # twin facts of a vector sit next to each other in J
+            node_facts: dict = {}
+            for r in C.tuple_refs:
+                node_facts.setdefault(C.vector(r), []).append(r)
+            assert len(node_facts) == nodes
+            adjacent = set(J.edges) | {(v, u) for u, v in J.edges}
+            for vec, refs in node_facts.items():
+                assert len(refs) in (1, 2)
+                assert C.atp(vec) == {r.relation for r in refs}
+                assert len(refs) == 1 or (refs[0], refs[1]) in adjacent
+
+
+GOLDEN = [
+    (SIG_RE, 4, 7, """\
+signature: R/3, E/2
+R(e1, e2, e2)
+R(e2, e2, e1)
+R(e1, e1, e3)
+E(e1, e1)
+""", """\
+edge: (R,0) -- (R,1)
+edge: (R,1) -- (R,2)
+edge: (R,2) -- (E,0)
+"""),
+    (SIG_TWINS, 5, 2, """\
+signature: E/2, F/2, R/3
+E(e1, e2)
+F(e1, e2)
+F(e1, e1)
+R(e1, e1, e2)
+R(e2, e2, e2)
+R(e1, e1, e1)
+""", """\
+edge: (E,0) -- (F,0)
+edge: (E,0) -- (F,1)
+edge: (E,0) -- (R,0)
+edge: (E,0) -- (R,1)
+edge: (F,1) -- (R,2)
+"""),
+    (SIG_WIDE, 4, 4, """\
+signature: P/5, E/2, F/2, R/3
+P(e1, e2, e3, e3, e3)
+E(e2, e2)
+F(e2, e2)
+R(e3, e2, e2)
+R(e1, e3, e2)
+""", """\
+edge: (E,0) -- (F,0)
+edge: (P,0) -- (R,0)
+edge: (P,0) -- (R,1)
+edge: (R,0) -- (E,0)
+"""),
+]
+
+
+@pytest.mark.parametrize("sig,nodes,seed,structure,tree", GOLDEN)
+def test_random_acyclic_golden(sig, nodes, seed, structure, tree):
+    # element names, fact order and join-tree edges are part of the output
+    C, J = random_acyclic(sig, nodes, seed)
+    assert serialize_structure(C) == structure
+    assert J.to_text() == tree
 
 
 def test_random_acyclic_is_deterministic():
     a, _ = random_acyclic(SIG_RE, 4, 123)
     b, _ = random_acyclic(SIG_RE, 4, 123)
     assert a.relations == b.relations
-
-
-def test_inconsistent_print_rejected():
-    # the edge forces entries 1 and 2 of the child to coincide, but the
-    # child's self type separates them
-    nodes = [
-        PrintNode(rho=frozenset(["E"]), arity=2,
-                  tau=frozenset([(1, 1), (2, 2)])),
-        PrintNode(rho=frozenset(["E"]), arity=2,
-                  tau=frozenset([(1, 1), (2, 2)])),
-    ]
-    edges_ = [(0, 1, frozenset([(1, 1), (1, 2)]))]
-    P = Print(SIG_E, nodes, edges_)
-    with pytest.raises(InconsistentPrintError):
-        structure_from_print(P)
-
-
-def test_twin_chain_materialization():
-    sig = Signature([("E", 2), ("F", 2)])
-    P = Print(sig, [PrintNode(rho=frozenset(["E", "F"]), arity=2,
-                              tau=frozenset([(1, 1), (2, 2)]))], [])
-    C, J = structure_from_print(P)
-    assert C.relations["E"] == C.relations["F"]
-    assert validate_join_tree(C, J) == (True, None)

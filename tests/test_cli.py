@@ -58,7 +58,7 @@ def test_parser_defaults_do_not_stick(tmp_path, capsys):
     path.write_text("signature: E/2\n" + "".join(
         "E(%d, %d)\n" % (i, i + 1) for i in range(10)))
     code, out, _ = run(capsys, "refine", "--rounds", "1", str(path))
-    assert code == 0 and out.endswith("stable at round 1\n")
+    assert code == 0 and out.endswith("stopped at round 1\n")
     with pytest.raises(SystemExit) as e:
         main(["refine", "--rounds", "x", str(path)])
     assert e.value.code == 2
@@ -197,6 +197,19 @@ def test_game_prints_the_budget_played(capsys):
     assert "invalid round_budget value: '-3'" in capsys.readouterr().err
 
 
+def test_refine_reports_a_budget_stop(capsys):
+    # A1 has 2 classes at round 0 and 7 at round 1
+    a1 = str(FIX / "A1.struct")
+    assert run(capsys, "refine", a1, "--rounds", "0") == (
+        0, "round 0: 2 classes\nstopped at round 0\n", "")
+    assert run(capsys, "refine", a1, "--rounds", "3") == (
+        0, "round 0: 2 classes\nround 1: 7 classes\nstable at round 1\n", "")
+    with pytest.raises(SystemExit) as e:
+        main(["refine", a1, "--rounds", "-1"])
+    assert e.value.code == 2
+    assert "invalid round_budget value: '-1'" in capsys.readouterr().err
+
+
 def test_game_on_paths(tmp_path, capsys):
     def play(m, c):
         a, b = tmp_path / "a.struct", tmp_path / "b.struct"
@@ -271,6 +284,15 @@ def test_bad_gen_and_bench_arguments_are_errors(capsys, argv):
         code = e.code
     err = capsys.readouterr().err
     assert code in (1, 2) and "error: " in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("signature,nodes", [("E/2", 10), ("U/1", 2)])
+def test_gen_acyclic_that_gives_up_is_an_error(capsys, signature, nodes):
+    # every draw repeats a vector: U/1 always, E/2 at 10 nodes for seed 0
+    assert run(capsys, "gen", "--acyclic", "--signature", signature,
+               "--nodes", str(nodes), "--seed", "0") == (
+        1, "", "error: could not draw %d nodes with distinct vectors in 1000 "
+        "tries\n" % nodes)
 
 
 def test_bench_tiny(capsys):

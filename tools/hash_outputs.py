@@ -33,6 +33,9 @@ copy):
               relations and some repeated; the exit code and stderr of
               `relcr validate` on every file of fixtures/malformed; and
               `relcr distinguish` of pairs of unequal relation sizes
+  acyclic     `relcr gen --acyclic` and the join tree's text of
+              `random_acyclic` for four signatures (twins and 5-ary
+              tuples among them), 1 to 8 nodes and six seeds
 
 With -v it prints one hash per section as well.
 """
@@ -50,14 +53,18 @@ from pathlib import Path
 import numpy as np
 
 from relcr import acyclic, cli, generate, representations
-from relcr.core import (Signature, Structure, disjoint_union, parse_structure,
-                        serialize_structure, structure_to_json)
+from relcr.core import (Signature, Structure, disjoint_union, parse_signature,
+                        parse_structure, serialize_structure,
+                        structure_to_json)
 from relcr.cr import cr_run
 from relcr.rcr import rcr_distinguishes, rcr_run
 
 ROOT = Path(__file__).resolve().parent.parent
 SIG = Signature([("R", 3), ("E", 2)])
 GAME_MAX_TUPLES = 12
+ACYCLIC_SIGNATURES = ("R/3,E/2", "E/2,F/2,R/3", "P/5,E/2,F/2,R/3", "U/1,V/1,E/2")
+# seed 2 gives up on U/1,V/1,E/2 at 8 nodes
+ACYCLIC_SEEDS = (0, 1, 3, 4, 5, 7)
 
 
 def hub(n, seed):
@@ -217,7 +224,7 @@ def sections(work):
 
     out = {k: hashlib.sha256() for k in (
         "refine", "export", "cr-ids", "rcr-ids", "distinguish", "game",
-        "homcount", "overlaps", "parse")}
+        "homcount", "overlaps", "parse", "acyclic")}
     csv = work / "trace.csv"
     for name, A in singles:
         f = str(files[name])
@@ -274,6 +281,14 @@ def sections(work):
         a, b = str(files[name + "a"]), work / ("%s.plus-one.struct" % name)
         b.write_text(serialize_structure(plus_one(A)))
         out["parse"].update(run_cli("distinguish", a, str(b)).encode())
+    for sig in ACYCLIC_SIGNATURES:
+        for nodes in range(1, 9):
+            for seed in ACYCLIC_SEEDS:
+                out["acyclic"].update(run_cli(
+                    "gen", "--acyclic", "--signature", sig, "--nodes",
+                    str(nodes), "--seed", str(seed)).encode())
+                _, J = acyclic.random_acyclic(parse_signature(sig), nodes, seed)
+                out["acyclic"].update(J.to_text().encode())
     return {k: h.hexdigest() for k, h in out.items()}
 
 
