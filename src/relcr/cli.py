@@ -191,7 +191,8 @@ def cmd_synthesize(args):
     ref = TupleRef(rel.strip(), int(idx))
     if ref not in A.tuple_pos:
         raise DomainError("no tuple %s[%s] in the structure" % (rel, idx))
-    i = trace.stable_round if args.round is None else args.round
+    last = trace.stable_round   # later rounds repeat its partition
+    i = last if args.round is None else min(args.round, last)
     color = int(trace.colors_at(i)[A.tuple_pos[ref]])
     try:
         f = logic.synthesize_color_formula(trace, i, color)
@@ -244,15 +245,14 @@ def tuple_counts(text):
 def cmd_gen(args):
     try:
         if args.acyclic:
-            C, _ = acyclic.random_acyclic(args.signature, args.nodes, args.seed)
-            out = serialize_structure(C)
+            A, _ = acyclic.random_acyclic(args.signature, args.nodes, args.seed)
         else:
             A = generate.random_structure(args.signature, args.elements,
                                           args.tuples, args.seed)
-            out = structure_to_json(A) + "\n" if args.json else serialize_structure(A)
     except ValueError as e:   # too few elements, no nodes, or no distinct draw
         raise DomainError(str(e))
-    _write(args.output, out)
+    _write(args.output, structure_to_json(A) + "\n" if args.json
+           else serialize_structure(A))
     return 0
 
 
@@ -362,7 +362,7 @@ def build_parser():
     q = sub.add_parser("synthesize", help="formula describing a tuple's color")
     q.add_argument("structure")
     q.add_argument("--tuple", required=True, metavar="REL,INDEX")
-    q.add_argument("--round", type=int, default=None)
+    q.add_argument("--round", type=round_budget, default=None)
     q.add_argument("-o", "--output", default=None)
     q.set_defaults(func=cmd_synthesize)
 

@@ -43,11 +43,11 @@ class Coloring:
     colors_at(i) builds round i on demand and publishes it: offsets[i] (0
     unless given) plus the rank of the class's first position among the
     first positions of all classes, that is, ids numbered by first
-    occurrence.  Ids are comparable only within one run.  The partition at
-    stable_round is the stable coloring, and rounds past the last stored
-    one repeat it."""
+    occurrence.  Ids are comparable only within one run.  stable_round is
+    the last stored round, the stable one unless a round budget or a stop
+    test ended the run, and rounds past it repeat its partition."""
 
-    CACHED_ROUNDS = 16   # synthesis and the game revisit a few rounds
+    CACHED_ROUNDS = 16   # synthesis revisits a few rounds
 
     def __init__(self, base, moved, renamed, ends, class_counts, offsets=None):
         self.base = base
@@ -522,7 +522,7 @@ def _worklist_rounds(steps, names, moved, max_rounds, trace, stop, log):
             all_moved += moved
             renamed += new
             ends.append(ends[-1] + len(moved))
-        class_counts.append(parts[-1].count)
+        class_counts.append(len(parts[-1].members))
         if stop is not None and stop(moved, new):
             break
     log[0].append(np.array(all_moved, dtype=np.int64))
@@ -542,79 +542,54 @@ def _bags(moved, starts, other, lab, names, nlabels):
 
 
 class _Partition:
-    """Dense names of nodes 0..n-1, each class a contiguous run of order,
-    so that a split moves and renames only the nodes that leave a class."""
+    """Dense names of nodes 0..n-1 and the members of each class as dict
+    keys (a dict of ints, unlike a set, is not tracked by the garbage
+    collector).  A split costs O(nodes re-keyed)."""
 
     def __init__(self, names):
-        order = np.argsort(names, kind="stable")
-        where = np.empty(len(names), dtype=np.int64)
-        where[order] = np.arange(len(names))
-        size = np.bincount(names)
         self.names = names.tolist()
-        self.order = order.tolist()
-        self.where = where.tolist()
-        self.size = size.tolist()
-        self.first = (np.cumsum(size) - size).tolist()
-        self.count = len(size)
+        self.members = [{} for _ in range(max(self.names, default=-1) + 1)]
+        for v, c in enumerate(self.names):
+            self.members[c][v] = None
 
     def refine(self, bags):
         """Split every class by the sorted codes of its nodes in bags; its
         nodes not in bags form one more part.  The largest part keeps the
         name, the untouched part first among equals, and the others take
-        fresh names.  Returns the renamed nodes."""
-        names, order, where = self.names, self.order, self.where
-        first, size = self.first, self.size
+        fresh names in order, the untouched part last.  Returns the renamed
+        nodes."""
+        names, members = self.names, self.members
         parts: dict = {}
         for v, bag in bags.items():
             bag.sort()
-            key = (names[v], *bag)
-            part = parts.get(key)
-            if part is None:
-                parts[key] = [v]
-            else:
-                part.append(v)
+            parts.setdefault((names[v], *bag), []).append(v)
         by_class = defaultdict(list)
         for key, part in parts.items():
             by_class[key[0]].append(part)
         renamed = []
         for c, split in by_class.items():
-            start, end = first[c], first[c] + size[c]
-            rest = size[c] - sum(map(len, split))
+            old = members[c]
+            rest = len(old) - sum(map(len, split))
             if not rest and len(split) == 1:
                 continue
+            for part in split:
+                for v in part:
+                    del old[v]
             keep = max(split, key=len)
             if len(keep) <= rest:
                 keep = None
-                size[c] = rest
-            # lay the parts out at the end of the class's run
+            else:
+                members[c] = dict.fromkeys(keep)
+                if rest:   # the untouched part leaves too: it is smaller than keep
+                    split.append(list(old))
             for part in split:
-                end -= len(part)
-                for q, v in enumerate(part, end):
-                    p = where[v]
-                    if p != q:
-                        u = order[q]
-                        order[p], order[q] = u, v
-                        where[u], where[v] = p, q
-                if part is keep:
-                    first[c], size[c] = end, len(part)
-                else:
-                    self._rename(part, end)
+                if part is not keep:
+                    new = len(members)
+                    for v in part:
+                        names[v] = new
+                    members.append(dict.fromkeys(part))
                     renamed += part
-            if rest and keep is not None:
-                part = order[start:start + rest]
-                self._rename(part, start)
-                renamed += part
         return renamed
-
-    def _rename(self, part, start):
-        """Give the nodes of part, the run of order from start, a fresh name."""
-        new = self.count
-        self.count += 1
-        self.first.append(start)
-        self.size.append(len(part))
-        names = self.names
-        for v in part:
-            names[v] = new
 
 
 def _csr_rows(starts, rows):

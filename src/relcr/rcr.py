@@ -18,9 +18,10 @@ log2 N times and the worklist's rounds cost O(N log N) together.
 reference_rounds interns each occurrence's multiset over all its overlaps,
 which is quadratic on hubs; it serves small inputs, where it is faster, and
 the tests as oracle.  A run is kept as cr.Coloring keeps it: base classes
-and per-round changes.  rcr_distinguishes stops the kernel at the first
-round whose side histograms differ, and decides round 0 before the slices
-are built.
+and per-round changes.  rcr_compare, which rcr_distinguishes and sentence
+synthesis read, decides round 0 before the slices are built and stops the
+kernel at the first round whose side histograms differ, so that its trace
+ends at the verdict round.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 
 from .core import (SMALL_FACTS, Structure, disjoint_union, stp, stp_key,
                    strictly_equal_size)
-from .cr import Coloring, SideCounts, first_occurrence, refine_rounds
+from .cr import _NONE, Coloring, SideCounts, first_occurrence, refine_rounds
 
 # rcr_run keeps the reference for tuples longer than this.  A tuple with d
 # distinct elements has sum_k d!/(d-k)! slices: 64 at d = 4, 325 at 5, 1,956
@@ -342,14 +343,34 @@ def _changes(rounds, class_counts):
 
 
 class CompareResult:
-    """Joint refinement of two structures with per-side bookkeeping."""
+    """Joint refinement of two structures up to its verdict: round and color
+    are the first_difference of the two sides' positions in the disjoint
+    union, or None.  On a kernel-sized union, round 0 is read off the base
+    classes before any slice is built, and the kernel stops at the first
+    round whose side histograms differ, so the trace ends at the verdict
+    round; unequal relation sizes always show at round 0, since atomic
+    types are part of the initial color.  A smaller union is refined to
+    stability by the reference engine."""
 
     def __init__(self, A, B):
-        self.union, self.info = disjoint_union(A, B)
-        self.trace = rcr_run(self.union)
-        self.pos = dict(zip("AB", _side_positions(self.union, self.info)))
-        diff = self.trace.first_difference(self.pos["A"], self.pos["B"])
-        self.round, self.color = (None, None) if diff is None else diff
+        self.union, self.info = U, info = disjoint_union(A, B)
+        sides = _side_positions(U, info)
+        self.pos = dict(zip("AB", sides))
+        if not _kernel_applies(U):
+            self.trace = rcr_run(U)
+            diff = self.trace.first_difference(*sides)
+        else:
+            rels = relation_rows(U)
+            base, count = _base_classes(U, rels)
+            counts = SideCounts(base, *sides)
+            log = base, _NONE, _NONE, [0], [count]
+            if not counts.unequal:
+                assert strictly_equal_size(A, B)
+                log = _slice_rounds(U, rels, base, count, stop=counts.advance)
+            self.trace = RefinementTrace(U, *log)
+            i = counts.round
+            diff = counts.unequal and (i, self.trace.offsets[i] + counts.witness())
+        self.round, self.color = diff or (None, None)
 
     def side_histogram(self, i, side):
         return self.trace.histogram_at(i, self.pos[side])
@@ -373,22 +394,6 @@ def _side_positions(U: Structure, info):
 
 def rcr_distinguishes(A: Structure, B: Structure):
     """Smallest round with a color count differing between A and B, plus a
-    witness color, or None: the first_difference of rcr_run on the disjoint
-    union.  Where the kernel refines the union, it runs only up to that
-    round, and round 0 is read off the base classes before any slice is
-    built; unequal relation sizes always show there because atomic types
-    are part of the initial color."""
-    U, info = disjoint_union(A, B)
-    sides = _side_positions(U, info)
-    if not _kernel_applies(U):
-        return rcr_run(U).first_difference(*sides)
-    rels = relation_rows(U)
-    base, count = _base_classes(U, rels)
-    counts = SideCounts(base, *sides)
-    if counts.unequal:
-        return 0, counts.witness()
-    assert strictly_equal_size(A, B)
-    class_counts = _slice_rounds(U, rels, base, count, stop=counts.advance)[-1]
-    if not counts.unequal:
-        return None
-    return counts.round, sum(class_counts[:counts.round]) + counts.witness()
+    witness color, or None: the verdict of rcr_compare."""
+    res = rcr_compare(A, B)
+    return None if res.round is None else (res.round, res.color)

@@ -240,6 +240,18 @@ def test_synthesize_then_eval(tmp_path, capsys):
     assert out.strip() == "true"
 
 
+def test_synthesize_round_past_stability_or_negative(capsys):
+    # A1 is stable at round 1, and later rounds repeat its partition
+    a1 = str(FIX / "A1.struct")
+    stable = run(capsys, "synthesize", a1, "--tuple", "R,0")
+    assert stable[0] == 0 and stable[1].startswith("(")
+    assert run(capsys, "synthesize", a1, "--tuple", "R,0", "--round", "5") == stable
+    with pytest.raises(SystemExit) as e:
+        main(["synthesize", a1, "--tuple", "R,0", "--round", "-1"])
+    assert e.value.code == 2
+    assert "invalid round_budget value: '-1'" in capsys.readouterr().err
+
+
 def test_eval_bad_assignment(tmp_path, capsys):
     formula = tmp_path / "f.sexp"
     formula.write_text("(eq y1 y1)")
@@ -264,6 +276,15 @@ def test_gen_acyclic(tmp_path, capsys):
     assert code == 0
     code, out, _ = run(capsys, "gyo", str(out_file))
     assert "cyclic" not in out
+
+
+def test_gen_acyclic_json(capsys):
+    argv = ["gen", "--acyclic", "--signature", "E/2", "--nodes", "3", "--seed", "1"]
+    code, text, _ = run(capsys, *argv)
+    assert code == 0 and text.startswith("signature: E/2\n")
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0 and json.loads(out)["signature"] == [["E", 2]]
+    assert serialize_structure(parse_structure(out, fmt="json")) == text
 
 
 @pytest.mark.parametrize("argv", [

@@ -181,20 +181,20 @@ def test_handover_cases_switch_mid_run(monkeypatch):
     assert all(after > 0 for _, after in seen)
 
 
-def test_worklist_keeps_classes_contiguous(monkeypatch):
-    # each class is the run of order from first[c] of size[c]
+def test_worklist_partition_matches_its_names(monkeypatch):
+    # after every split, each class's member set is the set of nodes of
+    # that name, and no class is empty
     refine = cr._Partition.refine
     calls = []
 
     def checked(part, bags):
         renamed = refine(part, bags)
         calls.append(len(renamed))
-        assert sorted(part.order) == list(range(len(part.names)))
-        assert all(part.where[v] == p for p, v in enumerate(part.order))
-        for c in range(part.count):
-            run = part.order[part.first[c]:part.first[c] + part.size[c]]
-            assert run and all(part.names[v] == c for v in run)
-        assert sum(part.size) == len(part.names)
+        by_name = [set() for _ in part.members]
+        for v, c in enumerate(part.names):
+            by_name[c].add(v)
+        assert [m.keys() for m in part.members] == by_name
+        assert all(part.members)
         return renamed
 
     monkeypatch.setattr(cr._Partition, "refine", checked)
@@ -207,6 +207,33 @@ def test_worklist_keeps_classes_contiguous(monkeypatch):
         G = representations.vgrep(A)[0]
         assert same_ids(cr_run(G), per_node_cr_run(G))
     assert any(calls)
+
+
+def assert_largest_part_keeps_the_name(t: Coloring):
+    """No part that a round of t renames is larger than the part that kept
+    the old name, so each rename of a position at least halves its class,
+    and no position is renamed more than log2 n times."""
+    names = t.base.copy()
+    for r in range(t.stable_round):
+        moved = t.moved[t.ends[r]:t.ends[r + 1]]
+        old = names[moved]
+        names[moved] = t.renamed[t.ends[r]:t.ends[r + 1]]
+        size = np.bincount(names)
+        assert (size[names[moved]] <= size[old]).all()
+    assert np.bincount(t.moved, minlength=1).max() <= max(
+        len(names).bit_length() - 1, 0)
+
+
+def test_no_position_is_renamed_more_than_log2_n_times(monkeypatch):
+    # the rule behind the O(N log N) bound, on long runs and at handover
+    for A in [directed_path(2000)] + handover_cases():
+        assert_largest_part_keeps_the_name(rcr.rcr_run(A))
+        assert_largest_part_keeps_the_name(cr_run(representations.vgrep(A)[0]))
+    # handing over at round 1 gives the worklist splits into many parts
+    monkeypatch.setattr(cr, "HANDOVER_PER_TUPLE", 0)
+    for A in corpus()[:200]:
+        assert_largest_part_keeps_the_name(RefinementTrace(A, *kernel_rounds(A)))
+        assert_largest_part_keeps_the_name(cr_run(representations.vgrep(A)[0]))
 
 
 def test_kernel_rounds_respect_max_rounds():

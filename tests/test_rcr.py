@@ -5,7 +5,7 @@ from collections import Counter
 import pytest
 from test_kernel import directed_path
 
-from relcr import fixtures, generate
+from relcr import fixtures, generate, rcr
 from relcr.checks import published_rounds
 from relcr.core import Signature, Structure, disjoint_union, stp
 from relcr.cr import cr_run, multigraph_union
@@ -119,6 +119,52 @@ def test_compare_sides_cover_all_positions():
     assert res.round == 1
 
 
+def rewired(seed):
+    """A random structure of 20 R and 20 E facts, and a copy in which one E
+    fact (x, y), x != y, becomes (x, z) for another element z."""
+    sig = Signature([("R", 3), ("E", 2)])
+    A = generate.random_structure(sig, 20, {"R": 20, "E": 20}, seed)
+    facts = [(r.relation, tuple(A.element_names[x] for x in A.vector(r)))
+             for r in A.tuple_refs]
+    rng = random.Random(seed)
+    k = rng.choice([k for k, (rel, (x, *y)) in enumerate(facts)
+                    if rel == "E" and y != [x]])
+    x, y = facts[k][1]
+    facts[k] = ("E", (x, rng.choice([z for z in A.element_names if z not in (x, y)
+                                     and ("E", (x, z)) not in facts])))
+    return A, Structure.from_named(sig, facts)
+
+
+def test_compare_trace_ends_at_the_verdict_round():
+    # 80 tuples go to the kernel, which stops at round 1; the union is
+    # stable only at round 3
+    A, B = rewired(0)
+    res = rcr_compare(A, B)
+    assert res.trace.stable_round == res.round == 1
+    full = rcr_run(res.union)
+    assert full.stable_round == 3
+    assert (res.round, res.color) == full.first_difference(res.pos["A"],
+                                                           res.pos["B"])
+    for i in (0, 1):
+        assert list(res.trace.colors_at(i)) == list(full.colors_at(i))
+
+
+def test_compare_of_unequal_sizes_builds_no_slice(monkeypatch):
+    sig = Signature([("R", 3), ("E", 2)])
+    A = generate.random_structure(sig, 60, {"R": 50, "E": 50}, 3)
+    B = generate.random_structure(sig, 60, {"R": 50, "E": 51}, 4)
+    U, _ = disjoint_union(A, B)
+    want = rcr_run(U).colors_at(0)
+
+    def refuse(*args):
+        raise AssertionError("slice_incidence built for a round-0 verdict")
+
+    monkeypatch.setattr(rcr, "slice_incidence", refuse)
+    res = rcr_compare(A, B)
+    assert res.round == res.trace.stable_round == 0
+    assert list(res.trace.colors_at(0)) == list(want)
+
+
 def test_round_of_color_decoding():
     t = rcr_run(fixtures.a1())
     for i in range(t.stable_round + 1):
@@ -195,12 +241,14 @@ def test_first_difference_equals_counter_comparison():
         res = rcr_compare(A, B)
         got = None if res.round is None else (res.round, res.color)
         assert got == counter_difference(res.trace, res.pos["A"], res.pos["B"])
+        # the compare trace may end at its verdict; the full run has every round
+        full = rcr_run(res.union)
         n = res.union.size()
         for _ in range(3):
             left = [rng.randrange(n) for _ in range(rng.randint(0, n))]
             right = [rng.randrange(n) for _ in range(rng.randint(0, n))]
-            assert (res.trace.first_difference(left, right)
-                    == counter_difference(res.trace, left, right))
+            assert (full.first_difference(left, right)
+                    == counter_difference(full, left, right))
     # the CR trace shares the code
     for A, B in pairs[:20] + pairs[-3:]:
         U, off = multigraph_union(vgrep(A)[0], vgrep(B)[0])

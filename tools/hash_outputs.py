@@ -36,6 +36,10 @@ copy):
   acyclic     `relcr gen --acyclic` and the join tree's text of
               `random_acyclic` for four signatures (twins and 5-ary
               tuples among them), 1 to 8 nodes and six seeds
+  sentence    `distinguishing_sentence` (its s-expression and side, or the
+              name of the error raised) of each pair of at most 12 tuples
+              a side, and of 12 pairs of 40 tuples a side, one E fact
+              moved, that the kernel tells apart at round 1
 
 With -v it prints one hash per section as well.
 """
@@ -52,7 +56,7 @@ from pathlib import Path
 
 import numpy as np
 
-from relcr import acyclic, cli, generate, representations
+from relcr import acyclic, cli, generate, logic, representations
 from relcr.core import (Signature, Structure, disjoint_union, parse_signature,
                         parse_structure, serialize_structure,
                         structure_to_json)
@@ -141,6 +145,33 @@ def corpus():
     return singles, pairs
 
 
+def rewired(seed):
+    """A random structure of 20 R and 20 E facts, and a copy in which one E
+    fact (x, y), x != y, becomes (x, z) for another element z."""
+    A = generate.random_structure(SIG, 20, {"R": 20, "E": 20}, seed)
+    facts = [(r.relation, tuple(A.element_names[x] for x in A.vector(r)))
+             for r in A.tuple_refs]
+    rng = random.Random(seed)
+    k = rng.choice([k for k, (rel, (x, *y)) in enumerate(facts)
+                    if rel == "E" and y != [x]])
+    x, y = facts[k][1]
+    facts[k] = ("E", (x, rng.choice([z for z in A.element_names if z not in (x, y)
+                                     and ("E", (x, z)) not in facts])))
+    return A, Structure.from_named(SIG, facts)
+
+
+def sentence(A, B):
+    """The s-expression and side of distinguishing_sentence, or the name of
+    the error it raises."""
+    try:
+        got = logic.distinguishing_sentence(A, B)
+    except (ValueError, logic.SynthesisBudgetError) as e:   # FormulaError too
+        return type(e).__name__
+    if got is None:
+        return "None\n"
+    return "%s\n%s\n" % (logic.to_sexp(got[0]), got[1])
+
+
 def run_cli(*argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -224,7 +255,7 @@ def sections(work):
 
     out = {k: hashlib.sha256() for k in (
         "refine", "export", "cr-ids", "rcr-ids", "distinguish", "game",
-        "homcount", "overlaps", "parse", "acyclic")}
+        "homcount", "overlaps", "parse", "acyclic", "sentence")}
     csv = work / "trace.csv"
     for name, A in singles:
         f = str(files[name])
@@ -289,6 +320,10 @@ def sections(work):
                     str(nodes), "--seed", str(seed)).encode())
                 _, J = acyclic.random_acyclic(parse_signature(sig), nodes, seed)
                 out["acyclic"].update(J.to_text().encode())
+    small = [(A, B) for _, A, B in pairs
+             if max(A.size(), B.size()) <= GAME_MAX_TUPLES]
+    for A, B in small + [rewired(s) for s in range(12)]:
+        out["sentence"].update(sentence(A, B).encode())
     return {k: h.hexdigest() for k, h in out.items()}
 
 
