@@ -10,6 +10,7 @@ invocations.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -17,8 +18,9 @@ import time
 from pathlib import Path
 
 from . import acyclic, fixtures, game, generate, homcount, logic, representations
-from .core import (ParseError, Structure, StructureError, parse_signature,
-                   parse_structure, serialize_structure, structure_to_json)
+from .core import (ParseError, Structure, StructureError, TupleRef,
+                   parse_signature, parse_structure, serialize_structure,
+                   structure_to_json)
 from .cr import cr_run
 from .rcr import rcr_distinguishes, rcr_run
 
@@ -49,11 +51,19 @@ def _load_join_tree(path: str) -> acyclic.JoinTree:
         raise DomainError("%s: %s" % (path, e))
 
 
-def _write(path, text):
+def _opened(path):
+    """path opened for writing text; stdout for None or "-"."""
     if path in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text)
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w")
+    except OSError as e:
+        raise DomainError("cannot write %s: %s" % (path, e))
+
+
+def _write(path, text):
+    with _opened(path) as out:
+        out.write(text)
 
 
 def cmd_validate(args):
@@ -82,10 +92,8 @@ def cmd_refine(args):
         print("round %d: %d classes" % (i, c))
     stopped = trace.stable_round == args.rounds   # the budget ended the run
     print("%s at round %d" % ("stopped" if stopped else "stable", trace.stable_round))
-    if args.csv == "-":
-        trace.write_csv(sys.stdout)
-    elif args.csv:
-        with open(args.csv, "w") as out:
+    if args.csv:
+        with _opened(args.csv) as out:
             trace.write_csv(out)
     return 0
 
@@ -186,14 +194,11 @@ def cmd_game(args):
 def cmd_synthesize(args):
     A = _load(args.structure)
     trace = rcr_run(A)
-    rel, idx = args.tuple.split(",")
-    from .core import TupleRef
-    ref = TupleRef(rel.strip(), int(idx))
-    if ref not in A.tuple_pos:
-        raise DomainError("no tuple %s[%s] in the structure" % (rel, idx))
+    if args.tuple not in A.tuple_pos:
+        raise DomainError("no tuple %s[%d] in the structure" % args.tuple)
     last = trace.stable_round   # later rounds repeat its partition
     i = last if args.round is None else min(args.round, last)
-    color = int(trace.colors_at(i)[A.tuple_pos[ref]])
+    color = int(trace.colors_at(i)[A.tuple_pos[args.tuple]])
     try:
         f = logic.synthesize_color_formula(trace, i, color)
     except logic.SynthesisBudgetError as e:
@@ -234,6 +239,12 @@ def round_budget(text):
     if rounds < 0:
         raise ValueError(text)
     return rounds
+
+
+def tuple_ref(text):
+    """REL,INDEX: an argument type, whose ValueErrors argparse reports."""
+    rel, index = text.split(",")
+    return TupleRef(rel.strip(), int(index))
 
 
 def tuple_counts(text):
@@ -361,7 +372,7 @@ def build_parser():
 
     q = sub.add_parser("synthesize", help="formula describing a tuple's color")
     q.add_argument("structure")
-    q.add_argument("--tuple", required=True, metavar="REL,INDEX")
+    q.add_argument("--tuple", type=tuple_ref, required=True, metavar="REL,INDEX")
     q.add_argument("--round", type=round_budget, default=None)
     q.add_argument("-o", "--output", default=None)
     q.set_defaults(func=cmd_synthesize)

@@ -106,16 +106,14 @@ def is_transitive_stp(tau: Iterable[tuple[int, int]]) -> bool:
 
 # Below this many facts a structure is small: it is built and kept as
 # tuples, its row arrays are made on first use, and rcr_run refines it with
-# the per-tuple reference engine instead of the kernel.  Shared 2-core x86
-# machine, Python 3.11, numpy 2.4.  A numpy call right after a garbage
-# collection, as each benchmark operation starts, costs 20-60 us (np.array of
-# six ints 40 us, np.sort 58 us, median of 200), more than all the per-tuple
-# work of a small structure: with arrays alone, the CLI took 11-18% longer on
-# the benchmark's 8-tuple pairs.  The kernel pays ~1 ms to build its arrays
-# and ~0.1 ms a half-step; kernel time / reference time, best of 15 runs over
-# 5 seeds: at 16 tuples 1.8 (random R/3,E/2), 1.5 (hub), 2.6 (directed path);
-# at 32 tuples 1.0, 0.43, 2.0; at 64 tuples 0.49, 0.10, 0.98; at 128 tuples
-# 0.26, 0.04, 0.63.
+# the pure-Python worklist on the overlap graph instead of the kernel.  A
+# numpy call right after a garbage collection, as each benchmark operation
+# starts, costs 20-60 us (np.array of six ints 40 us, np.sort 58 us, median
+# of 200; shared 2-core x86, Python 3.11, numpy 2.4), more than all the
+# per-tuple work of a small structure.  Kernel time / worklist time, median
+# over 5 seeds of the best of 15 runs: at 16 tuples 2.5 (random R/3,E/2),
+# 1.9 (hub), 3.7 (directed path); 32: 1.6, 0.78, 3.6; 64: 0.86, 0.26, 3.8;
+# 128: 0.52, 0.08, 4.2.
 SMALL_FACTS = 64
 
 

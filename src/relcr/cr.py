@@ -12,10 +12,11 @@ refine_step: nodes are grouped by a multiset hash of their (label,
 neighbor-color) codes, and every group is verified exactly, so no class
 depends on the hash.  Later rounds re-key only the nodes next to a class
 that split, and once a round renames few nodes a worklist re-keys only the
-nodes next to a renamed node, so a node is renamed at most log2 n times.
-Rounds are synchronous: colors_at(i) is exactly the i-th refinement of the
-base coloring, which the tuple/graph round-correspondence tests rely on.
-Both engines record a run as a Coloring of per-round changes.
+nodes next to a renamed node, so a node is renamed at most log2 n times;
+rcr runs the worklist alone on small inputs and long tuples.  Rounds are
+synchronous: colors_at(i) is exactly the i-th refinement of the base
+coloring, which the tuple/graph round-correspondence tests rely on.  Every
+engine records a run as a Coloring of per-round changes.
 
 A multigraph's labels reach cr_run as ints; label names are never read.
 """
@@ -132,17 +133,12 @@ class Coloring:
         position lists differ, with the smallest color counted differently
         there; None if no round tells them apart.  SideCounts follows the
         rounds' changed positions only."""
-        counts = SideCounts(self.base, left, right)
-        ends = self.ends
-        for i in range(len(ends) - 1):
-            if counts.unequal:
-                break
+        counts, ends = SideCounts(self.base, left, right), self.ends
+        while not counts.unequal and counts.round < len(ends) - 1:
+            i = counts.round
             counts.advance(self.moved[ends[i]:ends[i + 1]].tolist(),
                            self.renamed[ends[i]:ends[i + 1]].tolist())
-        if not counts.unequal:
-            return None
-        i = counts.round
-        return i, (self.offsets[i] if self.offsets else 0) + counts.witness()
+        return counts.verdict(self.offsets)
 
 
 class SideCounts:
@@ -183,16 +179,15 @@ class SideCounts:
         self.round += 1
         return unequal > 0
 
-    def witness(self) -> int:
-        """The rank, among the names in order of their first position, of
-        the first one counted differently: the smallest color counted
-        differently, less the round's offset."""
-        seen = set()
-        for c in self.names:
-            if c not in seen:
-                if self.diff[c]:
-                    return len(seen)
-                seen.add(c)
+    def verdict(self, offsets=None):
+        """(round, color) of the round reached and its smallest color counted
+        differently, or None if none is.  That color's name holds the first
+        position of such a name; the color is the number of names before
+        it, plus the round's offset."""
+        if self.unequal:
+            k = next(k for k, c in enumerate(self.names) if self.diff[c])
+            first = len(set(self.names[:k]))
+            return self.round, first + (offsets[self.round] if offsets else 0)
 
 
 def keep_largest(prev, new, count):
@@ -481,19 +476,26 @@ def refine_rounds(steps, base, count, max_rounds, trace=True, stop=None):
                 > size[-1] - new_count):
             spent = 0
         elif spent >= price:
-            log = moved, renamed, ends, class_counts
-            names[-1] = _worklist_rounds(steps, names, changed,
-                                         max_rounds - done - 1, trace, stop, log)
+            last, more, new = _worklist_rounds(
+                [[x.tolist() for x in step] for step in steps],
+                [x.tolist() for x in names], changed.tolist(),
+                1 + max(int(x.max()) if len(x) else 0 for _, _, x in steps),
+                max_rounds - done - 1, trace, stop, (ends, class_counts))
+            names[-1] = np.array(last, dtype=np.int64)
+            moved.append(np.array(more, dtype=np.int64))
+            renamed.append(np.array(new, dtype=np.int64))
             break
     return (base if trace else names[-1], np.concatenate(moved),
             np.concatenate(renamed), ends, class_counts)
 
 
-def _worklist_rounds(steps, names, moved, max_rounds, trace, stop, log):
-    """Continue refine_rounds, with its stop test, from the names of each
-    side, after a round that renamed the traced nodes moved, and add the
-    rounds to its log (moved, renamed, ends, class_counts).  Returns the
-    traced side's names.
+def _worklist_rounds(steps, names, moved, nlabels, rounds, trace, stop, log):
+    """Refine the names of each side (lists, as steps' CSRs are, whose
+    labels are below nlabels) for at most rounds rounds after one that
+    renamed the traced nodes moved, with refine_rounds' stop test, adding
+    each round's end and class count to log (ends, class_counts).  Returns
+    the traced side's names, and the nodes it renamed and their new names
+    in round order, as lists.
 
     A half-step re-keys only the nodes next to a node renamed in the
     half-step before, by their old name and the sorted codes (name *
@@ -501,20 +503,18 @@ def _worklist_rounds(steps, names, moved, max_rounds, trace, stop, log):
     class had equal multisets over the old names (a class fixes the
     multiset it was refined by, on the traced side from round 1 on), so
     they have equal multisets over the new ones exactly when their keys
-    agree; the nodes of a class with no such edge form one more part.  A
-    class's largest part keeps its name, so a node is renamed at most log2
-    n times, and the rounds cost O(M log N) together for M edges."""
-    sides, ends, class_counts = len(steps), log[2], log[3]
-    nlabels = 1 + max(int(label.max()) if len(label) else 0
-                      for _, _, label in steps)
+    agree; the nodes of a class with no such edge form one more part (with
+    every node moved, a node's key is its whole multiset).  A class's
+    largest part keeps its name, so a node is renamed at most log2 n times,
+    and the rounds cost O(M log N) together for M edges."""
+    sides, (ends, class_counts) = len(steps), log
     parts = [_Partition(x) for x in names]
-    lists = [[x.tolist() for x in step] for step in steps]
-    moved, all_moved, renamed = moved.tolist(), [], []
-    for _ in range(max_rounds):
+    all_moved, renamed = [], []
+    for _ in range(rounds):
         for j in range(sides):
             nxt = (j + 1) % sides
             moved = parts[j].refine(
-                _bags(moved, *lists[nxt], parts[nxt].names, nlabels))
+                _bags(moved, *steps[nxt], parts[nxt].names, nlabels))
         if not moved:
             break
         if trace:
@@ -525,9 +525,7 @@ def _worklist_rounds(steps, names, moved, max_rounds, trace, stop, log):
         class_counts.append(len(parts[-1].members))
         if stop is not None and stop(moved, new):
             break
-    log[0].append(np.array(all_moved, dtype=np.int64))
-    log[1].append(np.array(renamed, dtype=np.int64))
-    return np.array(parts[-1].names, dtype=np.int64)
+    return parts[-1].names, all_moved, renamed
 
 
 def _bags(moved, starts, other, lab, names, nlabels):
@@ -542,13 +540,13 @@ def _bags(moved, starts, other, lab, names, nlabels):
 
 
 class _Partition:
-    """Dense names of nodes 0..n-1 and the members of each class as dict
-    keys (a dict of ints, unlike a set, is not tracked by the garbage
-    collector).  A split costs O(nodes re-keyed)."""
+    """Dense names of nodes 0..n-1, a list refined in place, and the members
+    of each class as dict keys (a dict of ints, unlike a set, is not tracked
+    by the garbage collector).  A split costs O(nodes re-keyed)."""
 
     def __init__(self, names):
-        self.names = names.tolist()
-        self.members = [{} for _ in range(max(self.names, default=-1) + 1)]
+        self.names = names
+        self.members = [{} for _ in range(max(names, default=-1) + 1)]
         for v, c in enumerate(self.names):
             self.members[c][v] = None
 

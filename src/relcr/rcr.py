@@ -14,19 +14,21 @@ driver of cr_run: exact vectorized cr.refine_step half-steps, O(N log N) a
 round for a fixed signature, then, after a round that renames few tuples, a
 worklist that re-keys only the nodes next to a renamed node.  A class that
 splits keeps its name for its largest part, so a tuple is renamed at most
-log2 N times and the worklist's rounds cost O(N log N) together.
-reference_rounds interns each occurrence's multiset over all its overlaps,
-which is quadratic on hubs; it serves small inputs, where it is faster, and
-the tests as oracle.  A run is kept as cr.Coloring keeps it: base classes
-and per-round changes.  rcr_compare, which rcr_distinguishes and sentence
-synthesis read, decides round 0 before the slices are built and stops the
-kernel at the first round whose side histograms differ, so that its trace
-ends at the verdict round.
+log2 N times and the worklist's rounds cost O(N log N) together.  Small
+structures and tuples longer than KERNEL_MAX_ARITY go to that worklist
+alone, in pure Python, on the overlap graph.  reference_rounds interns
+each occurrence's multiset over all its overlaps every round, which is
+quadratic on hubs; it serves only the tests and relcr check, as oracle.  A
+run is kept as cr.Coloring keeps it: base classes and per-round changes.
+rcr_compare, which rcr_distinguishes and sentence synthesis read, decides
+round 0 before an engine runs and stops it at the first round whose side
+histograms differ, so that its trace ends at the verdict round.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from functools import partial
 from itertools import accumulate, permutations
 from typing import Optional
 
@@ -34,19 +36,17 @@ import numpy as np
 
 from .core import (SMALL_FACTS, Structure, disjoint_union, stp, stp_key,
                    strictly_equal_size)
-from .cr import _NONE, Coloring, SideCounts, first_occurrence, refine_rounds
+from .cr import (_NONE, Coloring, SideCounts, _worklist_rounds,
+                 first_occurrence, refine_rounds)
 
-# rcr_run keeps the reference for tuples longer than this.  A tuple with d
-# distinct elements has sum_k d!/(d-k)! slices: 64 at d = 4, 325 at 5, 1,956
-# at 6, 13,699 at 7.  Shared 2-core x86 machine, kernel against reference time
-# (peak RSS of the process, MB), 1024 tuples, half of them R(x1..xk), half
-# E(x, y): random k = 5 0.040 s (53) against 0.18 s (36), k = 6 0.18 s (169)
-# against 0.17 s (38); hub k = 5 0.034 s (53) against 4.5 s (233), k = 6
-# 0.15 s (169) against 3.9 s (234); chained path k = 5 0.17 s (67) against
-# 0.55 s (42), k = 6 0.30 s (178) against 0.56 s (42).  At 256 random tuples k = 6
-# the kernel takes 2.6 times as long.  Time crosses between 5 and 6 on random
-# inputs, memory already at 5 (4096 random tuples, k = 5: 0.12 s, 113 MB
-# against 0.54 s, 58 MB); the benchmark has no tuple longer than 3.
+# Longer tuples go to the overlap worklist.  A tuple with d distinct
+# elements has sum_k d!/(d-k)! slices: 64 at d = 4, 325 at 5, 1,956 at 6.
+# Kernel against worklist seconds (peak RSS, MB), 1024 facts, half Q/k, half
+# E/2, fresh processes, 2-core x86: random k = 4 0.01 (34) against 0.06 (32),
+# k = 5 0.05 (50) against 0.06-0.08 (33), k = 6 0.25-0.29 (155) against
+# 0.07-0.11 (33); chained path k = 5 0.05 (50) against 0.05 (31), k = 6
+# 0.29-0.35 (157) against 0.03-0.05 (31); hub k = 4-6 0.01-0.36 (33-155)
+# against 2.3-3.2 (135-138).  The benchmark has no tuple longer than 3.
 KERNEL_MAX_ARITY = 5
 class RefinementTrace(Coloring):
     """Per-round colors of an RCR run, with on-demand color decoding.
@@ -163,15 +163,13 @@ def kernel_rounds(A: Structure, max_rounds: Optional[int] = None):
 
     cr.refine_rounds runs the rounds, slices first.  Its first round re-keys
     every tuple: tuples of one base class may own unequal shared slices."""
-    rels = relation_rows(A)
-    return _slice_rounds(A, rels, *_base_classes(A, rels), max_rounds)
+    base, _, rounds = _engine(A, kernel=True)
+    return (base, *rounds(A.size() if max_rounds is None else max_rounds))
 
 
-def _slice_rounds(A: Structure, rels, base, count, max_rounds=None, stop=None):
+def _slice_rounds(A: Structure, rels, base, count, max_rounds, stop=None):
     """kernel_rounds from the round-0 classes, with refine_rounds' stop
-    test."""
-    if max_rounds is None:
-        max_rounds = A.size()
+    test, less the base."""
     tup, sl, lab, _, _ = slice_incidence(A, rels)
     # keep the slices held by more than one tuple, renumbered densely
     shared = np.bincount(sl) > 1
@@ -181,7 +179,7 @@ def _slice_rounds(A: Structure, rels, base, count, max_rounds=None, stop=None):
     nslices = int(shared.sum())
     return refine_rounds([_csr(sl, tup, lab, nslices),
                           _csr(tup, sl, lab, A.size())],
-                         base, count, max_rounds, stop=stop)
+                         base, count, max_rounds, stop=stop)[1:]
 
 
 def relation_rows(A: Structure):
@@ -299,78 +297,72 @@ def _row_ids(rows):
 
 def rcr_run(A: Structure, max_rounds: Optional[int] = None) -> RefinementTrace:
     """Refine A until stable (or max_rounds); both engines give equal ids."""
-    if _kernel_applies(A):
-        return RefinementTrace(A, *kernel_rounds(A, max_rounds))
-    rounds, class_counts = reference_rounds(A, max_rounds)
-    return RefinementTrace(A, *_changes(rounds, class_counts), class_counts)
+    base, _, rounds = _engine(A)
+    return RefinementTrace(A, base, *rounds(
+        A.size() if max_rounds is None else max_rounds))
 
 
-def _kernel_applies(A: Structure) -> bool:
-    """Whether rcr_run refines A with the kernel: core.SMALL_FACTS tuple
-    occurrences or more, none longer than KERNEL_MAX_ARITY."""
-    return A.size() >= SMALL_FACTS and max(
-        (a for name, a in A.signature.symbols if A.counts[name]),
-        default=0) <= KERNEL_MAX_ARITY
+def _engine(A: Structure, kernel: Optional[bool] = None):
+    """(base, count, rounds): A's round-0 classes as reference_rounds numbers
+    them, an int64 array, their count, and rounds(max_rounds, stop=None),
+    the run's (moved, renamed, ends, class_counts) from them: by the slice
+    kernel if kernel, by default on core.SMALL_FACTS tuple occurrences or
+    more, none longer than KERNEL_MAX_ARITY, else by _overlap_rounds."""
+    if kernel is None:
+        kernel = A.size() >= SMALL_FACTS and max(
+            (a for name, a in A.signature.symbols if A.counts[name]),
+            default=0) <= KERNEL_MAX_ARITY
+    if kernel:
+        rels = relation_rows(A)
+        base, count = _base_classes(A, rels)
+        return base, count, partial(_slice_rounds, A, rels, base, count)
+    table: dict = {}
+    names = [table.setdefault(_base_key(A, vec), len(table))
+             for vecs in A.relations.values() for vec in vecs]
+    return (np.array(names, dtype=np.int64), len(table),
+            partial(_overlap_rounds, A, names, len(table)))
 
 
-def _changes(rounds, class_counts):
-    """(base, moved, renamed, ends) of reference_rounds' rounds, named as
-    keep_largest names them; a loop, because the reference serves small
-    inputs, where numpy's per-call cost would dominate."""
-    names = list(rounds[0])   # round 0's ids are its internal names
-    moved, renamed, ends = [], [], [0]
-    count = class_counts[0]
-    for cur in rounds[1:]:
-        parts: dict = {}      # by id, so in order of first occurrence
-        for k, c in enumerate(cur):
-            parts.setdefault(c, []).append(k)
-        largest: dict = {}    # old name -> its largest part
-        for part in parts.values():
-            best = largest.setdefault(names[part[0]], part)
-            if len(part) > len(best):
-                largest[names[part[0]]] = part
-        for part in parts.values():
-            if largest[names[part[0]]] is not part:
-                moved += part
-                renamed += [count] * len(part)
-                count += 1
-        for j in range(ends[-1], len(moved)):
-            names[moved[j]] = renamed[j]
-        ends.append(len(moved))
-    return (np.array(rounds[0], dtype=np.int64),
-            np.array(moved, dtype=np.int64),
-            np.array(renamed, dtype=np.int64), ends)
+def _overlap_rounds(A: Structure, names, count, max_rounds, stop=None):
+    """The rounds of RCR on A from the round-0 classes names, a list, by
+    cr's worklist on the overlap graph (edge a -> b labelled stp(a, b)), in
+    lists: numpy's per-call cost would dominate on the small inputs this
+    serves.  Every tuple counts as renamed at round 0, so round 1 re-keys
+    each by its multiset over all its overlaps, as the worklist needs."""
+    near = A.overlaps()
+    starts = [0, *accumulate(map(len, near))]
+    other, taus = [b for bs in near for b, _ in bs], {}
+    label = [taus.setdefault(t, len(taus)) for bs in near for _, t in bs]
+    log = [0], [count]
+    _, moved, renamed = _worklist_rounds(
+        [(starts, other, label)], [list(names)], list(range(len(names))),
+        len(taus), max_rounds, True, stop, log)
+    return (np.array(moved, dtype=np.int64), np.array(renamed, dtype=np.int64),
+            *log)
 
 
 class CompareResult:
     """Joint refinement of two structures up to its verdict: round and color
     are the first_difference of the two sides' positions in the disjoint
-    union, or None.  On a kernel-sized union, round 0 is read off the base
-    classes before any slice is built, and the kernel stops at the first
-    round whose side histograms differ, so the trace ends at the verdict
-    round; unequal relation sizes always show at round 0, since atomic
-    types are part of the initial color.  A smaller union is refined to
-    stability by the reference engine."""
+    union, or None.  Round 0 is read off the base classes before the engine
+    builds anything, and the engine stops at the first round whose side
+    histograms differ, so the trace ends at the verdict round; unequal
+    relation sizes always show at round 0, since atomic types are part of
+    the initial color."""
 
     def __init__(self, A, B):
         self.union, self.info = U, info = disjoint_union(A, B)
         sides = _side_positions(U, info)
         self.pos = dict(zip("AB", sides))
-        if not _kernel_applies(U):
-            self.trace = rcr_run(U)
-            diff = self.trace.first_difference(*sides)
-        else:
-            rels = relation_rows(U)
-            base, count = _base_classes(U, rels)
-            counts = SideCounts(base, *sides)
-            log = base, _NONE, _NONE, [0], [count]
-            if not counts.unequal:
-                assert strictly_equal_size(A, B)
-                log = _slice_rounds(U, rels, base, count, stop=counts.advance)
-            self.trace = RefinementTrace(U, *log)
-            i = counts.round
-            diff = counts.unequal and (i, self.trace.offsets[i] + counts.witness())
-        self.round, self.color = diff or (None, None)
+        base, count, rounds = _engine(U)
+        counts = SideCounts(base, *sides)
+        log = _NONE, _NONE, [0], [count]
+        if not counts.unequal:
+            assert strictly_equal_size(A, B)
+            log = rounds(U.size(), counts.advance)
+        self.trace = RefinementTrace(U, base, *log)
+        verdict = counts.verdict(self.trace.offsets)
+        self.round, self.color = verdict or (None, None)
 
     def side_histogram(self, i, side):
         return self.trace.histogram_at(i, self.pos[side])

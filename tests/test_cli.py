@@ -252,6 +252,24 @@ def test_synthesize_round_past_stability_or_negative(capsys):
     assert "invalid round_budget value: '-1'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("ref", ["E", "E,x", "E,0,1"])
+def test_synthesize_bad_tuple_is_a_usage_error(capsys, ref):
+    with pytest.raises(SystemExit) as e:
+        main(["synthesize", str(FIX / "A1.struct"), "--tuple", ref])
+    assert e.value.code == 2
+    assert "invalid tuple_ref value: %r" % ref in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["refine", str(FIX / "A1.struct"), "--csv"],
+    ["export", str(FIX / "A1.struct"), "--rep", "grep", "-o"],
+])
+def test_unwritable_output_is_an_error(tmp_path, capsys, argv):
+    path = str(tmp_path / "missing" / "out")
+    code, _, err = run(capsys, *argv, path)
+    assert code == 1 and err.startswith("error: cannot write %s: " % path)
+
+
 def test_eval_bad_assignment(tmp_path, capsys):
     formula = tmp_path / "f.sexp"
     formula.write_text("(eq y1 y1)")

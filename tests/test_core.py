@@ -182,12 +182,12 @@ def test_overlaps_match_a_pair_scan(fs, rnd):
 
 
 def test_synthesis_reuses_the_reference_overlaps(monkeypatch):
-    res = rcr_compare(fixtures.a1(), fixtures.b1())   # 14 tuples: reference
+    res = rcr_compare(fixtures.a1(), fixtures.b1())   # 14 tuples: worklist
     U = res.union
     calls = []
     monkeypatch.setattr(core, "stp", lambda a, b: calls.append(1) or stp(a, b))
     ctx = logic.SynthesisContext(res.trace)
-    assert not calls   # the lists reference_rounds built, not new ones
+    assert not calls   # the lists the overlap worklist built, not new ones
     assert ctx.realized_taus == sorted({tau for near in U.overlaps()
                                         for _, tau in near})
     assert ctx.trace.structure.overlaps() is U.overlaps()

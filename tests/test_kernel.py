@@ -1,9 +1,9 @@
-"""The vectorized refinement kernel against the engines it replaced.
+"""The refinement engines against the engines they replaced.
 
-rcr.kernel_rounds must give the ids of rcr.reference_rounds, and cr_run the
-ids of the per-node interning loop below, exactly and not just the same
-partitions.  The kernel is called directly, so that small inputs do not go
-to the reference engine as they do in rcr_run.
+rcr.kernel_rounds and the overlap-graph worklist must give the ids of
+rcr.reference_rounds, and cr_run the ids of the per-node interning loop
+below, exactly and not just the same partitions.  Each engine is called
+directly, whatever rcr_run would choose for the input.
 """
 
 import functools
@@ -12,9 +12,10 @@ import random
 import numpy as np
 from test_acceptance import _random_sig4
 
-from relcr import checks, cr, fixtures, generate, rcr, representations
+from relcr import (checks, cli, cr, fixtures, generate, logic, rcr,
+                   representations)
 from relcr.checks import published_rounds
-from relcr.core import Signature, Structure
+from relcr.core import Signature, Structure, serialize_structure
 from relcr.multigraph import ColoredMultigraph
 from relcr.cr import Coloring, _base_colors, _lambda_adjacency, cr_run
 from relcr.rcr import RefinementTrace, kernel_rounds, reference_rounds
@@ -107,6 +108,40 @@ def matching_with_path(k, path):
     return Structure.from_named(Signature([("E", 2)]), facts)
 
 
+def long_tuples(shape, n, seed=0, k=6):
+    """n facts, half of them Q/k, half E/2: "random" over n elements, "hub"
+    with element h first in every fact, or "chain", each Q fact sharing its
+    last element with the next one's first and E facts along the chain."""
+    rng = random.Random(seed)
+    x = lambda: "x%d" % rng.randrange(n)  # noqa: E731
+    if shape == "chain":
+        q = [["p%d" % ((k - 1) * i + j) for j in range(k)]
+             for i in range(n // 2)]
+        e = [["p%d" % i, "p%d" % (i + 1)] for i in range(n - n // 2)]
+    else:
+        first = (lambda: "h") if shape == "hub" else x
+        q = [[first()] + [x() for _ in range(k - 1)] for _ in range(n // 2)]
+        e = [[first(), x()] for _ in range(n - n // 2)]
+    return Structure.from_named(Signature([("Q", k), ("E", 2)]),
+                                [("Q", t) for t in q] + [("E", t) for t in e])
+
+
+def rewired(seed):
+    """A random structure of 20 R and 20 E facts, and a copy in which one E
+    fact (x, y), x != y, becomes (x, z) for another element z."""
+    sig = Signature([("R", 3), ("E", 2)])
+    A = generate.random_structure(sig, 20, {"R": 20, "E": 20}, seed)
+    facts = [(r.relation, tuple(A.element_names[x] for x in A.vector(r)))
+             for r in A.tuple_refs]
+    rng = random.Random(seed)
+    k = rng.choice([k for k, (rel, (x, *y)) in enumerate(facts)
+                    if rel == "E" and y != [x]])
+    x, y = facts[k][1]
+    facts[k] = ("E", (x, rng.choice([z for z in A.element_names if z not in (x, y)
+                                     and ("E", (x, z)) not in facts])))
+    return A, Structure.from_named(sig, facts)
+
+
 def handover_cases():
     """Structures on which kernel_rounds hands over to the worklist after
     one or more refine_step rounds, and the worklist still splits: a path
@@ -138,6 +173,14 @@ def with_reference():
 def kernel_ids(A, max_rounds=None):
     """Every round's kernel ids as lists, with the class counts."""
     return published_rounds(RefinementTrace(A, *kernel_rounds(A, max_rounds)))
+
+
+def overlap_ids(A, max_rounds=None):
+    """Every round's ids of the overlap-graph worklist as lists, with the
+    class counts."""
+    base, _, rounds = rcr._engine(A, kernel=False)
+    return published_rounds(RefinementTrace(A, base, *rounds(
+        A.size() if max_rounds is None else max_rounds)))
 
 
 def same_ids(a: Coloring, want):
@@ -367,17 +410,56 @@ def test_kernel_check_reports_wrong_ids(monkeypatch):
     assert checks.check_kernel(structures)
 
 
-def test_rcr_run_picks_the_engine_by_size_and_arity(monkeypatch):
+def test_overlap_ids_equal_reference_ids():
+    # the engine of small structures and of tuples longer than the kernel's
+    big = [long_tuples(shape, n, seed) for shape in ("random", "hub", "chain")
+           for n, seed in ((80, 1), (130, 2))]
+    assert all(A.size() >= 64 for A in big)
+    for A in corpus() + big + [directed_path(40, cycle=9)]:
+        assert overlap_ids(A) == reference_rounds(A)
+    for A in big + [directed_path(40)]:
+        for m in (0, 1, 2):
+            assert overlap_ids(A, m) == reference_rounds(A, m)
+    A = Structure(Signature([("E", 2)]), {})
+    assert overlap_ids(A) == reference_rounds(A) == ([[]], [0])
+
+
+def test_rcr_run_picks_the_engine_by_size_and_arity(monkeypatch, tmp_path,
+                                                    capsys):
+    # the kernel takes 64 facts or more of arity at most 5, the overlap
+    # worklist the rest; no production entry point reaches the reference
     used = []
-    for name in ("kernel_rounds", "reference_rounds"):
+    for name in ("_slice_rounds", "_overlap_rounds"):
         engine = getattr(rcr, name)
-        monkeypatch.setattr(rcr, name, lambda A, m, e=engine, n=name:
-                            used.append(n) or e(A, m))
-    wide = Signature([("Q", 6), ("E", 2)])
-    rng = random.Random(5)
-    long_tuples = Structure(wide, {
-        "Q": {tuple(rng.randrange(40) for _ in range(6)) for _ in range(40)},
-        "E": [(x, x + 1) for x in range(39)]})
-    for A in (hub(40), hub(100), long_tuples):
+        monkeypatch.setattr(rcr, name, lambda *a, e=engine, n=name, **k:
+                            used.append(n) or e(*a, **k))
+
+    def refuse(*args):
+        raise AssertionError("reference_rounds reached")
+
+    monkeypatch.setattr(rcr, "reference_rounds", refuse)
+    chain = long_tuples("chain", 70)
+    small = directed_path(12), directed_path(12, cycle=3)
+    kernel = directed_path(70), directed_path(70, cycle=10)
+    wide = chain, chain.rename(list(reversed(range(chain.n))))
+    for A in (small[0], hub(100), chain):
         rcr.rcr_run(A)
-    assert used == ["reference_rounds", "kernel_rounds", "reference_rounds"]
+    assert used == ["_overlap_rounds", "_slice_rounds", "_overlap_rounds"]
+    used.clear()
+    for A, B in (small, rewired(0), wide):   # rewired(0) differs at round 1
+        res = rcr.rcr_compare(A, B)
+        assert (res.round is None) == (A is chain)
+        logic.distinguishing_sentence(A, B)
+    assert used == ["_overlap_rounds"] * 2 + ["_slice_rounds"] * 2 + [
+        "_overlap_rounds"] * 2
+    used.clear()
+    for k, (A, B) in enumerate((small, kernel, wide)):
+        a, b = tmp_path / ("%d.a" % k), tmp_path / ("%d.b" % k)
+        a.write_text(serialize_structure(A))
+        b.write_text(serialize_structure(B))
+        for argv in (["refine", a], ["distinguish", a, b],
+                     ["synthesize", a, "--tuple", "E,0", "--round", "2"]):
+            assert cli.main([str(x) for x in argv]) == 0
+    capsys.readouterr()
+    assert used == ["_overlap_rounds"] * 3 + ["_slice_rounds"] * 3 + [
+        "_overlap_rounds"] * 3

@@ -3,7 +3,7 @@ import random
 from collections import Counter
 
 import pytest
-from test_kernel import directed_path
+from test_kernel import directed_path, rewired
 
 from relcr import fixtures, generate, rcr
 from relcr.checks import published_rounds
@@ -119,34 +119,20 @@ def test_compare_sides_cover_all_positions():
     assert res.round == 1
 
 
-def rewired(seed):
-    """A random structure of 20 R and 20 E facts, and a copy in which one E
-    fact (x, y), x != y, becomes (x, z) for another element z."""
-    sig = Signature([("R", 3), ("E", 2)])
-    A = generate.random_structure(sig, 20, {"R": 20, "E": 20}, seed)
-    facts = [(r.relation, tuple(A.element_names[x] for x in A.vector(r)))
-             for r in A.tuple_refs]
-    rng = random.Random(seed)
-    k = rng.choice([k for k, (rel, (x, *y)) in enumerate(facts)
-                    if rel == "E" and y != [x]])
-    x, y = facts[k][1]
-    facts[k] = ("E", (x, rng.choice([z for z in A.element_names if z not in (x, y)
-                                     and ("E", (x, z)) not in facts])))
-    return A, Structure.from_named(sig, facts)
-
-
 def test_compare_trace_ends_at_the_verdict_round():
-    # 80 tuples go to the kernel, which stops at round 1; the union is
-    # stable only at round 3
-    A, B = rewired(0)
-    res = rcr_compare(A, B)
-    assert res.trace.stable_round == res.round == 1
-    full = rcr_run(res.union)
-    assert full.stable_round == 3
-    assert (res.round, res.color) == full.first_difference(res.pos["A"],
-                                                           res.pos["B"])
-    for i in (0, 1):
-        assert list(res.trace.colors_at(i)) == list(full.colors_at(i))
+    # 80 tuples go to the kernel, which stops at round 1, and path(12)
+    # against path(9) plus cycle(3), 24 tuples, to the overlap worklist,
+    # which stops at round 5; the unions are stable only at rounds 3 and 9
+    for (A, B), verdict, stable in ((rewired(0), 1, 3), ((
+            directed_path(12), directed_path(12, cycle=3)), 5, 9)):
+        res = rcr_compare(A, B)
+        assert res.trace.stable_round == res.round == verdict
+        full = rcr_run(res.union)
+        assert full.stable_round == stable
+        assert (res.round, res.color) == full.first_difference(res.pos["A"],
+                                                               res.pos["B"])
+        for i in range(verdict + 1):
+            assert list(res.trace.colors_at(i)) == list(full.colors_at(i))
 
 
 def test_compare_of_unequal_sizes_builds_no_slice(monkeypatch):

@@ -8,9 +8,10 @@ Run from the repository root, at two versions of the code, and compare:
 It prints one sha256 over, for every structure of a fixed corpus (the five
 fixtures, seeded random R/3,E/2 structures with partners of equal size,
 hubs, directed paths, structures with repeated entries and 5-ary tuples, a
-shuffled 600-fact directed chain; the pairs also path(400) against
-path(300) plus cycle(100), and path(400) against a relabelled, shuffled
-copy):
+shuffled 600-fact directed chain, and random, hub and chained-path
+structures of 6-ary tuples above core.SMALL_FACTS facts; the pairs also
+path(400) against path(300) plus cycle(100), and path(400) against a
+relabelled, shuffled copy):
 
   refine      `relcr refine --csv` (stdout and CSV)
   export      `relcr export --rep R` DOT for all six representations
@@ -113,6 +114,23 @@ def wide(n, seed):
     return generate.random_structure(sig, 6, {"P": n, "E": n // 2}, seed)
 
 
+def six_ary(shape, n, seed):
+    """n facts, half of them Q/6, half E/2: "random" over n elements, "hub"
+    with element h first in every fact, or "chain", each Q fact sharing its
+    last element with the next one's first and E facts along the chain."""
+    rng = random.Random(seed)
+    x = lambda: "x%d" % rng.randrange(n)  # noqa: E731
+    if shape == "chain":
+        q = [["p%d" % (5 * i + j) for j in range(6)] for i in range(n // 2)]
+        e = [["p%d" % i, "p%d" % (i + 1)] for i in range(n - n // 2)]
+    else:
+        first = (lambda: "h") if shape == "hub" else x
+        q = [[first()] + [x() for _ in range(5)] for _ in range(n // 2)]
+        e = [[first(), x()] for _ in range(n - n // 2)]
+    return Structure.from_named(Signature([("Q", 6), ("E", 2)]),
+                                [("Q", t) for t in q] + [("E", t) for t in e])
+
+
 def corpus():
     """(name, structure) singles and (name, A, B) pairs."""
     singles = [(p.stem, parse_structure(p.read_text()))
@@ -140,6 +158,8 @@ def corpus():
     singles.append(("five-ary", wide(70, 3)))
     singles.append(("five-ary-small", wide(6, 4)))
     singles.append(("chain-600", chain(600, 5)))
+    for shape, n in (("random", 100), ("hub", 130), ("chain", 90)):
+        singles.append(("six-ary-%s" % shape, six_ary(shape, n, 8)))
     pairs.append(("path-cycle-400", path_cycle(400, 0), path_cycle(400, 100)))
     pairs.append(("path-iso-400", path_cycle(400, 0), path_cycle(400, 0, 6)))
     return singles, pairs
