@@ -8,21 +8,19 @@ with a color spells out that color's key, so the trace decodes a color from
 a representative occurrence.  Ids are only comparable within one run, so
 cross-structure questions refine the disjoint union.
 
-Two engines compute the same ids.  kernel_rounds refines the tuple-slice
-incidence in two half-steps per round with cr.refine_rounds, the round
-driver of cr_run: exact vectorized cr.refine_step half-steps, O(N log N) a
-round for a fixed signature, then, after a round that renames few tuples, a
-worklist that re-keys only the nodes next to a renamed node.  A class that
-splits keeps its name for its largest part, so a tuple is renamed at most
-log2 N times and the worklist's rounds cost O(N log N) together.  Small
-structures and tuples longer than KERNEL_MAX_ARITY go to that worklist
-alone, in pure Python, on the overlap graph.  reference_rounds interns
-each occurrence's multiset over all its overlaps every round, which is
-quadratic on hubs; it serves only the tests and relcr check, as oracle.  A
-run is kept as cr.Coloring keeps it: base classes and per-round changes.
-rcr_compare, which rcr_distinguishes and sentence synthesis read, decides
-round 0 before an engine runs and stops it at the first round whose side
-histograms differ, so that its trace ends at the verdict round.
+kernel_rounds refines the tuple-slice incidence, two half-steps a round, with
+cr.refine_rounds, cr_run's round driver: exact vectorized refine_step
+half-steps, O(N log N) a round for a fixed signature, then, after a round that
+renames few tuples, a worklist that re-keys only the nodes next to a renamed
+node.  A class that splits keeps its name for its largest part, so a tuple is
+renamed at most log2 N times and the worklist's rounds cost O(N log N)
+together.  Small structures and tuples longer than KERNEL_MAX_ARITY go to that
+worklist alone, in pure Python, on the overlap graph.  reference_rounds, the
+oracle of the tests and of relcr check, interns each occurrence's multiset
+over all its overlaps every round, quadratic on hubs.  A run is kept as
+cr.Coloring keeps it: base classes and per-round changes.  rcr_compare, which
+rcr_distinguishes and sentence synthesis read, decides round 0 before an
+engine runs and stops it at the first round whose side histograms differ.
 """
 
 from __future__ import annotations
@@ -163,13 +161,14 @@ def kernel_rounds(A: Structure, max_rounds: Optional[int] = None):
 
     cr.refine_rounds runs the rounds, slices first.  Its first round re-keys
     every tuple: tuples of one base class may own unequal shared slices."""
-    base, _, rounds = _engine(A, kernel=True)
-    return (base, *rounds(A.size() if max_rounds is None else max_rounds))
+    rels = relation_rows(A)
+    base, count = _base_classes(A, rels)
+    return (base, *_slice_rounds(A, rels, base, count, A.size()
+                                 if max_rounds is None else max_rounds))
 
 
 def _slice_rounds(A: Structure, rels, base, count, max_rounds, stop=None):
-    """kernel_rounds from the round-0 classes, with refine_rounds' stop
-    test, less the base."""
+    """kernel_rounds' rounds after the base, with refine_rounds' stop."""
     tup, sl, lab, _, _ = slice_incidence(A, rels)
     # keep the slices held by more than one tuple, renumbered densely
     shared = np.bincount(sl) > 1
@@ -302,20 +301,22 @@ def rcr_run(A: Structure, max_rounds: Optional[int] = None) -> RefinementTrace:
         A.size() if max_rounds is None else max_rounds))
 
 
-def _engine(A: Structure, kernel: Optional[bool] = None):
+def _engine(A: Structure):
     """(base, count, rounds): A's round-0 classes as reference_rounds numbers
-    them, an int64 array, their count, and rounds(max_rounds, stop=None),
-    the run's (moved, renamed, ends, class_counts) from them: by the slice
-    kernel if kernel, by default on core.SMALL_FACTS tuple occurrences or
-    more, none longer than KERNEL_MAX_ARITY, else by _overlap_rounds."""
-    if kernel is None:
-        kernel = A.size() >= SMALL_FACTS and max(
+    them (int64), their count, and rounds(max_rounds, stop=None), the run's
+    (moved, renamed, ends, class_counts); by the slice kernel on SMALL_FACTS
+    tuples or more, none longer than KERNEL_MAX_ARITY."""
+    if A.size() < SMALL_FACTS or max(
             (a for name, a in A.signature.symbols if A.counts[name]),
-            default=0) <= KERNEL_MAX_ARITY
-    if kernel:
-        rels = relation_rows(A)
-        base, count = _base_classes(A, rels)
-        return base, count, partial(_slice_rounds, A, rels, base, count)
+            default=0) > KERNEL_MAX_ARITY:
+        return _overlap_engine(A)
+    rels = relation_rows(A)
+    base, count = _base_classes(A, rels)
+    return base, count, partial(_slice_rounds, A, rels, base, count)
+
+
+def _overlap_engine(A: Structure):
+    """_engine's triple by _overlap_rounds, round 0 numbered by _base_key."""
     table: dict = {}
     names = [table.setdefault(_base_key(A, vec), len(table))
              for vecs in A.relations.values() for vec in vecs]
@@ -342,13 +343,12 @@ def _overlap_rounds(A: Structure, names, count, max_rounds, stop=None):
 
 
 class CompareResult:
-    """Joint refinement of two structures up to its verdict: round and color
-    are the first_difference of the two sides' positions in the disjoint
-    union, or None.  Round 0 is read off the base classes before the engine
-    builds anything, and the engine stops at the first round whose side
-    histograms differ, so the trace ends at the verdict round; unequal
-    relation sizes always show at round 0, since atomic types are part of
-    the initial color."""
+    """Joint refinement of two structures up to its verdict: round and color are
+    the first_difference of the two sides' positions in the disjoint union, or
+    None.  Round 0 is read off the base classes before the engine builds
+    anything, and the engine stops at the first round whose side histograms
+    differ, so the trace ends at the verdict round; unequal relation sizes
+    always show at round 0, since atomic types are part of the initial color."""
 
     def __init__(self, A, B):
         self.union, self.info = U, info = disjoint_union(A, B)

@@ -10,6 +10,7 @@ import functools
 import random
 
 import numpy as np
+from hash_outputs import six_ary
 from test_acceptance import _random_sig4
 
 from relcr import (checks, cli, cr, fixtures, generate, logic, rcr,
@@ -108,24 +109,6 @@ def matching_with_path(k, path):
     return Structure.from_named(Signature([("E", 2)]), facts)
 
 
-def long_tuples(shape, n, seed=0, k=6):
-    """n facts, half of them Q/k, half E/2: "random" over n elements, "hub"
-    with element h first in every fact, or "chain", each Q fact sharing its
-    last element with the next one's first and E facts along the chain."""
-    rng = random.Random(seed)
-    x = lambda: "x%d" % rng.randrange(n)  # noqa: E731
-    if shape == "chain":
-        q = [["p%d" % ((k - 1) * i + j) for j in range(k)]
-             for i in range(n // 2)]
-        e = [["p%d" % i, "p%d" % (i + 1)] for i in range(n - n // 2)]
-    else:
-        first = (lambda: "h") if shape == "hub" else x
-        q = [[first()] + [x() for _ in range(k - 1)] for _ in range(n // 2)]
-        e = [[first(), x()] for _ in range(n - n // 2)]
-    return Structure.from_named(Signature([("Q", k), ("E", 2)]),
-                                [("Q", t) for t in q] + [("E", t) for t in e])
-
-
 def rewired(seed):
     """A random structure of 20 R and 20 E facts, and a copy in which one E
     fact (x, y), x != y, becomes (x, z) for another element z."""
@@ -178,7 +161,7 @@ def kernel_ids(A, max_rounds=None):
 def overlap_ids(A, max_rounds=None):
     """Every round's ids of the overlap-graph worklist as lists, with the
     class counts."""
-    base, _, rounds = rcr._engine(A, kernel=False)
+    base, _, rounds = rcr._overlap_engine(A)
     return published_rounds(RefinementTrace(A, base, *rounds(
         A.size() if max_rounds is None else max_rounds)))
 
@@ -412,7 +395,7 @@ def test_kernel_check_reports_wrong_ids(monkeypatch):
 
 def test_overlap_ids_equal_reference_ids():
     # the engine of small structures and of tuples longer than the kernel's
-    big = [long_tuples(shape, n, seed) for shape in ("random", "hub", "chain")
+    big = [six_ary(shape, n, seed) for shape in ("random", "hub", "chain")
            for n, seed in ((80, 1), (130, 2))]
     assert all(A.size() >= 64 for A in big)
     for A in corpus() + big + [directed_path(40, cycle=9)]:
@@ -438,7 +421,7 @@ def test_rcr_run_picks_the_engine_by_size_and_arity(monkeypatch, tmp_path,
         raise AssertionError("reference_rounds reached")
 
     monkeypatch.setattr(rcr, "reference_rounds", refuse)
-    chain = long_tuples("chain", 70)
+    chain = six_ary("chain", 70, 0)
     small = directed_path(12), directed_path(12, cycle=3)
     kernel = directed_path(70), directed_path(70, cycle=10)
     wide = chain, chain.rename(list(reversed(range(chain.n))))
