@@ -1,10 +1,14 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 domain error (message names the failing
-precondition), 2 usage error.  All machine output is CSV, DOT, JSON or the
-structure/formula text formats.  Color ids in reports are run-local: they
-number the classes of one refinement run and are not comparable across
-invocations.
+precondition), 2 usage error.  `main` alone turns errors into exit codes:
+it prints a `DomainError`, a library `ValueError` or a
+`SynthesisBudgetError` as `error: ...`, and exits 1 for these and for a
+closed or failing stdout.  `_read` reads every input file and `_output`
+writes every output file; a failure is `cannot read/write PATH: ...`.  All
+machine output is CSV, DOT, JSON or the structure/formula text formats.
+Color ids in reports are run-local: they number the classes of one
+refinement run and are not comparable across invocations.
 """
 
 from __future__ import annotations
@@ -13,14 +17,14 @@ import argparse
 import contextlib
 import functools
 import json
+import os
 import sys
 import time
 from pathlib import Path
 
-from . import acyclic, fixtures, game, generate, homcount, logic, representations
-from .core import (ParseError, Structure, StructureError, TupleRef,
-                   parse_signature, parse_structure, serialize_structure,
-                   structure_to_json)
+from . import acyclic, game, generate, homcount, logic, representations
+from .core import (Structure, TupleRef, parse_signature, parse_structure,
+                   serialize_structure, structure_to_json)
 from .cr import cr_run
 from .rcr import rcr_distinguishes, rcr_run
 
@@ -29,40 +33,47 @@ class DomainError(Exception):
     pass
 
 
-def _load(path: str, pad=False) -> Structure:
-    p = Path(path)
+def _read(path: str) -> str:
     try:
-        text = p.read_text()
-    except OSError as e:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as e:
         raise DomainError("cannot read %s: %s" % (path, e))
-    fmt = "json" if p.suffix == ".json" else "text"
-    try:
-        return parse_structure(text, fmt=fmt, pad_universe=pad)
-    except ParseError as e:
-        raise DomainError("%s: %s" % (path, e))
 
 
-def _load_join_tree(path: str) -> acyclic.JoinTree:
+def _parsed(path: str, parse):
+    """parse(the text of path), with the path named in its ValueError."""
+    text = _read(path)
     try:
-        return acyclic.JoinTree.from_text(Path(path).read_text())
-    except OSError as e:
-        raise DomainError("cannot read %s: %s" % (path, e))
+        return parse(text)
     except ValueError as e:
         raise DomainError("%s: %s" % (path, e))
 
 
-def _opened(path):
-    """path opened for writing text; stdout for None or "-"."""
+def _load(path: str, pad=False) -> Structure:
+    fmt = "json" if Path(path).suffix == ".json" else "text"
+    return _parsed(path, lambda text: parse_structure(text, fmt, pad))
+
+
+def _load_join_tree(path: str) -> acyclic.JoinTree:
+    return _parsed(path, acyclic.JoinTree.from_text)
+
+
+@contextlib.contextmanager
+def _output(path):
+    """path opened for writing text; stdout for None or "-".  A failed open,
+    write or close of path is a DomainError."""
     if path in (None, "-"):
-        return contextlib.nullcontext(sys.stdout)
+        yield sys.stdout
+        return
     try:
-        return open(path, "w")
+        with open(path, "w") as out:
+            yield out
     except OSError as e:
         raise DomainError("cannot write %s: %s" % (path, e))
 
 
 def _write(path, text):
-    with _opened(path) as out:
+    with _output(path) as out:
         out.write(text)
 
 
@@ -93,7 +104,7 @@ def cmd_refine(args):
     stopped = trace.stable_round == args.rounds   # the budget ended the run
     print("%s at round %d" % ("stopped" if stopped else "stable", trace.stable_round))
     if args.csv:
-        with _opened(args.csv) as out:
+        with _output(args.csv) as out:
             trace.write_csv(out)
     return 0
 
@@ -101,10 +112,7 @@ def cmd_refine(args):
 def cmd_distinguish(args):
     A = _load(args.a)
     B = _load(args.b)
-    try:
-        verdict = rcr_distinguishes(A, B)
-    except StructureError as e:
-        raise DomainError(str(e))
+    verdict = rcr_distinguishes(A, B)
     if verdict is None:
         print("indistinguishable")
     else:
@@ -136,10 +144,7 @@ def cmd_export(args):
             J = acyclic.gyo_join_tree(A)
             if J is None:
                 raise DomainError("structure is cyclic; no join tree exists")
-        try:
-            g, _ = representations.jtrep(A, J)
-        except ValueError as e:
-            raise DomainError(str(e))
+        g, _ = representations.jtrep(A, J)
     _write(args.output, g.to_dot())
     return 0
 
@@ -157,20 +162,17 @@ def cmd_gyo(args):
 def cmd_homcount(args):
     C = _load(args.c)
     A = _load(args.a)
-    try:
-        if args.brute:
-            print(homcount.hom_bruteforce(C, A))
-            return 0
-        if args.join_tree:
-            J = _load_join_tree(args.join_tree)
-        else:
-            J = acyclic.gyo_join_tree(C)
-            if J is None:
-                raise DomainError(
-                    "source structure is cyclic; pass --brute for exhaustive counting")
-        print(homcount.hom_acyclic(C, J, A))
-    except (ValueError, homcount.TooLargeError) as e:
-        raise DomainError(str(e))
+    if args.brute:
+        print(homcount.hom_bruteforce(C, A))
+        return 0
+    if args.join_tree:
+        J = _load_join_tree(args.join_tree)
+    else:
+        J = acyclic.gyo_join_tree(C)
+        if J is None:
+            raise DomainError(
+                "source structure is cyclic; pass --brute for exhaustive counting")
+    print(homcount.hom_acyclic(C, J, A))
     return 0
 
 
@@ -178,10 +180,7 @@ def cmd_game(args):
     A = _load(args.a)
     B = _load(args.b)
     rounds = game.default_round_bound(A, B) if args.rounds is None else args.rounds
-    try:
-        win, trace = game.spoiler_wins(A, B, rounds=rounds)
-    except game.GameError as e:
-        raise DomainError(str(e))
+    win, trace = game.spoiler_wins(A, B, rounds=rounds)
     if win:
         print("spoiler wins within %d rounds" % rounds)
         for rounds_left, rel in trace:
@@ -199,10 +198,7 @@ def cmd_synthesize(args):
     last = trace.stable_round   # later rounds repeat its partition
     i = last if args.round is None else min(args.round, last)
     color = int(trace.colors_at(i)[A.tuple_pos[args.tuple]])
-    try:
-        f = logic.synthesize_color_formula(trace, i, color)
-    except logic.SynthesisBudgetError as e:
-        raise DomainError(str(e))
+    f = logic.synthesize_color_formula(trace, i, color)
     _write(args.output, logic.to_sexp(f) + "\n")
     return 0
 
@@ -210,23 +206,16 @@ def cmd_synthesize(args):
 def cmd_eval(args):
     A = _load(args.structure)
     try:
-        f = logic.from_sexp(Path(args.formula).read_text())
-    except (OSError, logic.FormulaError) as e:
-        raise DomainError(str(e))
-    except RecursionError:
-        raise DomainError("formula nested too deeply")
-    assignment = {}
-    for item in args.assign or []:
-        if "=" not in item:
-            raise DomainError("bad assignment %r, expected VAR=ELEMENT" % item)
-        var, name = item.split("=", 1)
-        if name not in A.element_names:
-            raise DomainError("unknown element %r" % name)
-        assignment[var] = A.element_names.index(name)
-    try:
+        f = logic.from_sexp(_read(args.formula))
+        assignment = {}
+        for item in args.assign or []:
+            if "=" not in item:
+                raise DomainError("bad assignment %r, expected VAR=ELEMENT" % item)
+            var, name = item.split("=", 1)
+            if name not in A.element_names:
+                raise DomainError("unknown element %r" % name)
+            assignment[var] = A.element_names.index(name)
         print("true" if logic.evaluate(f, A, assignment) else "false")
-    except logic.FormulaError as e:
-        raise DomainError(str(e))
     except RecursionError:
         raise DomainError("formula nested too deeply")
     return 0
@@ -254,14 +243,11 @@ def tuple_counts(text):
 
 
 def cmd_gen(args):
-    try:
-        if args.acyclic:
-            A, _ = acyclic.random_acyclic(args.signature, args.nodes, args.seed)
-        else:
-            A = generate.random_structure(args.signature, args.elements,
-                                          args.tuples, args.seed)
-    except ValueError as e:   # too few elements, no nodes, or no distinct draw
-        raise DomainError(str(e))
+    if args.acyclic:
+        A, _ = acyclic.random_acyclic(args.signature, args.nodes, args.seed)
+    else:
+        A = generate.random_structure(args.signature, args.elements,
+                                      args.tuples, args.seed)
     _write(args.output, structure_to_json(A) + "\n" if args.json
            else serialize_structure(A))
     return 0
@@ -418,9 +404,22 @@ def _parser():
 def main(argv=None):
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
-    except DomainError as e:
+        try:
+            return args.func(args)
+        finally:   # error paths too: a failure is handled here, not at exit
+            sys.stdout.flush()
+    except (DomainError, ValueError, logic.SynthesisBudgetError) as e:
         print("error: %s" % e, file=sys.stderr)
+        return 1
+    except OSError as e:   # a write to stdout, or a report file of `check`
+        if e.filename is not None:
+            print("error: cannot write %s: %s" % (e.filename, e), file=sys.stderr)
+            return 1
+        if not isinstance(e, BrokenPipeError):   # a closed pipe is no error
+            print("error: cannot write stdout: %s" % e, file=sys.stderr)
+        # point stdout at devnull, so that the flush at exit cannot fail again
+        # (the SIGPIPE note in the documentation of the `signal` module)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -491,7 +491,7 @@ def parse_structure(text: str, fmt="text", pad_universe=False) -> Structure:
 def _parse_json(text, pad_universe):
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:   # deep nesting
         raise ParseError("invalid json: %s" % e)
     try:
         signature = Signature([(n, a) for n, a in doc["signature"]])

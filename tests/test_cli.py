@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from relcr import checks, fixtures
 from relcr.cli import REPRESENTATIONS, main
 from relcr.core import parse_structure, serialize_structure
 from test_kernel import directed_path
@@ -10,6 +15,7 @@ from test_representations import (per_edge_encodings, sig4_corpus,
                                   special_structures)
 
 FIX = Path(__file__).resolve().parent.parent / "fixtures"
+SRC = FIX.parent / "src"
 
 
 def run(capsys, *argv):
@@ -381,3 +387,171 @@ def test_deep_synthesis_is_an_error(tmp_path, capsys):
     code, _, err = run(capsys, "synthesize", str(path), "--tuple", "E,0")
     assert code == 1
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def run_process(*argv, buffered=True, **kwargs):
+    """`python -m relcr.cli argv` in a child process, with a real stdout."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.Popen([sys.executable, "-m", "relcr.cli", *argv],
+                            env=env, stderr=subprocess.PIPE, **kwargs)
+
+
+@pytest.mark.parametrize("buffered", [True, False])
+def test_closed_stdout_exits_1_quietly(buffered):
+    # the reader closes its end before the child writes a byte
+    child = run_process("refine", str(FIX / "A1.struct"), "--csv", "-",
+                        buffered=buffered, stdout=subprocess.PIPE)
+    child.stdout.close()
+    err = child.stderr.read().decode()
+    child.stderr.close()
+    assert child.wait() == 1
+    assert "Traceback" not in err and "Exception ignored" not in err, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "{bad}"],
+    ["eval", "{bad}", str(FIX / "A1.struct")],
+    ["homcount", str(FIX / "A1.struct"), str(FIX / "A1.struct"),
+     "--join-tree", "{bad}"],
+    ["export", str(FIX / "A1.struct"), "--rep", "jtrep", "--join-tree", "{bad}"],
+])
+def test_undecodable_input_is_an_error(tmp_path, capsys, argv):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes("signature: E/2\nE(\u00e9, 1)\n".encode("latin-1"))
+    code, out, err = run(capsys, *(a.format(bad=bad) for a in argv))
+    assert code == 1 and out == ""
+    assert err.startswith("error: cannot read %s: 'utf-8' codec " % bad), err
+    assert err.count("\n") == 1
+
+
+def test_missing_formula_file_is_an_error(tmp_path, capsys):
+    missing = tmp_path / "missing.sexp"
+    code, _, err = run(capsys, "eval", str(missing), str(FIX / "A1.struct"))
+    assert code == 1 and err.startswith("error: cannot read %s: " % missing)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv,target,buffered", [
+    (["refine", str(FIX / "A1.struct"), "--csv", "/dev/full"], "/dev/full", True),
+    (["export", str(FIX / "A1.struct"), "--rep", "grep", "-o", "/dev/full"],
+     "/dev/full", True),
+    (["gen", "--signature", "E/2", "-o", "/dev/full"], "/dev/full", True),
+    # the flush in main reports stdout before the exit, not after it
+    (["refine", str(FIX / "A1.struct"), "--csv", "/dev/full"], "stdout", True),
+] + [(argv, "stdout", buffered) for buffered in (True, False) for argv in (
+    ["validate", str(FIX / "A1.struct")],
+    ["refine", str(FIX / "A1.struct"), "--csv", "-"])])
+def test_a_failed_write_is_an_error(argv, target, buffered):
+    # /dev/full takes the open and fails every write with ENOSPC; an
+    # unbuffered stdout fails in the command, a buffered one at the flush
+    with open("/dev/full", "w") as full:
+        child = run_process(*argv, buffered=buffered, stdout=(
+            full if target == "stdout" else subprocess.DEVNULL))
+        err = child.communicate()[1].decode()
+    assert child.returncode == 1
+    assert err == "error: cannot write %s: [Errno 28] No space left on " \
+        "device\n" % target, err
+
+
+STRUCTURE_TEXTS = [p.read_text() for p in sorted(FIX.glob("*.struct"))] + [
+    p.read_text() for p in sorted((FIX / "malformed").iterdir())]
+TOKENS = ["(", ")", ",", "/", ":", "\n", "#", " ", "signature:", "universe:",
+          "E", "F", "R", "U", "x", "0", "1", "-1", "7", "99", "E/2", "R/3",
+          "E(1, 2)\n", "\u00e9", "\x00", "{", "}", "[", "]", '"', "null", "--",
+          "edge:", "node:", "(E,0)", "(R,0)", "(E,9)", "atom", "eq", "not",
+          "and", "geq", "vars", "guard", "y1", "y2"]
+JOIN_TREE_LINES = ["node: (E,0)", "node: (R,0)", "edge: (E,0) -- (E,1)",
+                   "edge: (E,1) -- (R,0)", "edge: (E,0) -- (E,0)",
+                   "edge: (F,0) -- (E,2)", "node: (E,-1)", "# comment", ""]
+FORMULA_PARTS = ["(atom E y1 y2)", "(atom R y1)", "(eq y1 y2)", "(not ",
+                 "(and ", "(geq 1 (vars y2) (guard E y1 y2) ", "(vars)",
+                 "(geq -1 (vars y2) (guard E y1 y2) ", "(guard R y1 y2 y3)",
+                 ")", ")", "(", "y3", "F"]
+
+
+@st.composite
+def spliced(draw, texts):
+    """One of texts, with tokens inserted and spans deleted."""
+    text = draw(st.sampled_from(texts))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        if draw(st.booleans()):
+            text = text[:at] + draw(st.sampled_from(TOKENS)) + text[at:]
+        else:
+            text = text[:at] + text[at + draw(st.integers(1, 8)):]
+    return text
+
+
+def json_containers(inner):
+    keys = st.sampled_from(["signature", "relations", "universe", "E", "R"])
+    return st.lists(inner, max_size=3) | st.dictionaries(keys, inner, max_size=3)
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 9) | st.sampled_from(
+        ["E", "R", "F", "a", "b", "1"]), json_containers, max_leaves=12)
+file_texts = st.one_of(
+    st.binary(max_size=80),
+    spliced(STRUCTURE_TEXTS).map(str.encode),
+    json_values.map(lambda v: json.dumps(v).encode()),
+    st.fixed_dictionaries({
+        "signature": st.sampled_from([[["E", 2]], [["E", 2], ["R", 3]],
+                                      [["E", "2"]], [["E", 0]], "E/2"]),
+        "relations": json_values}).map(lambda v: json.dumps(v).encode()),
+    st.lists(st.sampled_from(JOIN_TREE_LINES), max_size=5).map(
+        lambda lines: "\n".join(lines).encode()),
+    st.lists(st.sampled_from(FORMULA_PARTS), max_size=8).map(
+        lambda parts: "".join(parts).encode()),
+    spliced([" ".join(FORMULA_PARTS)]).map(str.encode))
+COMMANDS = [
+    ["validate", "{a}"],
+    ["validate", "{a}", "--pad-universe", "--json"],
+    ["refine", "{a}"],
+    ["refine", "{a}", "--rounds", "2", "--csv", "-"],
+    ["distinguish", "{a}", "{b}"],
+    ["gyo", "{a}"],
+    ["gyo", "{a}", "--dot"],
+    ["homcount", "{a}", "{b}"],
+    ["homcount", "{a}", "{b}", "--join-tree", "{t}"],
+    ["game", "{a}", "{b}"],
+    ["eval", "{f}", "{a}", "--assign", "y1=1", "--assign", "y2=2"],
+    ["eval", "{f}", "{a}"],
+    ["export", "{a}", "--rep", "jtrep", "--join-tree", "{t}"],
+    ["synthesize", "{a}", "--tuple", "E,0"],
+    ["synthesize", "{a}", "--tuple", "R,0", "--round", "1"],
+] + [["export", "{a}", "--rep", rep] for rep in REPRESENTATIONS]
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(COMMANDS), st.sampled_from([".struct", ".json"]),
+       file_texts, file_texts, file_texts, file_texts)
+def test_fuzzed_files_exit_0_1_or_2(tmp_path, capsys, argv, suffix, a, b, f, t):
+    # any file content ends in an answer, an error or a usage error, never in
+    # an escaped exception
+    files = {"a": tmp_path / ("a" + suffix), "b": tmp_path / "b.struct",
+             "f": tmp_path / "f.sexp", "t": tmp_path / "t.jt"}
+    for key, content in zip("abft", (a, b, f, t)):
+        files[key].write_bytes(content)
+    try:
+        code = main([arg.format(**files) for arg in argv])
+    except SystemExit as e:
+        code = e.code
+    capsys.readouterr()
+    assert code in (0, 1, 2)
+
+
+def test_unwritable_report_dir_is_an_error(tmp_path, capsys, monkeypatch):
+    # a failing check writes its counterexamples under --report-dir
+    failing = ("fails", lambda _: [("bad", [("a1", fixtures.a1())])],
+               lambda seed, cases: [], 5)
+    monkeypatch.setattr(checks, "CHECKS", [failing])
+    blocked = tmp_path / "file"
+    blocked.write_text("")
+    reports = blocked / "reports"
+    code, out, err = run(capsys, "check", "--report-dir", str(reports))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: cannot write %s: " % reports), err

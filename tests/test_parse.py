@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from relcr import cli, core, generate, rcr
+from relcr import cli, core, fixtures, generate, rcr
 from relcr.core import (Signature, Structure, disjoint_union, parse_structure,
                         serialize_structure, structure_to_json)
 from relcr.rcr import rcr_distinguishes, rcr_run
@@ -67,6 +67,14 @@ def test_malformed_json_fields_are_errors(tmp_path, capsys, text, message):
     path = tmp_path / "bad.json"
     path.write_text(text)
     assert validate(capsys, path) == (1, "", "error: %s: %s\n" % (path, message))
+
+
+def test_deeply_nested_json_is_an_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = validate(capsys, path)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: %s: invalid json: " % path), err
 
 
 SIG = Signature([("R", 3), ("E", 2), ("U", 1)])
@@ -190,3 +198,17 @@ def test_distinguish_builds_no_tuple_objects(tmp_path, capsys, monkeypatch):
     assert len(seen) == 3
     for S in seen:
         assert "tuple_refs" not in vars(S) and "relations" not in vars(S)
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "B1", "B2", "slice_example"])
+def test_fixture_files_equal_their_builders(name):
+    # ids differ (the builders of B1 and B2 declare a universe), so the
+    # structures are compared by signature and by facts over element names
+    def facts(A):
+        return {(rel, tuple(A.element_names[i] for i in vec))
+                for rel, vecs in A.relations.items() for vec in vecs}
+
+    built = getattr(fixtures, name.lower())()
+    parsed = parse_structure((MALFORMED.parent / (name + ".struct")).read_text())
+    assert parsed.signature == built.signature
+    assert facts(parsed) == facts(built)
