@@ -106,7 +106,7 @@ def gyo_join_tree(C: Structure) -> Optional[JoinTree]:
     with it goes, so a heap holds just those positions to test again."""
     refs = C.tuple_refs
     sets = [set(C.vector(r)) for r in refs]
-    holders = C.element_positions()
+    holders = C.element_positions
     count = [len(h) for h in holders]   # remaining holders per element
     alive = [True] * len(refs)
     todo = list(range(len(refs)))       # a heap
@@ -152,7 +152,7 @@ def validate_join_tree(C: Structure, J: JoinTree):
     for u, v in J.edges:
         for x in set(C.vector(u)) & set(C.vector(v)):
             inside[x] += 1
-    for x, positions in enumerate(C.element_positions()):
+    for x, positions in enumerate(C.element_positions):
         if positions and inside[x] != len(positions) - 1:
             return False, x
     return True, None

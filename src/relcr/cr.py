@@ -216,16 +216,15 @@ def _lambda_adjacency(G: ColoredMultigraph):
     Returns (src, dst, lam) arrays, one entry per ordered pair, sorted:
     lam[k] is a dense id of the set of (edge label, direction) tags on the
     pair, tag 2 * label for an edge src -> dst and 2 * label + 1 for one
-    dst -> src."""
+    dst -> src.  One sort of (src * n + dst, tag) rows, in any order."""
     apart = G.src != G.dst
     s, d, lab = G.src[apart], G.dst[apart], G.label[apart]
-    src, dst, tag = sorted_distinct(
-        (np.concatenate((s, d)), np.concatenate((d, s)),
+    pair, tag = sorted_distinct(
+        (np.concatenate((s * G.n + d, d * G.n + s)),
          np.concatenate((2 * lab, 2 * lab + 1))),
-        (G.n, G.n, 2 * len(G.label_names)))
-    head = np.ones(len(src), dtype=bool)
-    head[1:] = (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
-    return src[head], dst[head], _set_ids(np.flatnonzero(head), tag)
+        (G.n * G.n, 2 * len(G.label_names)))
+    head = np.flatnonzero(np.diff(pair, prepend=-1))
+    return (*np.divmod(pair[head], G.n), _set_ids(head, tag))
 
 
 def _base_colors(G: ColoredMultigraph):

@@ -293,8 +293,7 @@ class SynthesisContext:
         self.memo: dict = {}
         self._bases: dict = {}   # color -> color_base(color)
         # stp encodings over all overlapping pairs, each tuple with itself too
-        self.realized_taus = sorted({tau for near in trace.structure.overlaps()
-                                     for _, tau in near})
+        self.realized_taus = sorted(trace.structure.overlaps[3])
 
     def _tick(self, f):
         self.nodes += 1

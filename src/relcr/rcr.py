@@ -15,11 +15,11 @@ renames few tuples, a worklist that re-keys only the nodes next to a renamed
 node.  A class that splits keeps its name for its largest part, so a tuple is
 renamed at most log2 N times and the worklist's rounds cost O(N log N)
 together.  Small structures and tuples longer than KERNEL_MAX_ARITY go to that
-worklist alone, in pure Python, on the overlap graph.  reference_rounds, the
-oracle of the tests and of relcr check, interns each occurrence's multiset
-over all its overlaps every round, quadratic on hubs.  A run is kept as
-cr.Coloring keeps it: base classes and per-round changes.  rcr_compare, which
-rcr_distinguishes and sentence synthesis read, decides round 0 before an
+worklist alone, in pure Python, on the CSR lists of Structure.overlaps.  The
+oracle of the tests and of relcr check, reference_rounds, interns each tuple's
+multiset over all its overlaps every round, quadratic on hubs.  A run is kept
+as cr.Coloring keeps it: base classes and per-round changes.  rcr_compare,
+which rcr_distinguishes and sentence synthesis read, decides round 0 before an
 engine runs and stops it at the first round whose side histograms differ.
 """
 
@@ -44,7 +44,7 @@ from .cr import (_NONE, Coloring, SideCounts, _worklist_rounds,
 # k = 5 0.05 (50) against 0.06-0.08 (33), k = 6 0.25-0.29 (155) against
 # 0.07-0.11 (33); chained path k = 5 0.05 (50) against 0.05 (31), k = 6
 # 0.29-0.35 (157) against 0.03-0.05 (31); hub k = 4-6 0.01-0.36 (33-155)
-# against 2.3-3.2 (135-138).  The benchmark has no tuple longer than 3.
+# against 1.7-3.3 (75-80).  The benchmark has no tuple longer than 3.
 KERNEL_MAX_ARITY = 5
 class RefinementTrace(Coloring):
     """Per-round colors of an RCR run, with on-demand color decoding.
@@ -88,9 +88,10 @@ class RefinementTrace(Coloring):
                 key = ("base", *_base_key(A, A.vector(A.tuple_refs[k])))
             else:
                 cols = self.colors_at(i - 1)
-                key = ("step", *_step_key(int(cols[k]), [
-                    (tau, int(cols[b]))
-                    for b, tau in self.structure.overlaps()[k]]))
+                starts, other, label, taus = self.structure.overlaps
+                lo, hi = starts[k], starts[k + 1]
+                key = ("step", *_step_key(int(cols[k]), [(taus[t], int(cols[b]))
+                       for b, t in zip(other[lo:hi], label[lo:hi])]))
             self._keys[color] = key
         return key
 
@@ -119,7 +120,7 @@ def reference_rounds(A: Structure, max_rounds: Optional[int] = None):
     all its overlaps; the reference for kernel_rounds."""
     if max_rounds is None:
         max_rounds = A.size()  # the stable round index never exceeds |Tup|
-    overlaps = A.overlaps()
+    starts, other, label, taus = A.overlaps
     # each round interns its keys in a table of its own; ids continue from
     # the previous rounds, so that a color id names its round
     table: dict = {}
@@ -131,9 +132,9 @@ def reference_rounds(A: Structure, max_rounds: Optional[int] = None):
     for _ in range(max_rounds):
         prev = rounds[-1]
         table = {}
-        nxt = [table.setdefault(_step_key(own, [(tau, prev[b]) for b, tau in near]),
-                                next_id + len(table))
-               for own, near in zip(prev, overlaps)]
+        nxt = [table.setdefault(_step_key(own, [(taus[t], prev[b]) for b, t in zip(
+                   other[lo:hi], label[lo:hi])]), next_id + len(table))
+               for own, lo, hi in zip(prev, starts, starts[1:])]
         if len(table) == class_counts[-1]:
             break  # refinement: equal class count means equal partition
         rounds.append(nxt)
@@ -326,14 +327,11 @@ def _overlap_engine(A: Structure):
 
 def _overlap_rounds(A: Structure, names, count, max_rounds, stop=None):
     """The rounds of RCR on A from the round-0 classes names, a list, by
-    cr's worklist on the overlap graph (edge a -> b labelled stp(a, b)), in
-    lists: numpy's per-call cost would dominate on the small inputs this
-    serves.  Every tuple counts as renamed at round 0, so round 1 re-keys
-    each by its multiset over all its overlaps, as the worklist needs."""
-    near = A.overlaps()
-    starts = [0, *accumulate(map(len, near))]
-    other, taus = [b for bs in near for b, _ in bs], {}
-    label = [taus.setdefault(t, len(taus)) for bs in near for _, t in bs]
+    cr's worklist on the lists of A.overlaps as they are: numpy's per-call
+    cost would dominate on the small inputs this serves.  Every tuple counts
+    as renamed at round 0, so round 1 re-keys each by its multiset over all
+    its overlaps, as the worklist needs."""
+    starts, other, label, taus = A.overlaps
     log = [0], [count]
     _, moved, renamed = _worklist_rounds(
         [(starts, other, label)], [list(names)], list(range(len(names))),

@@ -101,7 +101,9 @@ def grep(A: Structure):
     right = ranges(np.repeat(starts, size), reach)
     nu, k = len(A.signature.symbols), A.signature.max_arity
     nw = A.size()
-    g = ColoredMultigraph(
+    # unsorted, as grep's and vgrep's rows are distinct by construction: one per
+    # ordered pair of entries, one per (tuple, slice, position pair) and direction
+    g = ColoredMultigraph.of_distinct(
         nw, _tuple_names(A), tup[left], tup[right],
         nu + pos[left] * k + pos[right],
         np.arange(nw), _tuple_relation(rels),
@@ -157,7 +159,7 @@ def vgrep(A: Structure):
                 first.setdefault(s, len(first))
         return first
 
-    g = ColoredMultigraph(
+    g = ColoredMultigraph.of_distinct(
         nw + nslices, _tuple_names(A),
         np.concatenate((w, v)), np.concatenate((v, w)), label,
         np.arange(nw), _tuple_relation(rels),

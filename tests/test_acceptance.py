@@ -194,10 +194,12 @@ def _connected(A):
     """Every tuple reaches every other through shared elements."""
     if A.size() == 0:
         return False
+    starts, other, _, _ = A.overlaps
     seen = {0}
     stack = [0]
     while stack:
-        for w, _ in A.overlaps()[stack.pop()]:
+        v = stack.pop()
+        for w in other[starts[v]:starts[v + 1]]:
             if w not in seen:
                 seen.add(w)
                 stack.append(w)

@@ -110,10 +110,12 @@ def test_random_acyclic_is_acyclic_and_connected():
             C, J = random_acyclic(sig, nodes, seed)
             assert validate_join_tree(C, J) == (True, None)
             assert gyo_join_tree(C) is not None
+            starts, other, _, _ = C.overlaps
             seen = {0}   # tuples reached through shared elements
             stack = [0]
             while stack:
-                for w, _ in C.overlaps()[stack.pop()]:
+                v = stack.pop()
+                for w in other[starts[v]:starts[v + 1]]:
                     if w not in seen:
                         seen.add(w)
                         stack.append(w)

@@ -173,12 +173,17 @@ def test_overlaps_match_a_pair_scan(fs, rnd):
     scan = [[(b, tuple(sorted(stp(va, vb))))
              for b, vb in enumerate(vecs) if set(va) & set(vb)]
             for va in vecs]
-    assert A.overlaps() == scan
-    assert A.overlaps() is A.overlaps()
+    starts, other, label, taus = A.overlaps
+    assert len(starts) == len(vecs) + 1 and starts[-1] == len(other) == len(label)
+    assert [[(b, taus[t]) for b, t in zip(other[lo:hi], label[lo:hi])]
+            for lo, hi in zip(starts, starts[1:])] == scan
+    # the similarity types, numbered by first occurrence over the rows
+    assert taus == list(dict.fromkeys(tau for near in scan for _, tau in near))
+    assert A.overlaps is A.overlaps
     assert A.metrics() == (len(vecs), sum(len(near) - 1 for near in scan))
     perm = list(range(A.n))
     rnd.shuffle(perm)
-    assert A.rename(perm).overlaps() == scan
+    assert A.rename(perm).overlaps == A.overlaps
 
 
 def test_synthesis_reuses_the_reference_overlaps(monkeypatch):
@@ -188,6 +193,6 @@ def test_synthesis_reuses_the_reference_overlaps(monkeypatch):
     monkeypatch.setattr(core, "stp", lambda a, b: calls.append(1) or stp(a, b))
     ctx = logic.SynthesisContext(res.trace)
     assert not calls   # the lists the overlap worklist built, not new ones
-    assert ctx.realized_taus == sorted({tau for near in U.overlaps()
-                                        for _, tau in near})
-    assert ctx.trace.structure.overlaps() is U.overlaps()
+    _, _, label, taus = U.overlaps
+    assert ctx.realized_taus == sorted(taus) == sorted({taus[t] for t in label})
+    assert ctx.trace.structure.overlaps is U.overlaps

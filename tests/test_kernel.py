@@ -10,7 +10,7 @@ import functools
 import random
 
 import numpy as np
-from hash_outputs import six_ary
+from hash_outputs import hub, rewired, six_ary
 from test_acceptance import _random_sig4
 
 from relcr import (checks, cli, cr, fixtures, generate, logic, rcr,
@@ -70,16 +70,6 @@ def per_node_base_colors(G):
     return colors, len(table)
 
 
-def hub(n, seed=0):
-    """n facts on one element h: E(h, leaf) and R(h, leaf, leaf), leaves
-    drawn from a pool of n."""
-    rng = random.Random(seed)
-    leaf = lambda: "l%d" % rng.randrange(n)  # noqa: E731
-    facts = [("E", ("h", leaf())) for _ in range(n // 2)]
-    facts += [("R", ("h", leaf(), leaf())) for _ in range(n - n // 2)]
-    return Structure.from_named(Signature([("R", 3), ("E", 2)]), facts)
-
-
 def directed_path(k, cycle=0):
     """k E facts: a directed path of k - cycle edges and, on fresh elements,
     a directed cycle of `cycle` edges."""
@@ -109,22 +99,6 @@ def matching_with_path(k, path):
     return Structure.from_named(Signature([("E", 2)]), facts)
 
 
-def rewired(seed):
-    """A random structure of 20 R and 20 E facts, and a copy in which one E
-    fact (x, y), x != y, becomes (x, z) for another element z."""
-    sig = Signature([("R", 3), ("E", 2)])
-    A = generate.random_structure(sig, 20, {"R": 20, "E": 20}, seed)
-    facts = [(r.relation, tuple(A.element_names[x] for x in A.vector(r)))
-             for r in A.tuple_refs]
-    rng = random.Random(seed)
-    k = rng.choice([k for k, (rel, (x, *y)) in enumerate(facts)
-                    if rel == "E" and y != [x]])
-    x, y = facts[k][1]
-    facts[k] = ("E", (x, rng.choice([z for z in A.element_names if z not in (x, y)
-                                     and ("E", (x, z)) not in facts])))
-    return A, Structure.from_named(sig, facts)
-
-
 def handover_cases():
     """Structures on which kernel_rounds hands over to the worklist after
     one or more refine_step rounds, and the worklist still splits: a path
@@ -148,7 +122,7 @@ def with_reference():
     rounds), each with its reference_rounds."""
     sig = Signature([("R", 3), ("E", 2)])
     wide = generate.random_structure(sig, 3000, {"R": 1000, "E": 1000}, 3)
-    cases = (corpus() + [hub(300), hub(300, 1), wide, matching_with_path(
+    cases = (corpus() + [hub(300, 0), hub(300, 1), wide, matching_with_path(
         1000, 100)] + handover_cases() + [directed_path(2100)])
     return [(A, reference_rounds(A)) for A in cases]
 
@@ -305,7 +279,7 @@ def test_cr_run_ids_equal_per_node_loop():
     # than 512 nodes cr_run re-keys only the nodes next to a split, then
     # hands over to the worklist
     graphs = []
-    for A in corpus()[:120] + [hub(300), directed_path(40), directed_path(300),
+    for A in corpus()[:120] + [hub(300, 0), directed_path(40), directed_path(300),
                                directed_path(400, cycle=100)]:
         graphs.append(representations.vgrep(A)[0])
         graphs.append(representations.grep(A)[0])
@@ -425,7 +399,7 @@ def test_rcr_run_picks_the_engine_by_size_and_arity(monkeypatch, tmp_path,
     small = directed_path(12), directed_path(12, cycle=3)
     kernel = directed_path(70), directed_path(70, cycle=10)
     wide = chain, chain.rename(list(reversed(range(chain.n))))
-    for A in (small[0], hub(100), chain):
+    for A in (small[0], hub(100, 0), chain):
         rcr.rcr_run(A)
     assert used == ["_overlap_rounds", "_slice_rounds", "_overlap_rounds"]
     used.clear()

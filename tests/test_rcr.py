@@ -3,7 +3,8 @@ import random
 from collections import Counter
 
 import pytest
-from test_kernel import directed_path, rewired
+from hash_outputs import rewired
+from test_kernel import directed_path
 
 from relcr import fixtures, generate, rcr
 from relcr.checks import published_rounds
@@ -149,6 +150,24 @@ def test_compare_of_unequal_sizes_builds_no_slice(monkeypatch):
     res = rcr_compare(A, B)
     assert res.round == res.trace.stable_round == 0
     assert list(res.trace.colors_at(0)) == list(want)
+
+
+def test_overlap_rounds_hand_the_overlap_lists_over_as_they_are(monkeypatch):
+    A = fixtures.a1()   # 7 tuples: the overlap worklist
+    handed = []
+    worklist = rcr._worklist_rounds
+
+    def spy(steps, names, moved, nlabels, *rest):
+        handed.append((steps, nlabels))
+        return worklist(steps, names, moved, nlabels, *rest)
+
+    monkeypatch.setattr(rcr, "_worklist_rounds", spy)
+    t = rcr_run(A)
+    starts, other, label, taus = A.overlaps
+    [([step], nlabels)] = handed
+    assert step[0] is starts and step[1] is other and step[2] is label
+    assert nlabels == len(taus)
+    assert published_rounds(t) == rcr.reference_rounds(A)
 
 
 def test_round_of_color_decoding():

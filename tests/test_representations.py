@@ -37,9 +37,11 @@ def per_edge_grep(A):
     b = PerEdge(len(refs))
     for k, ref in enumerate(refs):
         b.add_label(k, unary_label(ref.relation))
-    for a, near in enumerate(A.overlaps()):
-        for bb, tau in near:
-            for (i, j) in tau:
+    starts, other, label, taus = A.overlaps
+    for a in range(len(refs)):
+        for bb, t in zip(other[starts[a]:starts[a + 1]],
+                         label[starts[a]:starts[a + 1]]):
+            for (i, j) in taus[t]:
                 b.add_edge(overlap_label(i, j), a, bb)
     return b.build(["w%s" % (v,) for v in vecs]), {r: k for k, r in enumerate(refs)}
 
