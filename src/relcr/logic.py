@@ -8,13 +8,16 @@ variable tuple satisfy guard and body.  The guard is an atom covering the
 free variables of the body and the quantified variables; the quantified
 tuple is duplicate-free and ordered by the global variable order.
 
-Formulas are shared DAGs: subformulas may have several parents, and both
-check_wf and evaluate cache by node identity, so synthesized formulas stay
-tractable even though their tree expansion is exponential.
+Formulas are shared DAGs: subformulas may have several parents.  check_wf
+visits each node once, with an explicit stack, and evaluate checks a formula
+once and evaluates each node once per values of its free variables, its
+caches keyed by the node objects; so synthesized formulas stay tractable
+even though their tree expansion is exponential.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from typing import Optional, Sequence
 
@@ -106,6 +109,7 @@ def exactly(n: int, vars, guard, body) -> Formula:
 _VAR_RE = re.compile(r"^([A-Za-z_]+?)(\d+)(p?)$")
 
 
+@functools.lru_cache(maxsize=1 << 16)
 def var_sort_key(name: str):
     """Global variable order; numbered variables sort by number with the
     primed partner right after its base."""
@@ -122,127 +126,207 @@ def complement_var(name: str) -> str:
 
 def check_wf(f: Formula, signature=None, memo: Optional[dict] = None):
     """Returns (free variables, guard depth); raises FormulaError on any
-    violation of the guard or variable-tuple rules.  Results are cached by
-    node identity in `memo`; a caller that checks many subformulas of one
-    formula passes the same dict, and the same signature, each time."""
+    violation of the guard or variable-tuple rules.
+
+    One depth-first pass with an explicit stack, so nesting depth is bounded
+    by memory only; errors are raised in the order a left-to-right recursive
+    walk meets them.  `memo` maps each checked node to (free variables,
+    guard depth, the free variables as a sorted tuple); a caller that checks
+    many subformulas of one formula passes the same dict, and the same
+    signature, each time."""
     if memo is None:
         memo = {}
-
-    def walk(g) -> tuple:
-        got = memo.get(id(g))
-        if got is not None:
-            return got
+    stack = [f]
+    entered = set()   # inner nodes whose children are on the stack
+    while stack:
+        g = stack.pop()
+        try:
+            if g in memo:
+                continue
+        except TypeError:   # unhashable, so no formula node
+            raise FormulaError("unknown formula node %r" % (g,)) from None
+        if g in entered:   # every child is checked
+            try:
+                if isinstance(g, And):
+                    memo[g] = _union(memo[g.left], memo[g.right])
+                elif isinstance(g, Not):
+                    memo[g] = memo[g.sub]
+                else:
+                    memo[g] = _count_wf(g, memo[g.guard][0], memo[g.body])
+            except KeyError:   # a child that is its own ancestor
+                raise FormulaError("cyclic formula") from None
+            continue
         if isinstance(g, Atom):
             if signature is not None:
                 if g.rel not in signature.arity:
                     raise FormulaError("unknown relation symbol %s" % g.rel)
                 if signature.arity[g.rel] != len(g.vars):
                     raise FormulaError("arity mismatch in atom %s" % g.rel)
-            out = (frozenset(g.vars), 0)
-        elif isinstance(g, Equality):
-            out = (frozenset((g.x, g.y)), 0)
+            memo[g] = _leaf(g.vars)
+            continue
+        if isinstance(g, Equality):
+            memo[g] = _leaf((g.x, g.y))
+            continue
+        if isinstance(g, And):
+            children = (g.right, g.left)
         elif isinstance(g, Not):
-            out = walk(g.sub)
-        elif isinstance(g, And):
-            free: frozenset = frozenset()
-            gd = 0
-            for part in iter_conjuncts(g):
-                f2, g2 = walk(part)
-                free |= f2
-                gd = max(gd, g2)
-            out = (free, gd)
+            children = (g.sub,)
         elif isinstance(g, CountExists):
             if g.n < 1:
                 raise FormulaError("count must be >= 1")
             if not isinstance(g.guard, Atom):
                 raise FormulaError("guard must be an atom")
-            gfree, _ = walk(g.guard)
-            bfree, bgd = walk(g.body)
-            vs = g.vars
-            if len(set(vs)) != len(vs):
-                raise FormulaError("duplicate quantified variable")
-            if list(vs) != sorted(vs, key=var_sort_key):
-                raise FormulaError("quantified variables out of order")
-            if not set(vs) <= gfree:
-                raise FormulaError("quantified variables not covered by guard")
-            if not bfree <= gfree:
-                raise FormulaError("body variable outside the guard")
-            out = (gfree - set(vs), bgd + 1)
+            children = (g.body, g.guard)
         else:
             raise FormulaError("unknown formula node %r" % (g,))
-        memo[id(g)] = out
-        return out
+        entered.add(g)
+        stack.append(g)
+        stack += children
+    return memo[f][:2]
 
-    return walk(f)
+
+@functools.lru_cache(maxsize=1 << 12)
+def _leaf(vars: tuple) -> tuple:
+    free = frozenset(vars)
+    return free, 0, tuple(sorted(free))
+
+
+def _union(left: tuple, right: tuple) -> tuple:
+    depth = left[1] if left[1] >= right[1] else right[1]
+    if right[0] <= left[0]:
+        return left[0], depth, left[2]
+    if left[0] <= right[0]:
+        return right[0], depth, right[2]
+    free = left[0] | right[0]
+    return free, depth, tuple(sorted(free))
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def _tuple_fault(vs: tuple) -> Optional[str]:
+    """What is wrong with a quantified variable tuple, if anything."""
+    if len(set(vs)) != len(vs):
+        return "duplicate quantified variable"
+    if list(vs) != sorted(vs, key=var_sort_key):
+        return "quantified variables out of order"
+    return None
+
+
+def _count_wf(g: CountExists, gfree: frozenset, body: tuple) -> tuple:
+    fault = _tuple_fault(g.vars)
+    if fault:
+        raise FormulaError(fault)
+    if not gfree.issuperset(g.vars):
+        raise FormulaError("quantified variables not covered by guard")
+    if not body[0] <= gfree:
+        raise FormulaError("body variable outside the guard")
+    free = gfree.difference(g.vars)
+    return free, body[1] + 1, tuple(sorted(free))
 
 
 class Evaluator:
-    """Model checking with a per-(node, relevant assignment) cache."""
+    """Model checking of well-formed formulas on one structure.
+
+    Every cache key that names a node holds the node object, which keeps it
+    alive, so one Evaluator may serve many formulas.  `wf` is check_wf's memo: a formula
+    is checked once, on its first `holds`, and each node's sorted tuple of
+    free variables picks the values its result is cached under.  Atoms,
+    equalities and negations are not cached.  A conjunction is cached per
+    node and values of its free variables.  A count is cached per (guard,
+    body, quantified variables) and values of the variables bound outside
+    it, so both halves of an `exactly` share it.  The candidate values of a
+    quantified tuple come from an index of the guard relation's rows, one
+    per guard pattern, built on first use."""
 
     def __init__(self, A: Structure):
         self.A = A
-        self.cache: dict = {}
-        self.wf: dict = {}   # check_wf's memo, shared by all nodes
+        self.wf: dict = {}      # node -> (free, depth, sorted free tuple)
+        self.cache: dict = {}   # And or CountExists node -> its plan
+        self.counts: dict = {}  # (rel, guard vars, vars, body) -> {values: count}
+        self.rows: dict = {}    # (rel, guard vars, vars) -> {values: candidates}
 
     def holds(self, f: Formula, assignment: dict) -> bool:
-        free, _ = check_wf(f, memo=self.wf)
-        key = (id(f), tuple(sorted((v, assignment[v]) for v in free)))
-        got = self.cache.get(key)
+        if f not in self.wf:
+            check_wf(f, memo=self.wf)
+        return self._holds(f, assignment)
+
+    def _holds(self, f, a) -> bool:
+        if isinstance(f, Atom):
+            return self.A.holds(f.rel, [a[v] for v in f.vars])
+        if isinstance(f, Equality):
+            return a[f.x] == a[f.y]
+        if isinstance(f, Not):
+            return not self._holds(f.sub, a)
+        plan = self.cache.get(f) or self._plan(f)
+        order, results, parts = plan
+        key = tuple([a[v] for v in order])
+        got = results.get(key)
+        if isinstance(f, And):
+            if got is None:
+                for part in parts:
+                    if not self._holds(part, a):
+                        got = False
+                        break
+                else:
+                    got = True
+                results[key] = got
+            return got
+        if got is None:
+            names, candidates = parts
+            got = 0
+            for vals in candidates.get(key, ()):
+                if self._holds(f.body, dict(zip(names, key + vals))):
+                    got += 1
+            results[key] = got
+        return got >= f.n
+
+    def _plan(self, f) -> tuple:
+        """(free variables, results, conjuncts) of a conjunction, or
+        (outer variables, counts, (guard variables, candidates)) of a
+        count."""
+        order = self.wf[f][2]
+        if isinstance(f, And):
+            plan = (order, {}, tuple(iter_conjuncts(f)))
+        else:
+            g = f.guard
+            plan = (order,
+                    self.counts.setdefault((g.rel, g.vars, f.vars, f.body), {}),
+                    (order + f.vars, self._candidates(g, order, f.vars)))
+        self.cache[f] = plan
+        return plan
+
+    def _candidates(self, g: Atom, outer: tuple, vars: tuple) -> dict:
+        """Values of the outer variables -> the distinct values of the
+        quantified tuple over the guard rows that agree with them."""
+        key = (g.rel, g.vars, vars)
+        got = self.rows.get(key)
         if got is not None:
             return got
-        out = self._eval(f, assignment)
-        self.cache[key] = out
-        return out
-
-    def _eval(self, f, assignment):
-        A = self.A
-        if isinstance(f, Atom):
-            return A.holds(f.rel, tuple(assignment[v] for v in f.vars))
-        if isinstance(f, Equality):
-            return assignment[f.x] == assignment[f.y]
-        if isinstance(f, Not):
-            return not self.holds(f.sub, assignment)
-        if isinstance(f, And):
-            return all(self.holds(p, assignment) for p in iter_conjuncts(f))
-        if isinstance(f, CountExists):
-            return self._count(f, assignment) >= f.n
-        raise FormulaError("unknown formula node %r" % (f,))
-
-    def _count(self, f: CountExists, assignment):
-        """Number of distinct quantified-tuple values satisfying guard and
-        body; candidates are read off the guard relation."""
-        g = f.guard
-        quantified = set(f.vars)
-        candidates = set()
+        first: dict = {}
+        repeats = []
+        for p, v in enumerate(g.vars):
+            if v in first:
+                repeats.append((p, first[v]))
+            else:
+                first[v] = p
+        outer_at = [first[v] for v in outer]
+        vars_at = [first[v] for v in vars]
+        index: dict = {}
         for row in self.A.relations[g.rel]:
-            binding: dict = {}
-            ok = True
-            for var, val in zip(g.vars, row):
-                if var in quantified:
-                    if binding.setdefault(var, val) != val:
-                        ok = False
-                        break
-                elif assignment[var] != val:
-                    ok = False
-                    break
-            if ok:
-                candidates.add(tuple(binding[v] for v in f.vars))
-        count = 0
-        for vals in candidates:
-            ext = dict(assignment)
-            ext.update(zip(f.vars, vals))
-            if self.holds(f.body, ext):
-                count += 1
-        return count
+            if all(row[p] == row[q] for p, q in repeats):
+                index.setdefault(tuple([row[p] for p in outer_at]), {})[
+                    tuple([row[p] for p in vars_at])] = None
+        got = self.rows[key] = {o: tuple(vals) for o, vals in index.items()}
+        return got
 
 
 def evaluate(f: Formula, A: Structure, assignment: Optional[dict] = None) -> bool:
-    free, _ = check_wf(f, A.signature)
+    ev = Evaluator(A)
+    free, _ = check_wf(f, A.signature, ev.wf)
     assignment = dict(assignment or {})
     missing = free - set(assignment)
     if missing:
         raise FormulaError("unassigned free variables: %s" % sorted(missing))
-    return Evaluator(A).holds(f, assignment)
+    return ev._holds(f, assignment)
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +378,12 @@ class SynthesisContext:
         self._bases: dict = {}   # color -> color_base(color)
         # stp encodings over all overlapping pairs, each tuple with itself too
         self.realized_taus = sorted(trace.structure.overlaps[3])
+        # per tau: the largest left and right positions, its pairs as a set,
+        # and its left/right/center decomposition
+        self._tau_parts = [
+            (tau, max((j for j, _ in tau), default=0),
+             max((jp for _, jp in tau), default=0), frozenset(tau))
+            + _left_right_center(tau) for tau in self.realized_taus]
 
     def _tick(self, f):
         self.nodes += 1
@@ -371,20 +461,22 @@ class SynthesisContext:
         mult: dict = {}
         for tau, d in mset:
             mult[(tau, d)] = mult.get((tau, d), 0) + 1
+        mult_of: dict = {}   # d -> [(pairs of tau, multiplicity)]
+        for (tau, d), m in mult.items():
+            mult_of.setdefault(d, []).append((frozenset(tau), m))
         for d in prev_colors:
             ell = self.color_arity(d)
             d_stp = set(self.color_stp(d))
             d_atp = self.color_atp(d)
-            for tau in self.realized_taus:
-                if any(j > k or jp > ell for (j, jp) in tau):
+            d_mult = mult_of.get(d, ())
+            for tau, top, top_p, pairs, left, right, center in self._tau_parts:
+                if top > k or top_p > ell:
                     continue
-                left, right, center = _left_right_center(tau)
                 if not (left <= own_stp and right <= d_stp):
                     continue  # cumulative count is zero on every tuple
                 # mult counts occurrences; the formula counts vectors, and a
                 # vector of color d occurs once per relation of its atp
-                occ = sum(m for (t2, d2), m in mult.items()
-                          if d2 == d and set(t2) >= set(tau))
+                occ = sum(m for pairs2, m in d_mult if pairs2 >= pairs)
                 assert occ % len(d_atp) == 0
                 n = occ // len(d_atp)
                 parts.append(self._count_formula(

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from relcr import fixtures, generate, logic
@@ -185,3 +188,192 @@ def test_deep_sentence_exceeds_the_budget():
                                 for i in range(3)])
     with pytest.raises(logic.SynthesisBudgetError):
         logic.distinguishing_sentence(A, B)
+
+
+def test_evaluator_reused_across_fresh_formulas():
+    # each formula is freed before the next is built, so a cache keyed by
+    # id() would answer for a dead node whose id is reused
+    ev = logic.Evaluator(tiny())
+    wrong = 0
+    for k in range(200):
+        atom = Atom("E", ("y1", "y2"))
+        f = atom if k % 2 == 0 else Not(atom)
+        wrong += ev.holds(f, {"y1": 0, "y2": 1}) != (k % 2 == 0)
+    assert wrong == 0
+
+
+def brute_holds(f, A, a) -> bool:
+    """Reference semantics: a count tries every value of its quantified
+    tuple, not only the guard's rows."""
+    if isinstance(f, Atom):
+        return A.holds(f.rel, tuple(a[v] for v in f.vars))
+    if isinstance(f, Equality):
+        return a[f.x] == a[f.y]
+    if isinstance(f, Not):
+        return not brute_holds(f.sub, A, a)
+    if isinstance(f, And):
+        return brute_holds(f.left, A, a) and brute_holds(f.right, A, a)
+    count = 0
+    for vals in itertools.product(range(A.n), repeat=len(f.vars)):
+        b = dict(a, **dict(zip(f.vars, vals)))
+        count += brute_holds(f.guard, A, b) and brute_holds(f.body, A, b)
+    return count >= f.n
+
+
+POOL = ("y1", "y2", "y3", "y4")
+
+
+def random_formula(rng, scope, depth):
+    """A well-formed formula with free variables in `scope`: guards repeat
+    variables and take some from outside, counts come as `exactly` pairs
+    (shared guard and body) and under negation."""
+    kind = rng.choice(["atom", "eq", "not", "and", "count", "count"]
+                      if depth else ["atom", "eq"])
+    if kind == "atom":
+        rel = rng.choice(["R", "E"])
+        return Atom(rel, [rng.choice(scope) for _ in range(SIG.arity[rel])])
+    if kind == "eq":
+        return Equality(rng.choice(scope), rng.choice(scope))
+    if kind == "not":
+        return Not(random_formula(rng, scope, depth - 1))
+    if kind == "and":
+        return And(random_formula(rng, scope, depth - 1),
+                   random_formula(rng, scope, depth - 1))
+    rel = rng.choice(["R", "E"])
+    bound = rng.sample(POOL, rng.randint(1, 2))   # may shadow outer names
+    guard = Atom(rel, [rng.choice(bound) if rng.random() < 0.6
+                       else rng.choice(scope) for _ in range(SIG.arity[rel])])
+    vs = tuple(sorted(set(bound) & set(guard.vars), key=var_sort_key))
+    inner = tuple(dict.fromkeys(guard.vars))
+    body = random_formula(rng, inner, depth - 1)
+    n = rng.randint(0 if rng.random() < 0.5 else 1, 3)
+    if n == 0 or rng.random() < 0.5:
+        return exactly(n, vs, guard, body)
+    f = CountExists(n, vs, guard, body)
+    if rng.random() < 0.3:   # the same guard and variables, another body
+        twin = random_formula(rng, inner, depth - 1)
+        return And(f, CountExists(n, vs, Atom(rel, guard.vars), twin))
+    return Not(f) if rng.random() < 0.3 else f
+
+
+def test_evaluate_matches_brute_force():
+    rng = random.Random(18)
+    tried = 0
+    for seed in range(60):
+        A = generate.random_structure(SIG, rng.randint(3, 4),
+                                      {"R": rng.randint(1, 5),
+                                       "E": rng.randint(1, 6)}, seed)
+        for _ in range(10):
+            f = random_formula(rng, ("y1", "y2"), rng.randint(1, 4))
+            check_wf(f, SIG)
+            for x, y in itertools.product(range(A.n), repeat=2):
+                a = {"y1": x, "y2": y}
+                assert evaluate(f, A, a) == brute_holds(f, A, a), to_sexp(f)
+                tried += 1
+    assert tried > 2000
+
+
+def test_check_wf_deep_negation_chain():
+    f = Atom("E", ("y1", "y2"))
+    for _ in range(10 ** 4):
+        f = Not(f)
+    assert check_wf(f, SIG) == ({"y1", "y2"}, 0)
+
+
+def test_check_wf_deep_nested_counts():
+    f = Atom("E", ("y1", "y2"))
+    for _ in range(2000):
+        f = CountExists(1, ("y2",), Atom("E", ("y1", "y2")), f)
+    assert check_wf(f, SIG) == ({"y1"}, 2000)
+
+
+def test_check_wf_rejects_a_cyclic_formula():
+    f = Not(Atom("E", ("y1", "y2")))
+    f.sub = And(Atom("E", ("y1", "y2")), f)
+    with pytest.raises(FormulaError, match="cyclic"):
+        check_wf(f)
+
+
+def reference_check(f, signature):
+    """A recursive walk in the order check_wf must raise its errors."""
+    if isinstance(f, Atom):
+        if f.rel not in signature.arity:
+            raise FormulaError("unknown relation symbol %s" % f.rel)
+        if signature.arity[f.rel] != len(f.vars):
+            raise FormulaError("arity mismatch in atom %s" % f.rel)
+        return frozenset(f.vars), 0
+    if isinstance(f, Equality):
+        return frozenset((f.x, f.y)), 0
+    if isinstance(f, Not):
+        return reference_check(f.sub, signature)
+    if isinstance(f, And):
+        lf, ld = reference_check(f.left, signature)
+        rf, rd = reference_check(f.right, signature)
+        return lf | rf, max(ld, rd)
+    if not isinstance(f, CountExists):
+        raise FormulaError("unknown formula node %r" % (f,))
+    if f.n < 1:
+        raise FormulaError("count must be >= 1")
+    if not isinstance(f.guard, Atom):
+        raise FormulaError("guard must be an atom")
+    gfree, _ = reference_check(f.guard, signature)
+    bfree, depth = reference_check(f.body, signature)
+    vs = f.vars
+    if len(set(vs)) != len(vs):
+        raise FormulaError("duplicate quantified variable")
+    if list(vs) != sorted(vs, key=var_sort_key):
+        raise FormulaError("quantified variables out of order")
+    if not set(vs) <= gfree:
+        raise FormulaError("quantified variables not covered by guard")
+    if not bfree <= gfree:
+        raise FormulaError("body variable outside the guard")
+    return gfree - set(vs), depth + 1
+
+
+def random_faulty_formula(rng, depth):
+    """Formulas that may break any rule, several at once, sharing nodes."""
+    kind = rng.choice(["atom", "eq", "not", "and", "and", "count"]
+                      if depth else ["atom"] * 8 + ["eq"] * 7 + ["junk"])
+    if kind == "junk":
+        return rng.choice(["junk", ["junk"]])
+    if kind == "atom":
+        rel = rng.choice(["R", "E", "E", "Z"])
+        return Atom(rel, rng.choices(POOL, k=rng.choice([1, 2, 2, 3])))
+    if kind == "eq":
+        return Equality(*rng.choices(POOL, k=2))
+    if kind == "not":
+        return Not(random_faulty_formula(rng, depth - 1))
+    if kind == "and":
+        left = random_faulty_formula(rng, depth - 1)
+        return And(left, left if rng.random() < 0.2
+                   else random_faulty_formula(rng, depth - 1))
+    guard = (random_faulty_formula(rng, 0) if rng.random() < 0.9
+             else Not(Atom("E", ("y1", "y2"))))
+    vs = rng.choices(POOL, k=rng.randint(0, 3))
+    if rng.random() < 0.6:
+        vs = sorted(set(vs), key=var_sort_key)
+    return CountExists(rng.choice([0, 1, 1, 2]), vs, guard,
+                       random_faulty_formula(rng, depth - 1))
+
+
+def test_check_wf_raises_in_recursive_order():
+    rng = random.Random(5)
+    faults = set()
+    for _ in range(3000):
+        f = random_faulty_formula(rng, rng.randint(1, 5))
+        try:
+            want = reference_check(f, SIG)
+        except FormulaError as e:
+            faults.add(str(e))
+            with pytest.raises(FormulaError) as got:
+                check_wf(f, SIG)
+            assert str(got.value) == str(e)
+        else:
+            assert check_wf(f, SIG) == want
+    assert faults >= {
+        "count must be >= 1", "guard must be an atom",
+        "unknown formula node 'junk'", "unknown formula node ['junk']",
+        "unknown relation symbol Z", "arity mismatch in atom E",
+        "duplicate quantified variable", "quantified variables out of order",
+        "quantified variables not covered by guard",
+        "body variable outside the guard"}

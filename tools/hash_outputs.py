@@ -41,6 +41,9 @@ relabelled, shuffled copy):
               name of the error raised) of each pair of at most 12 tuples
               a side, and of 12 pairs of 40 tuples a side, one E fact
               moved, that the kernel tells apart at round 1
+  eval        `relcr eval` of each of those sentences' s-expressions on
+              both sides of its pair, and the exit code and stderr of
+              `relcr eval` on one ill-formed formula per rule of check_wf
 
 With -v it prints one hash per section as well.
 """
@@ -70,6 +73,18 @@ GAME_MAX_TUPLES = 12
 ACYCLIC_SIGNATURES = ("R/3,E/2", "E/2,F/2,R/3", "P/5,E/2,F/2,R/3", "U/1,V/1,E/2")
 # seed 2 gives up on U/1,V/1,E/2 at 8 nodes
 ACYCLIC_SEEDS = (0, 1, 3, 4, 5, 7)
+# one formula per well-formedness rule, each breaking only that rule, for
+# the E/2, R/6 signature of fixtures/A1.struct
+ILL_FORMED = (
+    ("zero-count", "(geq 0 (vars y1) (guard E y1 y1) (eq y1 y1))"),
+    ("unguarded-body", "(geq 1 (vars y1 y2) (guard E y1 y2) (atom E y3 y2))"),
+    ("uncovered-variable", "(geq 1 (vars y1 y2 y3) (guard E y1 y2) (eq y1 y2))"),
+    ("duplicate-variable", "(geq 1 (vars y1 y1) (guard E y1 y1) (eq y1 y1))"),
+    ("unordered-variables", "(geq 1 (vars y2 y1) (guard E y1 y2) (eq y1 y2))"),
+    ("unknown-relation", "(geq 1 (vars y1) (guard Z y1) (eq y1 y1))"),
+    ("arity-mismatch", "(geq 1 (vars y1 y2 y3) (guard E y1 y2 y3) (eq y1 y2))"),
+    ("unassigned-variable", "(and (atom E y1 y2) (eq y1 y2))"),
+)
 
 
 def hub(n, seed):
@@ -275,7 +290,7 @@ def sections(work):
 
     out = {k: hashlib.sha256() for k in (
         "refine", "export", "cr-ids", "rcr-ids", "distinguish", "game",
-        "homcount", "overlaps", "parse", "acyclic", "sentence")}
+        "homcount", "overlaps", "parse", "acyclic", "sentence", "eval")}
     csv = work / "trace.csv"
     for name, A in singles:
         f = str(files[name])
@@ -342,8 +357,22 @@ def sections(work):
                 out["acyclic"].update(J.to_text().encode())
     small = [(A, B) for _, A, B in pairs
              if max(A.size(), B.size()) <= GAME_MAX_TUPLES]
-    for A, B in small + [rewired(s) for s in range(12)]:
-        out["sentence"].update(sentence(A, B).encode())
+    for k, (A, B) in enumerate(small + [rewired(s) for s in range(12)]):
+        text = sentence(A, B)
+        out["sentence"].update(text.encode())
+        if not text.startswith("("):
+            continue
+        f = work / ("sentence-%d.sexp" % k)
+        f.write_text(text.split("\n")[0] + "\n")
+        for side, S in (("a", A), ("b", B)):
+            s = work / ("sentence-%d.%s.struct" % (k, side))
+            s.write_text(serialize_structure(S))
+            out["eval"].update(run_cli("eval", str(f), str(s)).encode())
+    for name, text in ILL_FORMED:
+        f = work / (name + ".sexp")
+        f.write_text(text + "\n")
+        out["eval"].update(run_cli("eval", str(f), str(files["A1"])).replace(
+            str(work), "<work>").encode())
     return {k: h.hexdigest() for k, h in out.items()}
 
 
