@@ -254,16 +254,23 @@ def cmd_gen(args):
 
 
 def size_ladder(text):
-    """N,N,... or LO..HI: LO, its doublings below HI, and HI."""
+    """N,N,... or LO..HI: LO, its doublings below HI, and HI.  Every size is
+    1 or more and HI is not below LO: an argument type, whose ValueErrors
+    argparse reports."""
     try:
         if ".." not in text:
-            return [int(float(x)) for x in text.split(",")]
-        lo, hi = (int(float(x)) for x in text.split("..", 1))
+            sizes = [int(float(x)) for x in text.split(",")]
+        else:
+            lo, hi = (int(float(x)) for x in text.split("..", 1))
+            if hi < lo:
+                raise ValueError("the ladder ends below its start")
+            sizes = [lo << k for k in range(hi.bit_length())
+                     if lo << k < hi] + [hi]
     except OverflowError as e:   # from inf
         raise ValueError(e)
-    if lo < 1:
-        raise ValueError("the ladder must start at 1 or more")
-    return [lo << k for k in range(hi.bit_length()) if lo << k < hi] + [hi]
+    if min(sizes) < 1:
+        raise ValueError("every size must be 1 or more")
+    return sizes
 
 
 def bench_once(n_tuples: int, seed: int) -> float:

@@ -6,17 +6,18 @@ Each round refines by the multiset of (edge-label-set, neighbor color) pairs
 over Gaifman neighbors, where the label set of an ordered pair (v, w) collects
 every edge relation holding (v, w) (tagged +) or (w, v) (tagged -).
 
-refine_rounds runs cr_run, one half-step a round, and rcr.kernel_rounds, two
+refine_rounds runs cr_run, one half-step a round, and rcr's slice kernel, two
 half-steps a round on the tuple-slice incidence.  A half-step is one exact
 refine_step: nodes are grouped by a multiset hash of their (label,
 neighbor-color) codes, and every group is verified exactly, so no class
-depends on the hash.  Later rounds re-key only the nodes next to a class
-that split, and once a round renames few nodes a worklist re-keys only the
-nodes next to a renamed node, so a node is renamed at most log2 n times;
-rcr runs the worklist alone on small inputs and long tuples.  Rounds are
-synchronous: colors_at(i) is exactly the i-th refinement of the base
-coloring, which the tuple/graph round-correspondence tests rely on.  Every
-engine records a run as a Coloring of per-round changes.
+depends on the hash.  Later rounds re-key only the nodes next to a class that
+split, and once a round renames few nodes a worklist re-keys only the nodes
+next to a renamed node, so a node is renamed at most log2 n times; rcr runs
+the worklist alone on small inputs and long tuples.  Rounds are synchronous:
+colors_at(i) is exactly the i-th refinement of the base coloring, which the
+tuple/graph round-correspondence tests rely on.  Every engine records a run as
+a Coloring of per-round changes, with classes named 0..k-1 in any order:
+first_occurrence numbers a round where Coloring publishes it.
 
 A multigraph's labels reach cr_run as ints; label names are never read.
 """
@@ -42,11 +43,10 @@ class Coloring:
     name at most log2 n times.
 
     colors_at(i) builds round i on demand and publishes it: offsets[i] (0
-    unless given) plus the rank of the class's first position among the
-    first positions of all classes, that is, ids numbered by first
-    occurrence.  Ids are comparable only within one run.  stable_round is
-    the last stored round, the stable one unless a round budget or a stop
-    test ended the run, and rounds past it repeat its partition."""
+    unless given) plus the first_occurrence id of the class, whatever its
+    internal name.  Ids are comparable only within one run.  stable_round is
+    the last stored round, the stable one unless a round budget or a stop test
+    ended the run, and rounds past it repeat its partition."""
 
     CACHED_ROUNDS = 16   # synthesis revisits a few rounds
 
@@ -73,14 +73,7 @@ class Coloring:
         i = min(i, len(self.ends) - 1)
         hit = self._published.pop(i, None)
         if hit is None:
-            names = self._names_at(i)
-            n = len(names)
-            first = np.full(int(names.max()) + 1 if n else 0, n, dtype=np.int64)
-            np.minimum.at(first, names, np.arange(n))
-            heads = np.flatnonzero(first[names] == np.arange(n))
-            rank = np.empty(len(first), dtype=np.int64)
-            rank[names[heads]] = np.arange(len(heads))
-            ids = rank[names]
+            ids, heads = first_occurrence(self._names_at(i))
             if self.offsets:
                 ids += self.offsets[i]
             hit = ids, heads
@@ -228,8 +221,8 @@ def _lambda_adjacency(G: ColoredMultigraph):
 
 
 def _base_colors(G: ColoredMultigraph):
-    """(colors, count): nodes are colored by their unary labels and their
-    loop labels, numbered by first occurrence over the nodes."""
+    """(names, count): nodes are classed by their unary labels and their
+    loop labels, named 0..count-1 in no particular order."""
     loops = G.src == G.dst
     owner = np.concatenate((G.node, G.src[loops]))
     tag = np.concatenate((G.node_label, len(G.label_names) + G.label[loops]))
@@ -238,7 +231,7 @@ def _base_colors(G: ColoredMultigraph):
     starts = np.flatnonzero(np.diff(owner, prepend=-1))
     sets = np.full(G.n, -1, dtype=np.int64)   # -1: no labels, no loops
     sets[owner[starts]] = _set_ids(starts, tag)
-    return first_occurrence(sets)
+    return _dense(sets)
 
 
 def _set_ids(starts, tag):
@@ -288,8 +281,8 @@ def refine_step(starts, other, label, prev, other_colors):
     Node v owns the edges starts[v]:starts[v+1]; edge e leads to position
     other[e] of other_colors and carries the int label[e].  The new class of
     v is (prev[v], sorted multiset of (label[e], other_colors[other[e]])).
-    Returns (new, count): class ids 0..count-1 numbered by first occurrence
-    over the nodes, as a dict interning the keys in node order would.
+    Returns (new, count): the classes named 0..count-1 in any order; only
+    the partition is fixed.
 
     Nodes are grouped by (prev, degree, sum of mixed edge codes), and every
     group is verified element by element against its first node; groups
@@ -299,7 +292,7 @@ def refine_step(starts, other, label, prev, other_colors):
         return np.empty(0, dtype=np.int64), 0
     deg = starts[1:] - starts[:-1]
     if not len(other):
-        return first_occurrence(prev)
+        return _dense(prev)
     node = np.repeat(np.arange(n), deg)
     codes = label * np.int64(int(other_colors.max()) + 1) + other_colors[other]
 
@@ -334,8 +327,8 @@ def refine_step(starts, other, label, prev, other_colors):
     if wrong.any():
         bad = np.zeros(len(firsts), dtype=bool)
         bad[group[node[wrong]]] = True
-        return first_occurrence(_split_exactly(group, bad, starts, scodes))
-    return _number(group, firsts)
+        return _dense(_split_exactly(group, bad, starts, scodes))
+    return group, len(firsts)
 
 
 def _split_exactly(group, bad, starts, scodes):
@@ -350,18 +343,23 @@ def _split_exactly(group, bad, starts, scodes):
     return out
 
 
-def first_occurrence(classes):
-    """Renumber int class labels 0, 1, ... in order of first occurrence;
-    returns (ids, count)."""
-    _, firsts, dense = np.unique(classes, return_index=True, return_inverse=True)
-    return _number(dense.ravel(), firsts)
+def _dense(classes):
+    """(names, count): int class labels renamed 0..count-1, in sorted order."""
+    distinct, names = np.unique(classes, return_inverse=True)
+    return names, len(distinct)
 
 
-def _number(group, firsts):
-    """(ids, count) for dense groups whose smallest members are firsts."""
-    rank = np.empty(len(firsts), dtype=np.int64)
-    rank[np.argsort(firsts)] = np.arange(len(firsts))
-    return rank[group], len(firsts)
+def first_occurrence(names):
+    """(ids, heads) for int names >= 0: ids numbers the classes 0, 1, ... in
+    order of first occurrence, and heads[c] is the first position of id c.
+    The one numbering of published colors; O(n + largest name)."""
+    n = len(names)
+    first = np.full(int(names.max()) + 1 if n else 0, n, dtype=np.int64)
+    np.minimum.at(first, names, np.arange(n))
+    heads = np.flatnonzero(first[names] == np.arange(n))
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[names[heads]] = np.arange(len(heads))
+    return rank[names], heads
 
 
 def cr_run(G: ColoredMultigraph, max_rounds=None, trace=True) -> Coloring:

@@ -16,12 +16,21 @@ from .core import Signature, Structure
 def random_structure(signature: Signature, n_elements: int,
                      tuples_per_relation: dict, seed: int) -> Structure:
     """Random structure with the requested relation sizes; duplicates are
-    rejected by resampling.  The universe shrinks to the covered elements."""
+    rejected by resampling.  The universe shrinks to the covered elements.
+    A size for a relation outside the signature, a negative size or more
+    tuples than n_elements values can make is a ValueError."""
+    known = {name for name, _ in signature.symbols}
+    for name, want in tuples_per_relation.items():
+        if name not in known:
+            raise ValueError("unknown relation symbol %s" % name)
+        if want < 0:
+            raise ValueError("negative tuple count %d for relation %s"
+                             % (want, name))
     rng = random.Random(seed)
     facts = []
     for name, arity in signature.symbols:
         want = tuples_per_relation.get(name, 0)
-        limit = n_elements ** arity
+        limit = max(n_elements, 0) ** arity
         if want > limit:
             raise ValueError("relation %s cannot hold %d distinct tuples" % (name, want))
         seen = set()

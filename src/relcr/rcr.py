@@ -2,13 +2,14 @@
 
 Colors live on tuple occurrences.  The initial color of a is (atp(a), stp(a));
 each round appends the multiset, over all occurrences b overlapping a, of
-(stp(a, b), previous color of b).  Colors are interned integers, numbered
-round after round, so each round owns a contiguous id range.  Any occurrence
-with a color spells out that color's key, so the trace decodes a color from
-a representative occurrence.  Ids are only comparable within one run, so
-cross-structure questions refine the disjoint union.
+(stp(a, b), previous color of b).  The engines name classes in any order, and
+a trace numbers them by cr.first_occurrence, round after round, so each round
+owns a contiguous id range.  Any occurrence with a color spells out that
+color's key, so the trace decodes a color from a representative occurrence.
+Ids are only comparable within one run, so cross-structure questions refine
+the disjoint union.
 
-kernel_rounds refines the tuple-slice incidence, two half-steps a round, with
+_kernel_engine refines the tuple-slice incidence, two half-steps a round, with
 cr.refine_rounds, cr_run's round driver: exact vectorized refine_step
 half-steps, O(N log N) a round for a fixed signature, then, after a round that
 renames few tuples, a worklist that re-keys only the nodes next to a renamed
@@ -35,7 +36,7 @@ import numpy as np
 from .core import (SMALL_FACTS, Structure, disjoint_union, stp, stp_key,
                    strictly_equal_size)
 from .cr import (_NONE, Coloring, SideCounts, _worklist_rounds,
-                 first_occurrence, refine_rounds)
+                 refine_rounds)
 
 # Longer tuples go to the overlap worklist.  A tuple with d distinct
 # elements has sum_k d!/(d-k)! slices: 64 at d = 4, 325 at 5, 1,956 at 6.
@@ -46,6 +47,8 @@ from .cr import (_NONE, Coloring, SideCounts, _worklist_rounds,
 # 0.29-0.35 (157) against 0.03-0.05 (31); hub k = 4-6 0.01-0.36 (33-155)
 # against 1.7-3.3 (75-80).  The benchmark has no tuple longer than 3.
 KERNEL_MAX_ARITY = 5
+
+
 class RefinementTrace(Coloring):
     """Per-round colors of an RCR run, with on-demand color decoding.
 
@@ -117,7 +120,7 @@ def _step_key(own, pairs) -> tuple:
 
 def reference_rounds(A: Structure, max_rounds: Optional[int] = None):
     """(rounds, class_counts) by interning every occurrence's multiset over
-    all its overlaps; the reference for kernel_rounds."""
+    all its overlaps; the reference for both engines."""
     if max_rounds is None:
         max_rounds = A.size()  # the stable round index never exceeds |Tup|
     starts, other, label, taus = A.overlaps
@@ -143,33 +146,8 @@ def reference_rounds(A: Structure, max_rounds: Optional[int] = None):
     return rounds, class_counts
 
 
-def kernel_rounds(A: Structure, max_rounds: Optional[int] = None):
-    """(base, moved, renamed, ends, class_counts) of RCR on A, as
-    cr.Coloring keeps a run, for the rounds reference_rounds returns, by
-    refining the tuple-slice incidence.
-
-    A slice of a tuple is a duplicate-free vector over its elements.  Each
-    round is two half-steps: every slice takes the multiset of (stp(a, s),
-    color of a) over the tuples a containing it, then every tuple refines
-    by the multiset of (stp(a, s), slice color) over its slices, as in CR
-    on vgrep, whose round 2i+1 is RCR's round i on the tuple nodes
-    (acceptance criterion 5).  The slices of one tuple determine, by
-    inclusion-exclusion over the shared elements, the multiset of (stp(a,
-    b), color of b) over its overlaps b, and the converse holds too, so the
-    tuple partitions are RCR's.  A slice in only one tuple is left out: its
-    color is a function of that tuple's previous color, and the tuple's stp
-    fixes which slices it has.
-
-    cr.refine_rounds runs the rounds, slices first.  Its first round re-keys
-    every tuple: tuples of one base class may own unequal shared slices."""
-    rels = relation_rows(A)
-    base, count = _base_classes(A, rels)
-    return (base, *_slice_rounds(A, rels, base, count, A.size()
-                                 if max_rounds is None else max_rounds))
-
-
 def _slice_rounds(A: Structure, rels, base, count, max_rounds, stop=None):
-    """kernel_rounds' rounds after the base, with refine_rounds' stop."""
+    """_kernel_engine's rounds after the base, with refine_rounds' stop."""
     tup, sl, lab, _, _ = slice_incidence(A, rels)
     # keep the slices held by more than one tuple, renumbered densely
     shared = np.bincount(sl) > 1
@@ -202,9 +180,9 @@ def relation_rows(A: Structure):
 
 
 def _base_classes(A: Structure, rels):
-    """Round-0 colors as reference_rounds numbers them: the classes of
-    (atp, stp) in order of first occurrence.  atp is the row of flags of
-    the relations of one arity holding a vector; stp is the pattern.  On a
+    """(names, count): the round-0 classes of (atp, stp), named 0..count-1
+    in lexicographic order of their keys.  atp is the row of flags of the
+    relations of one arity holding a vector; stp is the pattern.  On a
     1e5-tuple random R/3,E/2 structure this takes 0.07 s, one Python pass
     of _base_key per tuple 0.57 s."""
     keys = np.full((A.size(), 1 + A.signature.max_arity), -1, dtype=np.int64)
@@ -220,7 +198,7 @@ def _base_classes(A: Structure, rels):
             block = keys[first:first + len(rows)]
             block[:, 0] = atp[vec[bounds[j]:bounds[j + 1]]]
             block[:, 1:1 + arity] = pattern
-    return first_occurrence(_row_ids(keys)[0])
+    return _row_ids(keys)
 
 
 def slice_incidence(A: Structure, rels):
@@ -303,21 +281,42 @@ def rcr_run(A: Structure, max_rounds: Optional[int] = None) -> RefinementTrace:
 
 
 def _engine(A: Structure):
-    """(base, count, rounds): A's round-0 classes as reference_rounds numbers
-    them (int64), their count, and rounds(max_rounds, stop=None), the run's
+    """(base, count, rounds): A's round-0 classes, named 0..count-1 in any
+    order (int64), their count, and rounds(max_rounds, stop=None), the run's
     (moved, renamed, ends, class_counts); by the slice kernel on SMALL_FACTS
     tuples or more, none longer than KERNEL_MAX_ARITY."""
     if A.size() < SMALL_FACTS or max(
             (a for name, a in A.signature.symbols if A.counts[name]),
             default=0) > KERNEL_MAX_ARITY:
         return _overlap_engine(A)
+    return _kernel_engine(A)
+
+
+def _kernel_engine(A: Structure):
+    """_engine's triple by refining the tuple-slice incidence, for the
+    partitions of the rounds reference_rounds returns.
+
+    A slice of a tuple is a duplicate-free vector over its elements.  Each
+    round is two half-steps: every slice takes the multiset of (stp(a, s),
+    color of a) over the tuples a containing it, then every tuple refines
+    by the multiset of (stp(a, s), slice color) over its slices, as in CR
+    on vgrep, whose round 2i+1 is RCR's round i on the tuple nodes
+    (acceptance criterion 5).  The slices of one tuple determine, by
+    inclusion-exclusion over the shared elements, the multiset of (stp(a,
+    b), color of b) over its overlaps b, and the converse holds too, so the
+    tuple partitions are RCR's.  A slice in only one tuple is left out: its
+    color is a function of that tuple's previous color, and the tuple's stp
+    fixes which slices it has.
+
+    cr.refine_rounds runs the rounds, slices first.  Its first round re-keys
+    every tuple: tuples of one base class may own unequal shared slices."""
     rels = relation_rows(A)
     base, count = _base_classes(A, rels)
     return base, count, partial(_slice_rounds, A, rels, base, count)
 
 
 def _overlap_engine(A: Structure):
-    """_engine's triple by _overlap_rounds, round 0 numbered by _base_key."""
+    """_engine's triple by _overlap_rounds, round 0 named by _base_key."""
     table: dict = {}
     names = [table.setdefault(_base_key(A, vec), len(table))
              for vecs in A.relations.values() for vec in vecs]

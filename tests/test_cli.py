@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from relcr import checks, fixtures
-from relcr.cli import REPRESENTATIONS, main
+from relcr.cli import REPRESENTATIONS, main, size_ladder
 from relcr.core import parse_structure, serialize_structure
 from test_kernel import directed_path
 from test_representations import (per_edge_encodings, sig4_corpus,
@@ -329,6 +329,43 @@ def test_bad_gen_and_bench_arguments_are_errors(capsys, argv):
         code = e.code
     err = capsys.readouterr().err
     assert code in (1, 2) and "error: " in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--signature", "E/2", "--tuples", "F=3"], "unknown relation symbol F"),
+    (["--signature", "E/2", "--tuples", "E=-1"],
+     "negative tuple count -1 for relation E"),
+    (["--signature", "E/2", "--elements", "-3", "--tuples", "E=2"],
+     "relation E cannot hold 2 distinct tuples"),
+    (["--signature", "E/2", "--elements", "0", "--tuples", "E=2"],
+     "relation E cannot hold 2 distinct tuples"),
+])
+def test_gen_rejects_impossible_tuple_counts(capsys, argv, message):
+    assert run(capsys, "gen", *argv) == (1, "", "error: %s\n" % message)
+
+
+@pytest.mark.parametrize("sizes,message", [
+    ("-5", "every size must be 1 or more"),
+    ("1,0", "every size must be 1 or more"),
+    ("-5..-1", "every size must be 1 or more"),
+    ("1..0", "the ladder ends below its start"),
+    ("4..2", "the ladder ends below its start"),
+])
+def test_bench_rejects_sizes_below_1(capsys, sizes, message):
+    # usage errors: argparse names the option and the bad value
+    with pytest.raises(SystemExit) as e:
+        main(["bench", "--sizes=" + sizes])
+    err = capsys.readouterr().err
+    assert e.value.code == 2
+    assert "argument --sizes: invalid size_ladder value: %r" % sizes in err
+    with pytest.raises(ValueError, match=message):
+        size_ladder(sizes)
+
+
+def test_size_ladder_doubles_up_to_its_end():
+    assert size_ladder("1e3..1e4") == [1000, 2000, 4000, 8000, 10000]
+    assert size_ladder("3..3") == [3]
+    assert size_ladder("50,100") == [50, 100]
 
 
 @pytest.mark.parametrize("signature,nodes", [("E/2", 10), ("U/1", 2)])

@@ -1,6 +1,6 @@
 """The refinement engines against the engines they replaced.
 
-rcr.kernel_rounds and the overlap-graph worklist must give the ids of
+rcr's slice kernel and overlap-graph worklist must publish the ids of
 rcr.reference_rounds, and cr_run the ids of the per-node interning loop
 below, exactly and not just the same partitions.  Each engine is called
 directly, whatever rcr_run would choose for the input.
@@ -19,7 +19,7 @@ from relcr.checks import published_rounds
 from relcr.core import Signature, Structure, serialize_structure
 from relcr.multigraph import ColoredMultigraph
 from relcr.cr import Coloring, _base_colors, _lambda_adjacency, cr_run
-from relcr.rcr import RefinementTrace, kernel_rounds, reference_rounds
+from relcr.rcr import RefinementTrace, reference_rounds
 
 
 def per_node_cr_run(G, max_rounds=None):
@@ -100,7 +100,7 @@ def matching_with_path(k, path):
 
 
 def handover_cases():
-    """Structures on which kernel_rounds hands over to the worklist after
+    """Structures on which the slice kernel hands over to the worklist after
     one or more refine_step rounds, and the worklist still splits: a path
     plus a cycle (after round 1) and a random structure plus a path (after
     round 4, once the random part is stable)."""
@@ -127,17 +127,22 @@ def with_reference():
     return [(A, reference_rounds(A)) for A in cases]
 
 
+def engine_trace(engine, A, max_rounds=None):
+    """The trace of an rcr engine's run on A."""
+    base, _, rounds = engine(A)
+    return RefinementTrace(A, base, *rounds(
+        A.size() if max_rounds is None else max_rounds))
+
+
 def kernel_ids(A, max_rounds=None):
     """Every round's kernel ids as lists, with the class counts."""
-    return published_rounds(RefinementTrace(A, *kernel_rounds(A, max_rounds)))
+    return published_rounds(engine_trace(rcr._kernel_engine, A, max_rounds))
 
 
 def overlap_ids(A, max_rounds=None):
     """Every round's ids of the overlap-graph worklist as lists, with the
     class counts."""
-    base, _, rounds = rcr._overlap_engine(A)
-    return published_rounds(RefinementTrace(A, base, *rounds(
-        A.size() if max_rounds is None else max_rounds)))
+    return published_rounds(engine_trace(rcr._overlap_engine, A, max_rounds))
 
 
 def same_ids(a: Coloring, want):
@@ -161,7 +166,7 @@ def test_kernel_ids_equal_reference_ids():
 
 def test_handover_cases_switch_mid_run(monkeypatch):
     # each case runs refine_step rounds, then worklist rounds that split;
-    # cr_run and kernel_rounds hand over by the same rule
+    # cr_run and the slice kernel hand over by the same rule
     seen = []
     worklist = cr._worklist_rounds
 
@@ -174,7 +179,7 @@ def test_handover_cases_switch_mid_run(monkeypatch):
 
     monkeypatch.setattr(cr, "_worklist_rounds", spy)
     for A in handover_cases():
-        kernel_rounds(A)
+        kernel_ids(A)
     for A in [directed_path(300)] + handover_cases():
         cr_run(representations.vgrep(A)[0])
     assert [before for before, _ in seen] == [1, 4, 3, 3, 18]
@@ -232,7 +237,7 @@ def test_no_position_is_renamed_more_than_log2_n_times(monkeypatch):
     # handing over at round 1 gives the worklist splits into many parts
     monkeypatch.setattr(cr, "HANDOVER_PER_TUPLE", 0)
     for A in corpus()[:200]:
-        assert_largest_part_keeps_the_name(RefinementTrace(A, *kernel_rounds(A)))
+        assert_largest_part_keeps_the_name(engine_trace(rcr._kernel_engine, A))
         assert_largest_part_keeps_the_name(cr_run(representations.vgrep(A)[0]))
 
 
@@ -309,7 +314,9 @@ def test_base_colors_equal_per_node_numbering():
     for G in graphs:
         got, count = _base_colors(G)
         want, want_count = per_node_base_colors(G)
-        assert count == want_count and np.array_equal(got, want)
+        assert count == want_count and sorted(set(got.tolist())) == list(
+            range(count))
+        assert np.array_equal(cr.first_occurrence(got)[0], want)
     for G in graphs[-60:]:
         assert same_ids(cr_run(G), per_node_cr_run(G))
 
@@ -326,8 +333,31 @@ def test_every_hash_colliding_leaves_ids_unchanged(monkeypatch):
         assert same_ids(cr_run(G), w)
 
 
+def test_scrambled_names_leave_ids_unchanged(monkeypatch):
+    # the engines promise only partitions named 0..k-1: with every name a
+    # producer hands out permuted at random, the published ids are the same
+    graphs = [representations.vgrep(A)[0] for A, _ in with_reference()[:120]]
+    want_cr = [per_node_cr_run(G) for G in graphs]
+    rng = np.random.default_rng(19)
+
+    def scrambled(produce):
+        def names(*args):
+            got, count = produce(*args)
+            return rng.permutation(count)[got], count
+        return names
+
+    for module, name in ((cr, "refine_step"), (cr, "_base_colors"),
+                         (rcr, "_base_classes")):
+        monkeypatch.setattr(module, name, scrambled(getattr(module, name)))
+    for A, want in with_reference():
+        assert kernel_ids(A) == want
+    for G, w in zip(graphs, want_cr):
+        assert same_ids(cr_run(G), w)
+
+
 def test_wide_codes_take_the_lexsort_path():
-    # codes too wide to pack with the node into one int64 key give the same ids
+    # codes too wide to pack with the node into one int64 key give the same
+    # partition
     rng = np.random.default_rng(3)
     deg = rng.integers(0, 4, size=200)
     starts = np.concatenate(([0], np.cumsum(deg)))
@@ -337,7 +367,8 @@ def test_wide_codes_take_the_lexsort_path():
     colors = rng.integers(0, 3, size=5)
     narrow = cr.refine_step(starts, other, label, prev, colors)
     wide = cr.refine_step(starts, other, label * 2 ** 55, prev, colors)
-    assert narrow[1] == wide[1] and np.array_equal(narrow[0], wide[0])
+    assert narrow[1] == wide[1] and np.array_equal(
+        cr.first_occurrence(narrow[0])[0], cr.first_occurrence(wide[0])[0])
 
 
 def test_row_ids_number_rows_lexicographically():
@@ -347,7 +378,7 @@ def test_row_ids_number_rows_lexicographically():
     assert rcr._row_ids(np.empty((0, 3), dtype=np.int64))[1] == 0
 
 
-def test_refine_step_numbers_by_first_occurrence():
+def test_refine_step_gives_dense_names_of_the_exact_partition():
     # nodes 0..3, one edge each to a colored other end: 0 and 2 agree
     starts = np.array([0, 1, 2, 3, 4])
     other = np.array([0, 1, 0, 2])
@@ -355,15 +386,17 @@ def test_refine_step_numbers_by_first_occurrence():
     new, count = cr.refine_step(starts, other, label,
                                 np.zeros(4, dtype=np.int64),
                                 np.array([5, 3, 4]))
-    assert count == 3 and new.tolist() == [0, 1, 0, 2]
+    assert count == 3 and sorted(set(new.tolist())) == [0, 1, 2]
+    assert cr.first_occurrence(new)[0].tolist() == [0, 1, 0, 2]
 
 
 def test_kernel_check_reports_wrong_ids(monkeypatch):
     structures = checks.kernel_structures(7, 30)
     assert checks.check_kernel(structures) == []
     none = np.empty(0, dtype=np.int64)
-    monkeypatch.setattr(rcr, "kernel_rounds", lambda A: (
-        np.zeros(A.size(), dtype=np.int64), none, none, [0], [1]))
+    monkeypatch.setattr(rcr, "_kernel_engine", lambda A: (
+        np.zeros(A.size(), dtype=np.int64), 1,
+        lambda max_rounds: (none, none, [0], [1])))
     assert checks.check_kernel(structures)
 
 
