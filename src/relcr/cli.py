@@ -222,24 +222,41 @@ def cmd_eval(args):
 
 
 def round_budget(text):
-    """A number of rounds, 0 or more: an argument type, whose ValueErrors
-    argparse reports."""
+    """A number of rounds, 0 or more."""
     rounds = int(text)
     if rounds < 0:
-        raise ValueError(text)
+        raise ValueError("a number of rounds is 0 or more")
     return rounds
 
 
 def tuple_ref(text):
-    """REL,INDEX: an argument type, whose ValueErrors argparse reports."""
-    rel, index = text.split(",")
-    return TupleRef(rel.strip(), int(index))
+    """REL,INDEX."""
+    try:
+        rel, index = text.split(",")
+        return TupleRef(rel.strip(), int(index))
+    except ValueError:
+        raise ValueError("expected REL,INDEX with a whole-number INDEX") from None
 
 
 def tuple_counts(text):
-    """NAME=COUNT,...: an argument type, whose ValueErrors argparse reports."""
-    return {name.strip(): int(count) for name, count in
-            (part.split("=") for part in text.split(","))}
+    """NAME=COUNT,..."""
+    try:
+        return {name.strip(): int(count) for name, count in
+                (part.split("=") for part in text.split(","))}
+    except ValueError:
+        raise ValueError("expected NAME=COUNT,... with whole-number counts") from None
+
+
+def _usage(parse):
+    """parse as an argument type: argparse reports its ValueError as a usage
+    error that gives the reason."""
+    def argument(text):
+        try:
+            return parse(text)
+        except ValueError as e:
+            raise argparse.ArgumentTypeError(
+                "invalid %s value: %r (%s)" % (parse.__name__, text, e)) from None
+    return argument
 
 
 def cmd_gen(args):
@@ -255,8 +272,7 @@ def cmd_gen(args):
 
 def size_ladder(text):
     """N,N,... or LO..HI: LO, its doublings below HI, and HI.  Every size is
-    1 or more and HI is not below LO: an argument type, whose ValueErrors
-    argparse reports."""
+    1 or more and HI is not below LO."""
     try:
         if ".." not in text:
             sizes = [int(float(x)) for x in text.split(",")]
@@ -326,7 +342,7 @@ def build_parser():
 
     q = sub.add_parser("refine", help="run refinement and report class counts")
     q.add_argument("structure")
-    q.add_argument("--rounds", type=round_budget, default=None,
+    q.add_argument("--rounds", type=_usage(round_budget), default=None,
                    help="rounds to refine at most (default: until stable)")
     q.add_argument("--csv", default=None, help="write the trace as CSV")
     q.set_defaults(func=cmd_refine)
@@ -359,14 +375,14 @@ def build_parser():
     q = sub.add_parser("game", help="solve the bijection game")
     q.add_argument("a")
     q.add_argument("b")
-    q.add_argument("--rounds", type=round_budget, default=None,
+    q.add_argument("--rounds", type=_usage(round_budget), default=None,
                    help="rounds to play (default: |Tup(A)| + |Tup(B)| + 2)")
     q.set_defaults(func=cmd_game)
 
     q = sub.add_parser("synthesize", help="formula describing a tuple's color")
     q.add_argument("structure")
-    q.add_argument("--tuple", type=tuple_ref, required=True, metavar="REL,INDEX")
-    q.add_argument("--round", type=round_budget, default=None)
+    q.add_argument("--tuple", type=_usage(tuple_ref), required=True, metavar="REL,INDEX")
+    q.add_argument("--round", type=_usage(round_budget), default=None)
     q.add_argument("-o", "--output", default=None)
     q.set_defaults(func=cmd_synthesize)
 
@@ -377,10 +393,10 @@ def build_parser():
     q.set_defaults(func=cmd_eval)
 
     q = sub.add_parser("gen", help="emit random structures")
-    q.add_argument("--signature", required=True, type=parse_signature,
+    q.add_argument("--signature", required=True, type=_usage(parse_signature),
                    metavar="NAME/AR,...")
     q.add_argument("--elements", type=int, default=8)
-    q.add_argument("--tuples", type=tuple_counts, default={}, metavar="NAME=COUNT,...")
+    q.add_argument("--tuples", type=_usage(tuple_counts), default={}, metavar="NAME=COUNT,...")
     q.add_argument("--acyclic", action="store_true")
     q.add_argument("--nodes", type=int, default=4)
     q.add_argument("--seed", type=int, default=0)
@@ -389,7 +405,7 @@ def build_parser():
     q.set_defaults(func=cmd_gen)
 
     q = sub.add_parser("bench", help="time refinement across a size ladder")
-    q.add_argument("--sizes", type=size_ladder, default="1e3..1e5")
+    q.add_argument("--sizes", type=_usage(size_ladder), default="1e3..1e5")
     q.add_argument("--seed", type=int, default=7)
     q.set_defaults(func=cmd_bench)
 

@@ -2,7 +2,8 @@
 
 hom_bruteforce enumerates assignments with backtracking and is the oracle;
 hom_acyclic is join-tree dynamic programming on arrays (Yannakakis's
-semi-join evaluation, with sort-joins); hom_multigraph counts colored
+bottom-up pass, whose messages are dense vectors over A's elements or
+sort-joins, folded into the parent at once); hom_multigraph counts colored
 multigraph homomorphisms from a multitree.  All three return exact Python
 ints: hom_acyclic counts in int64 and switches to object arrays of Python
 ints once a product or a sum may pass 2^62.
@@ -73,11 +74,19 @@ def hom_bruteforce(C: Structure, A: Structure, bits_guard: float = 64.0):
 def hom_acyclic(C: Structure, J: JoinTree, A: Structure):
     """Join-tree dynamic programming; equals hom_bruteforce on every input.
 
-    Yannakakis's semi-join evaluation over the join tree, with sort-joins on
-    arrays.  Each node holds a table: one row per image of its tuple's
-    distinct elements that extends to the subtree below it, with the number
-    of extensions.  Its message to the parent is that count summed over the
-    rows that agree on the elements the two tuples share."""
+    Yannakakis's bottom-up pass over the join tree, on arrays.  A node
+    holds its full image table (one row per image of its tuple's distinct
+    elements) and one count per row: the number of extensions of the row to
+    the subtree below the node, 0 where there is none.  A node folds its
+    message into its parent's counts as soon as it is done.  The message is
+    its counts summed over the rows that agree on the elements the two
+    tuples share.  On one shared element it is a dense vector over A's
+    elements, which the parent gathers with its column of that element; on
+    none or several it is a sort-join (_group_sum, _lookup), in which a
+    parent row with no match gets 0.  Nodes go in reversed depth-first
+    preorder, so one message is alive at a time (a dense one holds A.n
+    counts), plus one count array per parent still waiting for children,
+    all on the path from the root to the current node."""
     if C.signature != A.signature:
         raise ValueError("signature mismatch")
     ok, bad = validate_join_tree(C, J)
@@ -87,38 +96,54 @@ def hom_acyclic(C: Structure, J: JoinTree, A: Structure):
         return 1
     adj = J.adjacency()
     root = J.root if J.root is not None else J.nodes[0]
-    # breadth-first order from the root; reversed, children come first
+    # depth-first preorder from the root; reversed, each subtree comes
+    # whole, its root last
     parent = {root: None}
-    order = [root]
-    for node in order:
+    order = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        order.append(node)
         for w in adj[node]:
             if w != parent[node]:
                 parent[w] = node
-                order.append(w)
+                stack.append(w)
 
     images = _Images(A)
-    messages: dict = {}   # node -> (shared-element rows, counts)
-    for node in reversed(order):
+    tables = {}   # node -> (image table, column of each of its elements)
+    for node in order:
         vec = C.vector(node)
-        column = {x: k for k, x in enumerate(dict.fromkeys(vec))}
-        table = images.of(C.atp(vec), vec)
-        counts = np.ones(len(table), dtype=np.int64)
-        for w in adj[node]:
-            if w == parent[node]:
-                continue
-            keys, sums = messages.pop(w)
-            shared = [column[x] for x in sorted(set(C.vector(w)) & column.keys())]
-            hit, at = _lookup(keys, table[:, shared])
-            table = table[hit]
-            counts = _times(counts[hit], sums[at[hit]])
-        if not len(table):
+        tables[node] = (images.of(C.atp(vec), vec),
+                        {x: k for k, x in enumerate(dict.fromkeys(vec))})
+
+    waiting: dict = {}   # node -> product of its finished children's messages
+    for node in reversed(order):
+        table, column = tables[node]
+        counts = waiting.pop(node, None)
+        if counts is None:
+            counts = np.ones(len(table), dtype=np.int64)
+        top = counts.max(initial=0)
+        if not top:
             return 0
-        up = () if parent[node] is None else C.vector(parent[node])
-        shared = [column[x] for x in sorted(set(up) & column.keys())]
-        messages[node] = _group_sum(table[:, shared], counts)
-    # elements of C in no tuple cannot exist (coverage), so the product over
-    # join-tree nodes accounts for all of V(C)
-    return int(messages[root][1][0])
+        if counts.dtype != object and int(top) * len(counts) >= _EXACT_BOUND:
+            counts = counts.astype(object)   # a sum of counts may pass it
+        up = parent[node]
+        if up is None:
+            # elements of C in no tuple cannot exist (coverage), so the
+            # product over join-tree nodes accounts for all of V(C)
+            return int(counts.sum())
+        up_table, up_column = tables[up]
+        shared = sorted(column.keys() & up_column.keys())
+        if len(shared) == 1:
+            x, = shared
+            dense = np.zeros(A.n, dtype=counts.dtype)
+            np.add.at(dense, table[:, column[x]], counts)
+            message = dense[up_table[:, up_column[x]]]
+        else:
+            keys, sums = _group_sum(table[:, [column[x] for x in shared]], counts)
+            hit, at = _lookup(keys, up_table[:, [up_column[x] for x in shared]])
+            message = np.where(hit, sums[at], 0)
+        waiting[up] = message if up not in waiting else _times(waiting[up], message)
 
 
 # int64 counts become Python ints (object arrays) once a product or a sum
@@ -160,21 +185,16 @@ class _Images:
 
 def _lookup(keys, rows):
     """For each row of rows, whether it equals a row of keys (distinct, in
-    lexicographic order), and the index of that row.  One shared column is
-    its own key; several are ranked jointly, so that no key can overflow."""
-    if not len(keys):
-        return np.zeros(len(rows), dtype=bool), np.zeros(len(rows), dtype=np.int64)
-    if keys.shape[1] == 1:
-        k, r = keys[:, 0], rows[:, 0]
-    else:
-        ids, _ = _row_ids(np.concatenate([keys, rows]))
-        k, r = ids[:len(keys)], ids[len(keys):]
+    lexicographic order, at least one), and the index of that row.  Keys and
+    rows are ranked jointly, so that no key can overflow."""
+    ids, _ = _row_ids(np.concatenate([keys, rows]))
+    k, r = ids[:len(keys)], ids[len(keys):]
     at = np.minimum(np.searchsorted(k, r), len(k) - 1)
     return k[at] == r, at
 
 
 def _times(a, b):
-    """a * b for positive counts, exact: as Python ints where the int64
+    """a * b for counts of 0 or more, exact: as Python ints where the int64
     product could pass the bound."""
     if (a.dtype != object and b.dtype != object and len(a)
             and int(a.max()) * int(b.max()) >= _EXACT_BOUND):
@@ -184,9 +204,8 @@ def _times(a, b):
 
 def _group_sum(rows, counts):
     """The distinct rows of a 2-d int array in lexicographic order, and the
-    sum of counts over each, exact as in _times."""
-    if counts.dtype != object and int(counts.max()) * len(counts) >= _EXACT_BOUND:
-        counts = counts.astype(object)
+    sum of counts over each: exact if counts are Python ints wherever a sum
+    could pass the bound."""
     if not rows.shape[1]:
         return rows[:1], np.add.reduce(counts, keepdims=True)
     order = np.lexsort(rows.T[::-1])

@@ -362,6 +362,23 @@ def test_bench_rejects_sizes_below_1(capsys, sizes, message):
         size_ladder(sizes)
 
 
+@pytest.mark.parametrize("argv,reason", [
+    (["bench", "--sizes", "4..2"], "the ladder ends below its start"),
+    (["bench", "--sizes=-5"], "every size must be 1 or more"),
+    (["refine", str(FIX / "A1.struct"), "--rounds", "-3"],
+     "a number of rounds is 0 or more"),
+    (["synthesize", str(FIX / "A1.struct"), "--tuple", "E,0,1"],
+     "expected REL,INDEX with a whole-number INDEX"),
+    (["gen", "--signature", "E/2", "--tuples", "E=x"],
+     "expected NAME=COUNT,... with whole-number counts"),
+])
+def test_usage_errors_give_the_reason(capsys, argv, reason):
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+    assert "(%s)\n" % reason in capsys.readouterr().err
+
+
 def test_size_ladder_doubles_up_to_its_end():
     assert size_ladder("1e3..1e4") == [1000, 2000, 4000, 8000, 10000]
     assert size_ladder("3..3") == [3]

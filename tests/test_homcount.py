@@ -1,6 +1,9 @@
+import tracemalloc
+
+import numpy as np
 import pytest
 
-from relcr import fixtures, generate, representations
+from relcr import fixtures, generate, homcount, representations
 from relcr.acyclic import JoinTree, gyo_join_tree, random_acyclic
 from relcr.core import Signature, Structure
 from relcr.homcount import (TooLargeError, hom_acyclic, hom_bruteforce,
@@ -150,6 +153,53 @@ def test_acyclic_dp_is_exact_above_int64():
     # a 40-fact walk into the same target: 30^41 as well, via products
     assert hom_acyclic(directed_path(40), gyo_join_tree(directed_path(40)),
                        K) == 30 ** 41
+
+
+def test_acyclic_dp_is_exact_through_multi_element_messages(monkeypatch):
+    # 12 facts R(x, y, z_i) into the complete R/3 relation on 30 elements:
+    # 30^2 images of x and y, 30 of each z_i, 30^14 > 2^63 in all.  Every
+    # two facts share x and y, so every message is a sort-join; below most
+    # roots a message's sum may pass 2^62 by the bound's estimate, and its
+    # counts go through the sort-join as Python ints
+    exact = []
+    group_sum = homcount._group_sum
+
+    def spy(rows, counts):
+        exact.append(counts.dtype == object)
+        return group_sum(rows, counts)
+
+    monkeypatch.setattr(homcount, "_group_sum", spy)
+    C = Structure.from_named(Signature([("R", 3)]),
+                             [("R", ("x", "y", "z%d" % i)) for i in range(12)])
+    K = Structure(C.signature, {"R": [(a, b, c) for a in range(30)
+                                      for b in range(30) for c in range(30)]})
+    refs = C.tuple_refs
+    star = [(refs[0], r) for r in refs[1:]]
+    for J in (gyo_join_tree(C), JoinTree(refs, star)):
+        for root in (refs[0], refs[5], refs[-1], None):
+            rooted = JoinTree(J.nodes, J.edges, root=root)
+            assert hom_acyclic(C, rooted, K) == 30 ** 14
+    assert len(exact) == 8 * 11 and any(exact)
+
+
+def test_acyclic_dp_memory_on_a_wide_star():
+    # a 300-leaf out-star into a 10^5-edge directed cycle: every image of
+    # the centre has one out-neighbour, which all leaves must share.  On the
+    # star join tree rooted at its hub E(c, l0), all 299 other facts send
+    # their message to one parent, which folds each in as it comes
+    n = 10 ** 5
+    C = Structure.from_named(SIG_E, [("E", ("c", "l%d" % i)) for i in range(300)])
+    heads = np.arange(n)
+    A = Structure(SIG_E, {"E": np.stack([heads, (heads + 1) % n], axis=1)})
+    refs = C.tuple_refs
+    J = JoinTree(refs, [(refs[0], r) for r in refs[1:]], root=refs[0])
+    tracemalloc.start()
+    try:
+        assert hom_acyclic(C, J, A) == n
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20, peak
 
 
 def test_multigraph_count_matches_bruteforce():
