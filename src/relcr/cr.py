@@ -19,7 +19,12 @@ tuple/graph round-correspondence tests rely on.  Every engine records a run as
 a Coloring of per-round changes, with classes named 0..k-1 in any order:
 first_occurrence numbers a round where Coloring publishes it.
 
-A multigraph's labels reach cr_run as ints; label names are never read.
+cr_run reads a multigraph's ColoredMultigraph.refinement_input: one int
+label per ordered pair and the round-0 classes; label names are never read.
+vgrep hands it over, built from the tuple-slice incidence, with label stp(a,
+s) from tuple to slice and another from slice to tuple, so its edge rows are
+never sorted back into pair labels; for other encodings _lambda_adjacency
+and _base_colors derive it from the edge rows.
 """
 
 from __future__ import annotations
@@ -203,8 +208,16 @@ def keep_largest(prev, new, count):
     return parent[new], np.flatnonzero(moves[new]), count + len(fresh)
 
 
+def _refinement_input(G: ColoredMultigraph):
+    """The default ColoredMultigraph.refinement_input, from the edge rows."""
+    src, dst, lam = _lambda_adjacency(G)
+    starts = np.searchsorted(src, np.arange(G.n + 1))  # src is sorted
+    return (starts, dst, lam), *_base_colors(G)
+
+
 def _lambda_adjacency(G: ColoredMultigraph):
-    """Precompute the Gaifman adjacency with interned pair-label sets.
+    """The Gaifman adjacency with interned pair-label sets, derived from the
+    edge rows for encodings that do not hand it over.
 
     Returns (src, dst, lam) arrays, one entry per ordered pair, sorted:
     lam[k] is a dense id of the set of (edge label, direction) tags on the
@@ -364,14 +377,13 @@ def first_occurrence(names):
 
 def cr_run(G: ColoredMultigraph, max_rounds=None, trace=True) -> Coloring:
     """Refine until the partition is stable (or max_rounds).  With trace=False
-    only the last round is kept, which the benchmark path uses."""
+    only the last round is kept, which the benchmark path uses.  Reads only
+    G.refinement_input, which vgrep hands over and other encodings derive
+    from their edge rows."""
     if max_rounds is None:
         max_rounds = G.n
-    src, dst, lam = _lambda_adjacency(G)
-    starts = np.searchsorted(src, np.arange(G.n + 1))  # src is sorted
-    names, count = _base_colors(G)
-    return Coloring(*refine_rounds([(starts, dst, lam)], names, count,
-                                   max_rounds, trace))
+    csr, names, count = G.refinement_input
+    return Coloring(*refine_rounds([csr], names, count, max_rounds, trace))
 
 
 # refine_rounds hands over to its worklist after a round that renames at most

@@ -6,6 +6,12 @@ shared by unary and edge labels: an edge is a distinct (src, dst, label) row
 of three int arrays, a unary label a distinct (node, label) row of two.
 Strings are made only on demand, by `edges`, `labels`, the node names and
 `to_dot`, which serve export, `hom_multigraph` and the tests.
+
+cr_run reads only `refinement_input`: the Gaifman adjacency in CSR form
+with one int label per ordered pair, and the round-0 classes.  By default
+cr derives it from the edge rows; a builder that already holds it, as
+vgrep holds its tuple-slice incidence, hands it over, and may then make
+the edge rows only when they are first read.
 """
 
 from __future__ import annotations
@@ -53,8 +59,8 @@ class ColoredMultigraph:
         label_names[node_label[k]].  Repeated rows are dropped.  node_names
         is a list of n names, a function that makes one, or None for ids."""
         radix = len(label_names)
-        self._store(n, label_names,
-                    *sorted_distinct((src, dst, label), (n, n, radix)),
+        rows = sorted_distinct((src, dst, label), (n, n, radix))
+        self._store(n, label_names, rows, len(rows[0]),
                     *sorted_distinct((node, node_label), (n, radix)),
                     node_names)
 
@@ -63,7 +69,19 @@ class ColoredMultigraph:
                     node_names=None):
         """A multigraph of int arrays whose rows are already distinct."""
         g = cls.__new__(cls)
-        g._store(n, label_names, src, dst, label, node, node_label, node_names)
+        g._store(n, label_names, (src, dst, label), len(src), node,
+                 node_label, node_names)
+        return g
+
+    @classmethod
+    def handed_over(cls, n, label_names, refinement_input, rows, m, node,
+                    node_label, node_names=None):
+        """A multigraph whose builder hands over cr_run's input (see
+        refinement_input) and a function rows() that makes its m distinct
+        edge rows (src, dst, label) when they are first read."""
+        g = cls.__new__(cls)
+        g._store(n, label_names, rows, m, node, node_label, node_names)
+        g.refinement_input = refinement_input   # the cached_property's value
         return g
 
     @classmethod
@@ -78,13 +96,37 @@ class ColoredMultigraph:
         node, node_label = np.array(marks, dtype=np.int64).reshape(-1, 2).T
         return cls(n, names, src, dst, label, node, node_label, node_names)
 
-    def _store(self, n, label_names, src, dst, label, node, node_label,
-               node_names):
+    def _store(self, n, label_names, rows, m, node, node_label, node_names):
         self.n = n
         self.label_names = list(label_names)
-        self.src, self.dst, self.label = src, dst, label
+        self._rows, self._m = rows, m
         self.node, self.node_label = node, node_label
         self._node_names = node_names
+
+    @property
+    def rows(self):
+        """(src, dst, label): the distinct edge rows as int arrays, in no
+        particular order."""
+        if callable(self._rows):
+            self._rows = self._rows()
+        return self._rows
+
+    src = property(lambda self: self.rows[0])
+    dst = property(lambda self: self.rows[1])
+    label = property(lambda self: self.rows[2])
+
+    @cached_property
+    def refinement_input(self):
+        """((starts, dst, lam), names, count), what cr_run refines: node v's
+        Gaifman neighbours are dst[starts[v]:starts[v + 1]], the ordered
+        pair to dst[e] carrying the int label lam[e]; and names, the
+        round-0 classes (by unary and loop labels) named 0..count-1.  Two
+        pairs from nodes of one round-0 class must carry equal labels
+        exactly when they carry equal sets of (edge label, direction).  By
+        default cr._lambda_adjacency and cr._base_colors derive it from the
+        edge rows."""
+        from .cr import _refinement_input   # cr imports this module
+        return _refinement_input(self)
 
     @property
     def node_names(self):
@@ -124,7 +166,8 @@ class ColoredMultigraph:
         return i < len(a) and a[i, 0] == u and a[i, 1] == v
 
     def edge_count(self) -> int:
-        return len(self.src)
+        """The number of edge rows, without making them."""
+        return self._m
 
     def edge_labels_between(self):
         """Map (u, v) -> sorted tuple of labels of directed edges u -> v."""

@@ -101,8 +101,8 @@ def grep(A: Structure):
     right = ranges(np.repeat(starts, size), reach)
     nu, k = len(A.signature.symbols), A.signature.max_arity
     nw = A.size()
-    # unsorted, as grep's and vgrep's rows are distinct by construction: one per
-    # ordered pair of entries, one per (tuple, slice, position pair) and direction
+    # unsorted, as the rows are distinct by construction: one per ordered
+    # pair of entries; _lambda_adjacency sorts them into pair labels
     g = ColoredMultigraph.of_distinct(
         nw, _tuple_names(A), tup[left], tup[right],
         nu + pos[left] * k + pos[right],
@@ -126,9 +126,15 @@ def vgrep(A: Structure):
     distinct slice; edges (w_a, v_s) and (v_s, w_a) labeled by the
     positional overlaps stp(a, s) and stp(s, a), never w-w or v-v.
 
-    Built from the tuple-slice incidence of rcr.slice_incidence.  Slice
-    nodes are numbered by first occurrence over the tuples in order, each
-    tuple's slices in the order of slices().  Returns (graph, node_of,
+    Built from the tuple-slice incidence of rcr.slice_incidence, which it
+    hands to cr_run as the graph's refinement_input: one pair each way per
+    incidence, labeled by the index of stp(a, s) from tuple to slice and
+    that index plus the number of stps from slice to tuple; round 0 classes
+    tuple nodes by relation and puts the slice nodes, which have no labels
+    and no loops, in one class.  The edge rows, one per position pair of
+    stp(a, s) each way, are made only when first read.  Slice nodes are
+    numbered by first occurrence over the tuples in order, each tuple's
+    slices in the order of slices().  Returns (graph, node_of,
     slice_node_of): node_of as grep returns it, and slice_node_of, which
     maps a slice vector to its number among the slice nodes (node nw +
     number); both are built on first use."""
@@ -139,16 +145,31 @@ def vgrep(A: Structure):
     order = np.argsort(tup * max(nslices, 1) + sl)
     tup, sl, lab = tup[order], sl[order], lab[order]
     number, _ = first_occurrence(sl)
-
-    # one edge each way per position pair (i, j) of stp(a, s)
     size = np.array([len(tau) for tau in taus], dtype=np.int64)
-    i, j = np.array([p for tau in taus for p in tau],
-                    dtype=np.int64).reshape(-1, 2).T - 1
-    at = np.repeat(np.arange(len(lab)), size[lab])
-    pair = ranges((np.cumsum(size) - size)[lab], size[lab])
-    w, v = tup[at], nw + number[at]
-    nu, k = len(A.signature.symbols), A.signature.max_arity
-    label = np.concatenate(((nu + i * k + j)[pair], (nu + j * k + i)[pair]))
+
+    # tuple rows in tuple order, then slice rows in slice order
+    by_slice = np.argsort(number, kind="stable")
+    degree = np.bincount(np.concatenate((tup, nw + number)),
+                         minlength=nw + nslices)
+    csr = (np.concatenate(([0], np.cumsum(degree))),
+           np.concatenate((nw + number, tup[by_slice])),
+           np.concatenate((lab, len(taus) + lab[by_slice])))
+    # round 0: tuple nodes by relation, the slice nodes in one class
+    sizes = [len(rows) for _, _, rows, _ in rels]
+    base = np.concatenate((np.repeat(np.arange(len(rels)), sizes),
+                           np.full(nslices, len(rels), dtype=np.int64)))
+    count = len(rels) + (nslices > 0)
+
+    def rows():
+        """One edge each way per position pair (i, j) of stp(a, s)."""
+        i, j = np.array([p for tau in taus for p in tau],
+                        dtype=np.int64).reshape(-1, 2).T - 1
+        at = np.repeat(np.arange(len(lab)), size[lab])
+        pair = ranges((np.cumsum(size) - size)[lab], size[lab])
+        w, v = tup[at], nw + number[at]
+        nu, k = len(A.signature.symbols), A.signature.max_arity
+        return (np.concatenate((w, v)), np.concatenate((v, w)),
+                np.concatenate(((nu + i * k + j)[pair], (nu + j * k + i)[pair])))
 
     @cache
     def numbers():
@@ -159,9 +180,9 @@ def vgrep(A: Structure):
                 first.setdefault(s, len(first))
         return first
 
-    g = ColoredMultigraph.of_distinct(
+    g = ColoredMultigraph.handed_over(
         nw + nslices, _tuple_names(A),
-        np.concatenate((w, v)), np.concatenate((v, w)), label,
+        (csr, base, count), rows, 2 * int(size[lab].sum()),
         np.arange(nw), _tuple_relation(rels),
         lambda: (["w%s" % (A.vector(r),) for r in A.tuple_refs]
                  + ["v%s" % (s,) for s in numbers()]))

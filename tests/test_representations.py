@@ -2,11 +2,13 @@ import itertools
 import random
 
 import numpy as np
+from hash_outputs import six_ary
 from test_acceptance import SIG4, _random_sig4
 
 from relcr import fixtures, generate, representations
 from relcr.acyclic import gyo_join_tree
 from relcr.core import Signature, Structure, self_stp, stp
+from relcr.cr import cr_run
 from relcr.multigraph import ColoredMultigraph
 from relcr.representations import overlap_label, slices, unary_label
 
@@ -323,6 +325,48 @@ def test_vgrep_equals_the_per_edge_build():
         assert_same_graph(g, want)
         assert node_of == want_node_of
         assert slice_node_of == want_slices
+
+
+def expanded_copy(g):
+    """g from its edge rows alone, so that cr_run derives its input."""
+    return ColoredMultigraph.of_distinct(g.n, g.label_names, *g.rows, g.node,
+                                         g.node_label)
+
+
+def handover_corpus():
+    """The fixtures, criterion 5's corpus, 6-ary random, hub and chained
+    structures, an empty structure and one with an empty relation between
+    two others."""
+    sig = Signature([("R", 3), ("S", 2), ("E", 2)])
+    return ([make() for make in (fixtures.a1, fixtures.b1, fixtures.a2,
+                                 fixtures.b2, fixtures.slice_example)]
+            + sig4_corpus(500)
+            + [six_ary(shape, n, 8) for shape, n in (("random", 100),
+                                                     ("hub", 130),
+                                                     ("chain", 90))]
+            + [Structure(Signature([("E", 2)]), {}),
+               generate.random_structure(sig, 6, {"R": 5, "S": 0, "E": 4}, 3)])
+
+
+def test_vgrep_hands_over_the_input_its_edge_rows_give():
+    # vgrep's own adjacency and round-0 classes publish, round by round and
+    # on every node, the ids that _lambda_adjacency and _base_colors give
+    for A in handover_corpus():
+        g = representations.vgrep(A)[0]
+        got, want = cr_run(g), cr_run(expanded_copy(g))
+        assert got.class_counts == want.class_counts
+        for i in range(want.stable_round + 1):
+            assert np.array_equal(got.colors_at(i), want.colors_at(i))
+
+
+def test_cr_run_leaves_vgrep_edge_rows_unmade():
+    corpus = handover_corpus()
+    for A in corpus[:40] + corpus[-2:]:
+        g = representations.vgrep(A)[0]
+        cr_run(g, trace=False)
+        assert callable(g._rows)   # still the function that makes them
+        m = g.edge_count()
+        assert m == len(g.src) == len(g.dst) == len(g.label)
 
 
 def test_every_encoding_equals_the_per_edge_build():

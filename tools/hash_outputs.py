@@ -45,7 +45,11 @@ relabelled, shuffled copy):
               both sides of its pair, and the exit code and stderr of
               `relcr eval` on one ill-formed formula per rule of check_wf
 
-With -v it prints one hash per section as well.
+With -v it prints one hash per section as well.  hash_outputs.txt, next
+to this file, holds that -v output, and tests/test_hash_outputs.py checks
+the code against it; a change that moves an output on purpose rewrites it:
+
+    PYTHONPATH=src python tools/hash_outputs.py -v > tools/hash_outputs.txt
 """
 
 from __future__ import annotations
@@ -376,14 +380,18 @@ def sections(work):
     return {k: h.hexdigest() for k, h in out.items()}
 
 
+def overall(parts):
+    """The one hash over the section hashes, in section order."""
+    return hashlib.sha256("".join(parts.values()).encode()).hexdigest()
+
+
 def main(argv):
     with tempfile.TemporaryDirectory() as tmp:
         parts = sections(Path(tmp))
-    total = hashlib.sha256("".join(parts.values()).encode()).hexdigest()
     if "-v" in argv:
         for k, v in parts.items():
             print("%-12s %s" % (k, v))
-    print(total)
+    print(overall(parts))
     return 0
 
 
