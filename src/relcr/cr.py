@@ -25,6 +25,21 @@ vgrep hands it over, built from the tuple-slice incidence, with label stp(a,
 s) from tuple to slice and another from slice to tuple, so its edge rows are
 never sorted back into pair labels; for other encodings _lambda_adjacency
 and _base_colors derive it from the edge rows.
+
+On graphs of FOLD_NODES nodes or more, cr_run folds leaves out of the
+rounds, as the O((n + m) log n) refinement of Berkholz, Bonsma and Grohe
+needs no per-round work for them.  A leaf has one neighbour, which has two
+or more: most of vgrep's nodes are slices that one tuple alone holds.  A
+leaf p with neighbour a has class (base(p), label(p, a), class of a the
+round before) at every round r >= 1, so refine_rounds refines only the
+core, every other node.  Round 1 reads a core node's whole multiset.  Round
+2 adds a static signature, the multiset of (label(a, p), base(p)) over a's
+leaves.  From round 3 on a core class already fixes its members' leaf
+parts, and the core refines on core edges alone.  The leaf classes of round
+r >= 3 are pairs of a core class of round r - 1 and a key (base(p),
+label(p, a)) of its members' leaves, so the leaves split in the round after
+their neighbours and the run can end one round after the core's.  Every
+round publishes the partition that refining the whole graph gives.
 """
 
 from __future__ import annotations
@@ -188,13 +203,12 @@ class SideCounts:
             return self.round, first + (offsets[self.round] if offsets else 0)
 
 
-def keep_largest(prev, new, count):
+def keep_largest(prev, new, k, count):
     """Internal names after the nodes with old names prev take the classes
     new (ids 0..k-1, each within one old class): in every old class the
     largest part keeps the old name, the smallest id among equals, and the
     other parts take count, count + 1, ... in the order of their ids.
     Returns (names, the indices whose name changed, names now in use)."""
-    k = int(new.max()) + 1 if len(new) else 0
     parent = np.empty(k, dtype=np.int64)
     parent[new] = prev
     # parts by old name, the largest first: one stable sort of a packed key
@@ -356,8 +370,15 @@ def _split_exactly(group, bad, starts, scodes):
     return out
 
 
-def _dense(classes):
-    """(names, count): int class labels renamed 0..count-1, in sorted order."""
+def _dense(classes, bound=None):
+    """(names, count): int class labels renamed 0..count-1, in sorted order.
+    Labels known to lie in [0, bound), for a bound not far above their
+    number, are ranked by a table instead of a sort."""
+    if bound is not None and bound <= 16 * len(classes) + 64:
+        seen = np.zeros(bound + 1, dtype=np.int64)
+        seen[classes + 1] = 1
+        rank = np.cumsum(seen)
+        return rank[classes + 1] - 1, int(rank[-1])
     distinct, names = np.unique(classes, return_inverse=True)
     return names, len(distinct)
 
@@ -379,11 +400,166 @@ def cr_run(G: ColoredMultigraph, max_rounds=None, trace=True) -> Coloring:
     """Refine until the partition is stable (or max_rounds).  With trace=False
     only the last round is kept, which the benchmark path uses.  Reads only
     G.refinement_input, which vgrep hands over and other encodings derive
-    from their edge rows."""
+    from their edge rows.
+
+    On FOLD_NODES nodes or more, leaves are folded out: a leaf is a node
+    with one neighbour, which has two or more, and refine_rounds refines
+    only the core, every other node; _fold_rounds derives the leaves'
+    classes and publishes the same rounds."""
     if max_rounds is None:
         max_rounds = G.n
     csr, names, count = G.refinement_input
+    if G.n >= FOLD_NODES:
+        leaf = _leaves(*csr[:2])
+        if leaf.any():
+            return Coloring(*_fold_rounds(csr, names, count, leaf, max_rounds,
+                                          trace))
     return Coloring(*refine_rounds([csr], names, count, max_rounds, trace))
+
+
+# cr_run folds leaves out on graphs of at least FOLD_NODES nodes; on smaller
+# ones the fold's fixed numpy passes cost more than its rounds save, and a
+# small core may never hand over to the worklist (a path's core does not
+# while its classes are within 64 of its nodes).  Folded against unfolded
+# cr_run(trace=False) time, medians of 31 calls on the vgreps of the full
+# pairs of 3 input sets (seed 13) at perfbench scale s, 2-core x86, Python
+# 3.11, numpy 2.4: random-sparse 332 nodes (s = 0.05) 1.06, 688 0.82, 1,401
+# 0.72, 2,834 0.67, 7,100 (s = 1) 0.61; hub-star 287 nodes 1.10, 579 0.87,
+# 975 (s = 1) 0.97-1.06, 1,932 0.91, 3,868 0.74; long-path 121 nodes 1.18,
+# 241 3.74, 481 0.88, 801 (s = 1) 0.78, 2,001 0.77, 4,001 0.72; oracles,
+# 31 nodes, 1.48.
+FOLD_NODES = 2048
+
+
+def _leaves(starts, dst):
+    """The mask of leaves of a CSR adjacency: nodes with one neighbour,
+    which has two or more."""
+    deg = starts[1:] - starts[:-1]
+    leaf = deg == 1
+    one = np.flatnonzero(leaf)
+    leaf[one] = deg[dst[starts[one]]] >= 2
+    return leaf
+
+
+def _fold_rounds(csr, base, count, leaf, max_rounds, trace):
+    """refine_rounds' (base, moved, renamed, ends, class_counts) for CR on
+    the CSR adjacency csr from the count classes base, refining only the
+    nodes that leaf does not mark, the core, as the module docstring says.
+
+    A leaf p with neighbour a has the key kappa(p) = (base(p), lambda(p,
+    a)).  At round 1 a node of degree one (a leaf, or an end of an isolated
+    edge: the only core nodes whose round-1 class a leaf can share) is its
+    key and its neighbour's base class.  At round 2 a core node reads
+    (lambda(a, p), base(p)) for each leaf p, as labels fix lambda(p, a)
+    given both ends' base classes.  refine_rounds then refines the core on
+    core edges from round 2, traced, and a leaf class of round r >= 3 is a
+    core class of round r - 1 and the rank of the key among the d keys of
+    its members' leaves.
+
+    With a trace, rounds 1-3 are named by keep_largest over every node.
+    After that, a core class born at round r >= 4, and the leaf classes born
+    from it at r + 1, take names past all older ones, with no pass over all
+    nodes."""
+    starts, dst, lam = csr
+    n = len(base)
+    core = np.flatnonzero(~leaf)
+    rs, edges = _csr_rows(starts, core)
+    other, label = dst[edges], lam[edges]
+    to_leaf = leaf[other]
+    lv = other[to_leaf]                      # the leaves, by core neighbour
+    owner = np.repeat(np.arange(len(core)), rs[1:] - rs[:-1])[to_leaf]
+    lstarts = np.concatenate(([0], np.cumsum(to_leaf)))[rs]
+
+    c1, k1 = refine_step(rs, other, label, base[core], base)
+    iso = core[rs[1:] - rs[:-1] == 1]        # ends of isolated edges
+    ones = np.concatenate((lv, iso))
+    wide = int(lam.max()) + 1
+    kappa, nk = _dense(base[ones] * wide + lam[starts[ones]], count * wide)
+    one, d1 = _dense(kappa * count + base[dst[starts[ones]]], nk * count)
+    kappa = kappa[:len(lv)]
+    k1_all = k1 + d1 - np.count_nonzero(np.bincount(one[len(lv):],
+                                                    minlength=d1))
+    col = base + k1
+    col[core] = c1
+    c2, k2 = refine_step(rs, other, label, c1, col)
+    two, d2 = _dense(kappa * k1 + c1[owner], nk * k1)
+    three, d3 = _dense(c2[owner] * nk + kappa, k2 * nk)
+    cls = np.empty(d3, dtype=np.int64)
+    cls[three] = c2[owner]
+    d = np.bincount(cls, minlength=k2)      # keys per class of round 2
+    rank = three - (np.cumsum(d) - d)[c2[owner]]
+
+    inner = ~to_leaf
+    cbase, cmoved, crenamed, cends, cc = refine_rounds(
+        [(np.concatenate(([0], np.cumsum(inner)))[rs],
+          (np.cumsum(~leaf) - 1)[other[inner]], label[inner])],
+        c2, k2, max(max_rounds - 2, 0))
+    dy = np.zeros(cc[-1], dtype=np.int64)   # keys per core name born later
+    dy[crenamed] = d[c2[cmoved]]
+    dsum = np.concatenate(([0], np.cumsum(dy)))
+    cc = np.array(cc + [cc[-1]] * 2)        # core classes from round 2 on
+
+    counts = [count]
+    for r in range(1, max_rounds + 1):   # the core is stable past cc's end
+        k = (k1_all if r == 1 else k2 + d2 if r == 2 else
+             cc[r - 2] + d3 + dsum[cc[r - 3]])
+        if k == counts[-1]:
+            break
+        counts.append(k)
+    last = len(counts) - 1
+    core_names = Coloring(cbase, cmoved, crenamed, cends, cc)._names_at
+
+    def names_at(r):
+        """Dense names of every node at round r."""
+        if r == 0:
+            return base
+        out = np.empty(n, dtype=np.int64)
+        if r == 1:
+            out[core] = c1
+            out[ones] = k1 + one
+            return _dense(out, k1 + d1)[0]
+        if r == 2:
+            out[core] = c2
+            out[lv] = k2 + two
+            return out
+        before, at = (min(r - i, len(cends) - 1) for i in (3, 2))
+        prev = core_names(before).copy()
+        keys = np.zeros(cc[before], dtype=np.int64)
+        keys[prev] = d[c2]
+        out[lv] = cc[at] + (np.cumsum(keys) - keys)[prev[owner]] + rank
+        out[core] = core_names(at)
+        return out
+
+    if not trace:
+        return names_at(last), _NONE, _NONE, [0], counts
+    names, moved, renamed, ends = base, [_NONE], [_NONE], [0]
+    for r in range(1, min(last, 3) + 1):
+        names, changed, _ = keep_largest(names, names_at(r), counts[r],
+                                          counts[r - 1])
+        moved.append(changed)
+        renamed.append(names[changed])
+        ends.append(ends[-1] + len(changed))
+    if last > 3:
+        # the core's trace entries of round i + 3, i >= 1, name a class y
+        # born there; from round 4 on such y takes a name past every older
+        # one, and at round i + 4 its leaves take the d names after those
+        # of the core, one per key, by rank
+        i = np.repeat(np.arange(len(cends) - 1), np.diff(cends))
+        at = np.flatnonzero((i >= 1) & (i <= last - 3))
+        core_name = crenamed[at] + d3 + dsum[cc[i[at] - 1]]
+        at_leaf = np.flatnonzero(i <= last - 4)
+        a = cmoved[at_leaf]
+        size = lstarts[a + 1] - lstarts[a]
+        idx = ranges(lstarts[a], size)
+        leaf_name = rank[idx] + np.repeat(
+            cc[i[at_leaf] + 2] + d3 + dsum[crenamed[at_leaf]], size)
+        rounds = np.concatenate((i[at] + 3, np.repeat(i[at_leaf] + 4, size)))
+        order = np.argsort(rounds, kind="stable")
+        moved.append(np.concatenate((core[cmoved[at]], lv[idx]))[order])
+        renamed.append(np.concatenate((core_name, leaf_name))[order])
+        ends += (ends[-1] + np.cumsum(np.bincount(
+            rounds, minlength=last + 1)[4:])).tolist()
+    return base, np.concatenate(moved), np.concatenate(renamed), ends, counts
 
 
 # refine_rounds hands over to its worklist after a round that renames at most
@@ -400,7 +576,9 @@ def cr_run(G: ColoredMultigraph, max_rounds=None, trace=True) -> Coloring:
 # 2.8/2.3, 2.8/2.2; oracles 0.8/0.8 for all.  Without the cost, random
 # R/3,E/2 vgreps of 8e3, 1.6e4, 6.4e4, 1e5 tuples (seed 7) handed over for
 # their last 1-2 rounds: cr_run took 0.18, 0.35, 1.58, 3.24 s, not 0.14,
-# 0.27, 1.33, 2.60 s.
+# 0.27, 1.33, 2.60 s.  The cr_run figures were taken before cr_run folded
+# leaves out: those of random-sparse and of the 8e3-1e5 vgreps, which reach
+# FOLD_NODES, are of whole vgreps, where cr_run now refines their cores.
 HANDOVER_PER_TUPLE = 64
 
 
@@ -454,7 +632,8 @@ def refine_rounds(steps, base, count, max_rounds, trace=True, stop=None):
             if r is not None or j == sides - 1 and k > counts[j] and (
                     trace or (k - counts[j]) * HANDOVER_PER_TUPLE
                     <= size[j] - k):
-                part, changed, new_count = keep_largest(old, local, counts[j])
+                part, changed, new_count = keep_largest(old, local, k,
+                                                       counts[j])
                 if r is not None:
                     changed = r[changed]
                     part, named = prev.copy(), part
@@ -550,14 +729,21 @@ def _bags(moved, starts, other, lab, names, nlabels):
 
 class _Partition:
     """Dense names of nodes 0..n-1, a list refined in place, and the members
-    of each class as dict keys (a dict of ints, unlike a set, is not tracked
-    by the garbage collector).  A split costs O(nodes re-keyed)."""
+    of each class: the node itself for a class of one, which never splits,
+    and otherwise dict keys (a dict of ints, unlike a set, is not tracked by
+    the garbage collector).  A split costs O(nodes re-keyed)."""
 
     def __init__(self, names):
         self.names = names
-        self.members = [{} for _ in range(max(names, default=-1) + 1)]
-        for v, c in enumerate(self.names):
-            self.members[c][v] = None
+        self.members = members = [None] * (max(names, default=-1) + 1)
+        for v, c in enumerate(names):
+            old = members[c]
+            if old is None:
+                members[c] = v
+            elif type(old) is int:
+                members[c] = {old: None, v: None}
+            else:
+                old[v] = None
 
     def refine(self, bags):
         """Split every class by the sorted codes of its nodes in bags; its
@@ -576,6 +762,8 @@ class _Partition:
         renamed = []
         for c, split in by_class.items():
             old = members[c]
+            if type(old) is int:
+                continue
             rest = len(old) - sum(map(len, split))
             if not rest and len(split) == 1:
                 continue
@@ -585,8 +773,10 @@ class _Partition:
             keep = max(split, key=len)
             if len(keep) <= rest:
                 keep = None
+                if rest == 1:
+                    members[c] = next(iter(old))
             else:
-                members[c] = dict.fromkeys(keep)
+                members[c] = _members(keep)
                 if rest:   # the untouched part leaves too: it is smaller than keep
                     split.append(list(old))
             for part in split:
@@ -594,9 +784,15 @@ class _Partition:
                     new = len(members)
                     for v in part:
                         names[v] = new
-                    members.append(dict.fromkeys(part))
+                    members.append(_members(part))
                     renamed += part
         return renamed
+
+
+def _members(part):
+    """_Partition's members of a class: the node of a class of one, else
+    the nodes as dict keys."""
+    return part[0] if len(part) == 1 else dict.fromkeys(part)
 
 
 def _csr_rows(starts, rows):

@@ -2,9 +2,11 @@ import itertools
 import random
 
 import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
 from test_acceptance import _random_sig4
 
-from relcr import fixtures, generate, representations
+from relcr import cr, fixtures, generate, representations
 from relcr.core import Signature, Structure
 from relcr.cr import _set_ids, cr_distinguishes, cr_run, multigraph_union
 from relcr.multigraph import ColoredMultigraph, sorted_distinct
@@ -148,7 +150,77 @@ def test_trace_false_keeps_final_partition():
     graphs = [random_multigraph(17), representations.vgrep(path)[0],
               representations.vgrep(wide)[0]]
     for G in graphs:
-        assert np.array_equal(cr_run(G, trace=False).colors, cr_run(G).colors)
+        fast, full = cr_run(G, trace=False), cr_run(G)
+        assert np.array_equal(fast.colors, full.colors)
+        assert fast.class_counts == full.class_counts
+        assert fast.stable_round == full.stable_round
+
+
+@st.composite
+def leafy_multigraphs(draw):
+    """Small multigraphs made mostly of leaves (nodes with one neighbour,
+    which has two or more): a random core, often a directed path, with stars,
+    isolated edges, paths of two edges and leaves hung on it, self-loops,
+    unary labels and up to three edge labels, in either direction and in
+    parallel."""
+    plain = draw(st.booleans())   # one label, one direction: many rounds
+    n = draw(st.integers(0, 14))
+    pairs = [(v, v + 1) for v in range(n - 1)] if plain else [
+        tuple(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2)))
+        for _ in range(draw(st.integers(0, 8) if n else st.just(0)))]
+    core = list(range(n))
+    for shape in draw(st.lists(st.sampled_from(
+            ["star", "edge", "path", "leaf", "leaf"]), max_size=8)):
+        if shape == "leaf" and core:
+            pairs.append((draw(st.sampled_from(core)), n))
+            n += 1
+        elif shape == "star":
+            k = draw(st.integers(1, 4))
+            pairs += [(n, n + 1 + i) for i in range(k)]
+            core.append(n)
+            n += k + 1
+        elif shape in ("edge", "path"):
+            pairs.append((n, n + 1))
+            if shape == "path":
+                pairs.append((n + 1, n + 2))
+            core.append(n + 1)
+            n += 2 + (shape == "path")
+    n = max(n, 1)
+    pairs += [(v, v) for v in draw(st.lists(st.integers(0, n - 1),
+                                            max_size=3))]
+    edges = {}
+    for u, v in pairs:
+        for lab in "a" if plain else draw(st.lists(
+                st.sampled_from("abc"), min_size=1, max_size=2, unique=True)):
+            edges.setdefault(lab, []).append(
+                (v, u) if not plain and draw(st.booleans()) else (u, v))
+    labels = {v: {"L"} for v in draw(st.lists(st.integers(0, n - 1),
+                                             max_size=3))}
+    return ColoredMultigraph.from_named(n, labels, edges)
+
+
+@settings(max_examples=200, deadline=None)
+@given(leafy_multigraphs())
+def test_folded_leaves_give_naive_rounds(G):
+    # cr_run folds leaves out whatever the size; every round must publish
+    # the ids of the per-node oracle, and the untraced run its last round
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cr, "FOLD_NODES", 0)
+        for max_rounds in (0, 1, 2, 3, None):
+            want = []
+            for col in naive_cr(G, max_rounds):
+                ids: dict = {}   # numbered in order of first occurrence
+                want.append([ids.setdefault(col[v], len(ids))
+                             for v in range(G.n)])
+            counts = [max(w) + 1 for w in want]
+            fast = cr_run(G, max_rounds, trace=False)
+            full = cr_run(G, max_rounds)
+            for got in (fast, full):
+                assert got.class_counts == counts
+                assert got.stable_round == len(want) - 1
+            assert fast.colors.tolist() == want[-1]
+            assert [full.colors_at(i).tolist()
+                    for i in range(len(want))] == want
 
 
 def test_edge_dedup_and_lookup():

@@ -166,7 +166,9 @@ def test_kernel_ids_equal_reference_ids():
 
 def test_handover_cases_switch_mid_run(monkeypatch):
     # each case runs refine_step rounds, then worklist rounds that split;
-    # cr_run and the slice kernel hand over by the same rule
+    # cr_run and the slice kernel hand over by the same rule.  The vgrep of
+    # random_with_path is large enough for cr_run to fold its leaves: its
+    # core's log starts at round 2, and it hands over after round 12
     seen = []
     worklist = cr._worklist_rounds
 
@@ -182,13 +184,13 @@ def test_handover_cases_switch_mid_run(monkeypatch):
         kernel_ids(A)
     for A in [directed_path(300)] + handover_cases():
         cr_run(representations.vgrep(A)[0])
-    assert [before for before, _ in seen] == [1, 4, 3, 3, 18]
+    assert [before for before, _ in seen] == [1, 4, 3, 3, 10]
     assert all(after > 0 for _, after in seen)
 
 
 def test_worklist_partition_matches_its_names(monkeypatch):
     # after every split, each class's member set is the set of nodes of
-    # that name, and no class is empty
+    # that name, and no class is empty; a class of one holds its node
     refine = cr._Partition.refine
     calls = []
 
@@ -198,8 +200,10 @@ def test_worklist_partition_matches_its_names(monkeypatch):
         by_name = [set() for _ in part.members]
         for v, c in enumerate(part.names):
             by_name[c].add(v)
-        assert [m.keys() for m in part.members] == by_name
-        assert all(part.members)
+        assert [m.keys() if isinstance(m, dict) else {m}
+                for m in part.members] == by_name
+        assert all(by_name)
+        assert all(len(m) > 1 for m in part.members if isinstance(m, dict))
         return renamed
 
     monkeypatch.setattr(cr._Partition, "refine", checked)

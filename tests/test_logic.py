@@ -1,7 +1,9 @@
 import itertools
 import random
 
+import hash_outputs
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relcr import fixtures, generate, logic
 from relcr.core import Signature, Structure
@@ -271,6 +273,27 @@ def test_evaluate_matches_brute_force():
                 assert evaluate(f, A, a) == brute_holds(f, A, a), to_sexp(f)
                 tried += 1
     assert tried > 2000
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(0, 4))
+def test_sexp_roundtrip_on_random_guarded_formulas(rng, depth):
+    f = random_formula(rng, ("y1", "y2"), depth)
+    check_wf(f, SIG)
+    text = to_sexp(f)
+    assert to_sexp(from_sexp(text)) == text
+
+
+def test_sexp_roundtrip_on_synthesized_sentences():
+    # the pairs of the hash tool's sentence section, the fixtures first
+    texts = []
+    for _, A, B in hash_outputs.corpus()[1]:
+        got = hash_outputs.sentence(A, B).split("\n")
+        if len(got) == 3:   # a sentence and its side, not None or an error
+            texts.append(got[0])
+    assert len(texts) > 30
+    for text in texts:
+        assert to_sexp(from_sexp(text)) == text
 
 
 def test_check_wf_deep_negation_chain():
