@@ -68,7 +68,13 @@ def check_round_correspondence(structures, encodings=("vgrep", "grep")):
     """RCR round i on tuples must equal plain refinement round 2i+1 on the
     w-nodes of the variable-gadget graph (vgrep), and round i on the overlap
     graph (grep); in both, the node of Tup position k is k.  One failure
-    per structure and encoding names the first round that differs."""
+    per structure and encoding names the first round that differs.
+
+    The structures must be twin-free: no vector in two relations of one
+    arity.  RCR gives such twin occurrences one class at every round (both
+    have the atomic type of both relations), while each encoding gives each
+    occurrence its own node, labelled by its one relation, and CR splits
+    them at round 0."""
     bad = []
     for case, A in enumerate(structures):
         trace = rcr_run(A)

@@ -26,20 +26,21 @@ s) from tuple to slice and another from slice to tuple, so its edge rows are
 never sorted back into pair labels; for other encodings _lambda_adjacency
 and _base_colors derive it from the edge rows.
 
-On graphs of FOLD_NODES nodes or more, cr_run folds leaves out of the
-rounds, as the O((n + m) log n) refinement of Berkholz, Bonsma and Grohe
+Untraced, on graphs of FOLD_NODES nodes or more, cr_run folds leaves out of
+the rounds, as the O((n + m) log n) refinement of Berkholz, Bonsma and Grohe
 needs no per-round work for them.  A leaf has one neighbour, which has two
 or more: most of vgrep's nodes are slices that one tuple alone holds.  A
 leaf p with neighbour a has class (base(p), label(p, a), class of a the
-round before) at every round r >= 1, so refine_rounds refines only the
-core, every other node.  Round 1 reads a core node's whole multiset.  Round
-2 adds a static signature, the multiset of (label(a, p), base(p)) over a's
-leaves.  From round 3 on a core class already fixes its members' leaf
-parts, and the core refines on core edges alone.  The leaf classes of round
-r >= 3 are pairs of a core class of round r - 1 and a key (base(p),
-label(p, a)) of its members' leaves, so the leaves split in the round after
-their neighbours and the run can end one round after the core's.  Every
-round publishes the partition that refining the whole graph gives.
+round before) at every round r >= 1, so refine_rounds refines only the core,
+every other node.  Round 1 reads a core node's whole multiset.  Round 2 adds
+a static signature, the multiset of (label(a, p), base(p)) over a's leaves.
+From round 3 on a core class already fixes its members' leaf parts, and the
+core refines on core edges alone.  The leaf classes of round r >= 3 are
+pairs of a core class of round r - 1 and a key (base(p), label(p, a)) of its
+members' leaves, so the leaves split in the round after their neighbours and
+the run can end one round after the core's.  The fold keeps the last round,
+the partition that refining the whole graph gives, and every round's class
+count.  A traced run refines every node with refine_rounds, as rcr does.
 """
 
 from __future__ import annotations
@@ -86,10 +87,12 @@ class Coloring:
 
     def colors_at(self, i):
         """Colors of round i as an int64 array; rounds past stability repeat
-        the stable partition."""
+        the stable partition, and a negative round raises a ValueError."""
         return self._publish(i)[0]
 
     def _publish(self, i):
+        if i < 0:
+            raise ValueError("no round %r: rounds count from 0" % (i,))
         i = min(i, len(self.ends) - 1)
         hit = self._published.pop(i, None)
         if hit is None:
@@ -402,18 +405,18 @@ def cr_run(G: ColoredMultigraph, max_rounds=None, trace=True) -> Coloring:
     G.refinement_input, which vgrep hands over and other encodings derive
     from their edge rows.
 
-    On FOLD_NODES nodes or more, leaves are folded out: a leaf is a node
-    with one neighbour, which has two or more, and refine_rounds refines
-    only the core, every other node; _fold_rounds derives the leaves'
-    classes and publishes the same rounds."""
+    An untraced run on FOLD_NODES nodes or more folds leaves out: a leaf is
+    a node with one neighbour, which has two or more, and refine_rounds
+    refines only the core, every other node; _fold_rounds derives the
+    leaves' last classes.  A traced run refines every node."""
     if max_rounds is None:
         max_rounds = G.n
     csr, names, count = G.refinement_input
-    if G.n >= FOLD_NODES:
+    if not trace and G.n >= FOLD_NODES:
         leaf = _leaves(*csr[:2])
         if leaf.any():
-            return Coloring(*_fold_rounds(csr, names, count, leaf, max_rounds,
-                                          trace))
+            final, counts = _fold_rounds(csr, names, count, leaf, max_rounds)
+            return Coloring(final, _NONE, _NONE, [0], counts)
     return Coloring(*refine_rounds([csr], names, count, max_rounds, trace))
 
 
@@ -441,10 +444,11 @@ def _leaves(starts, dst):
     return leaf
 
 
-def _fold_rounds(csr, base, count, leaf, max_rounds, trace):
-    """refine_rounds' (base, moved, renamed, ends, class_counts) for CR on
-    the CSR adjacency csr from the count classes base, refining only the
-    nodes that leaf does not mark, the core, as the module docstring says.
+def _fold_rounds(csr, base, count, leaf, max_rounds):
+    """(names, class_counts) for untraced CR on the CSR adjacency csr from
+    the count classes base: the last round's dense names of every node, and
+    every round's class count.  Only the nodes that leaf does not mark, the
+    core, are refined, as the module docstring says.
 
     A leaf p with neighbour a has the key kappa(p) = (base(p), lambda(p,
     a)).  At round 1 a node of degree one (a leaf, or an end of an isolated
@@ -454,12 +458,7 @@ def _fold_rounds(csr, base, count, leaf, max_rounds, trace):
     given both ends' base classes.  refine_rounds then refines the core on
     core edges from round 2, traced, and a leaf class of round r >= 3 is a
     core class of round r - 1 and the rank of the key among the d keys of
-    its members' leaves.
-
-    With a trace, rounds 1-3 are named by keep_largest over every node.
-    After that, a core class born at round r >= 4, and the leaf classes born
-    from it at r + 1, take names past all older ones, with no pass over all
-    nodes."""
+    its members' leaves."""
     starts, dst, lam = csr
     n = len(base)
     core = np.flatnonzero(~leaf)
@@ -468,7 +467,6 @@ def _fold_rounds(csr, base, count, leaf, max_rounds, trace):
     to_leaf = leaf[other]
     lv = other[to_leaf]                      # the leaves, by core neighbour
     owner = np.repeat(np.arange(len(core)), rs[1:] - rs[:-1])[to_leaf]
-    lstarts = np.concatenate(([0], np.cumsum(to_leaf)))[rs]
 
     c1, k1 = refine_step(rs, other, label, base[core], base)
     iso = core[rs[1:] - rs[:-1] == 1]        # ends of isolated edges
@@ -507,59 +505,25 @@ def _fold_rounds(csr, base, count, leaf, max_rounds, trace):
             break
         counts.append(k)
     last = len(counts) - 1
-    core_names = Coloring(cbase, cmoved, crenamed, cends, cc)._names_at
-
-    def names_at(r):
-        """Dense names of every node at round r."""
-        if r == 0:
-            return base
-        out = np.empty(n, dtype=np.int64)
-        if r == 1:
-            out[core] = c1
-            out[ones] = k1 + one
-            return _dense(out, k1 + d1)[0]
-        if r == 2:
-            out[core] = c2
-            out[lv] = k2 + two
-            return out
-        before, at = (min(r - i, len(cends) - 1) for i in (3, 2))
+    out = np.empty(n, dtype=np.int64)   # every node's dense names at last
+    if last == 0:
+        out = base
+    elif last == 1:
+        out[core] = c1
+        out[ones] = k1 + one
+        out = _dense(out, k1 + d1)[0]
+    elif last == 2:
+        out[core] = c2
+        out[lv] = k2 + two
+    else:
+        core_names = Coloring(cbase, cmoved, crenamed, cends, cc)._names_at
+        before, at = (min(last - i, len(cends) - 1) for i in (3, 2))
         prev = core_names(before).copy()
         keys = np.zeros(cc[before], dtype=np.int64)
         keys[prev] = d[c2]
         out[lv] = cc[at] + (np.cumsum(keys) - keys)[prev[owner]] + rank
         out[core] = core_names(at)
-        return out
-
-    if not trace:
-        return names_at(last), _NONE, _NONE, [0], counts
-    names, moved, renamed, ends = base, [_NONE], [_NONE], [0]
-    for r in range(1, min(last, 3) + 1):
-        names, changed, _ = keep_largest(names, names_at(r), counts[r],
-                                          counts[r - 1])
-        moved.append(changed)
-        renamed.append(names[changed])
-        ends.append(ends[-1] + len(changed))
-    if last > 3:
-        # the core's trace entries of round i + 3, i >= 1, name a class y
-        # born there; from round 4 on such y takes a name past every older
-        # one, and at round i + 4 its leaves take the d names after those
-        # of the core, one per key, by rank
-        i = np.repeat(np.arange(len(cends) - 1), np.diff(cends))
-        at = np.flatnonzero((i >= 1) & (i <= last - 3))
-        core_name = crenamed[at] + d3 + dsum[cc[i[at] - 1]]
-        at_leaf = np.flatnonzero(i <= last - 4)
-        a = cmoved[at_leaf]
-        size = lstarts[a + 1] - lstarts[a]
-        idx = ranges(lstarts[a], size)
-        leaf_name = rank[idx] + np.repeat(
-            cc[i[at_leaf] + 2] + d3 + dsum[crenamed[at_leaf]], size)
-        rounds = np.concatenate((i[at] + 3, np.repeat(i[at_leaf] + 4, size)))
-        order = np.argsort(rounds, kind="stable")
-        moved.append(np.concatenate((core[cmoved[at]], lv[idx]))[order])
-        renamed.append(np.concatenate((core_name, leaf_name))[order])
-        ends += (ends[-1] + np.cumsum(np.bincount(
-            rounds, minlength=last + 1)[4:])).tolist()
-    return base, np.concatenate(moved), np.concatenate(renamed), ends, counts
+    return out, counts
 
 
 # refine_rounds hands over to its worklist after a round that renames at most
@@ -578,7 +542,8 @@ def _fold_rounds(csr, base, count, leaf, max_rounds, trace):
 # their last 1-2 rounds: cr_run took 0.18, 0.35, 1.58, 3.24 s, not 0.14,
 # 0.27, 1.33, 2.60 s.  The cr_run figures were taken before cr_run folded
 # leaves out: those of random-sparse and of the 8e3-1e5 vgreps, which reach
-# FOLD_NODES, are of whole vgreps, where cr_run now refines their cores.
+# FOLD_NODES, are of whole vgreps, where an untraced cr_run now refines their
+# cores and a traced one still refines every node.
 HANDOVER_PER_TUPLE = 64
 
 

@@ -73,7 +73,10 @@ class RefinementTrace(Coloring):
 
     def round_colors(self, i) -> range:
         """Every color id of round i, in increasing order; rounds past
-        stability repeat the stable round."""
+        stability repeat the stable round, and a negative round raises a
+        ValueError."""
+        if i < 0:
+            raise ValueError("no round %r: rounds count from 0" % (i,))
         i = min(i, self.stable_round)
         return range(self.offsets[i], self.offsets[i + 1])
 

@@ -3,8 +3,10 @@ import random
 
 import numpy as np
 import pytest
+from hash_outputs import hub, six_ary
 from hypothesis import given, settings, strategies as st
 from test_acceptance import _random_sig4
+from test_kernel import directed_path
 
 from relcr import cr, fixtures, generate, representations
 from relcr.core import Signature, Structure
@@ -141,15 +143,20 @@ def test_triangle_vs_path_unlabeled():
 
 
 def test_trace_false_keeps_final_partition():
-    # the vgrep of a path hands over to the worklist; that of a random
-    # structure re-keys only the nodes next to a split in later rounds
-    path = Structure.from_named(Signature([("E", 2)]), [
-        ("E", (str(i), str(i + 1))) for i in range(300)])
+    # the untraced run folds leaves on FOLD_NODES nodes or more and the
+    # traced one refines every node, so this checks the fold against the
+    # round driver on vgreps of each family: random, hub, a directed path
+    # of 600 facts and the 6-ary structures of handover_corpus().  Below
+    # the fold, the vgrep of a 300-fact path hands over to the worklist
     sig = Signature([("R", 3), ("E", 2)])
     wide = generate.random_structure(sig, 1000, {"R": 500, "E": 500}, 0)
-    graphs = [random_multigraph(17), representations.vgrep(path)[0],
-              representations.vgrep(wide)[0]]
-    for G in graphs:
+    folded = [representations.vgrep(A)[0] for A in [
+        wide, hub(400, 0), directed_path(600)] + [
+        six_ary(shape, n, 8) for shape, n in (("random", 100), ("hub", 130),
+                                              ("chain", 90))]]
+    assert all(G.n >= cr.FOLD_NODES for G in folded)
+    for G in [random_multigraph(17),
+              representations.vgrep(directed_path(300))[0]] + folded:
         fast, full = cr_run(G, trace=False), cr_run(G)
         assert np.array_equal(fast.colors, full.colors)
         assert fast.class_counts == full.class_counts
@@ -202,8 +209,9 @@ def leafy_multigraphs(draw):
 @settings(max_examples=200, deadline=None)
 @given(leafy_multigraphs())
 def test_folded_leaves_give_naive_rounds(G):
-    # cr_run folds leaves out whatever the size; every round must publish
-    # the ids of the per-node oracle, and the untraced run its last round
+    # the untraced cr_run folds leaves out whatever the size and must end on
+    # the last round of the per-node oracle; the traced leg checks that the
+    # unfolded round driver publishes every round's ids
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cr, "FOLD_NODES", 0)
         for max_rounds in (0, 1, 2, 3, None):

@@ -166,9 +166,10 @@ def test_kernel_ids_equal_reference_ids():
 
 def test_handover_cases_switch_mid_run(monkeypatch):
     # each case runs refine_step rounds, then worklist rounds that split;
-    # cr_run and the slice kernel hand over by the same rule.  The vgrep of
-    # random_with_path is large enough for cr_run to fold its leaves: its
-    # core's log starts at round 2, and it hands over after round 12
+    # cr_run and the slice kernel hand over by the same rule.  A traced
+    # cr_run refines every node; untraced, the vgrep of random_with_path is
+    # large enough for cr_run to fold its leaves: its core's log starts at
+    # round 2, and it hands over after round 12
     seen = []
     worklist = cr._worklist_rounds
 
@@ -184,7 +185,9 @@ def test_handover_cases_switch_mid_run(monkeypatch):
         kernel_ids(A)
     for A in [directed_path(300)] + handover_cases():
         cr_run(representations.vgrep(A)[0])
-    assert [before for before, _ in seen] == [1, 4, 3, 3, 10]
+    cr_run(representations.vgrep(random_with_path(600, 200, 0))[0],
+           trace=False)
+    assert [before for before, _ in seen] == [1, 4, 3, 3, 18, 10]
     assert all(after > 0 for _, after in seen)
 
 

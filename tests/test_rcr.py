@@ -191,6 +191,51 @@ def test_round_of_color_past_a_thousand_rounds():
             assert t.round_of_color(c) == i
 
 
+def test_negative_round_raises():
+    # A2 has 9 ids, stable at round 1: round -1 would read ids 9-11, and
+    # round -2 round 0's partition under round 1's ids
+    t = rcr_run(fixtures.a2())
+    for read in (t.colors_at, t.histogram_at, t.partition_at, t.round_colors):
+        for i in (-1, -2):
+            with pytest.raises(ValueError):
+                read(i)
+    with pytest.raises(ValueError):
+        cr_run(vgrep(fixtures.a2())[0], trace=False).colors_at(-1)
+
+
+def twin_path(k):
+    """A directed E path of k facts whose every fifth vector is also in R:
+    twin occurrences, one vector in two relations of one arity."""
+    pairs = [("p%d" % i, "p%d" % (i + 1)) for i in range(k)]
+    return Structure.from_named(Signature([("R", 2), ("E", 2)]), [
+        ("E", t) for t in pairs] + [("R", t) for t in pairs[::5]])
+
+
+def test_twin_occurrences_share_a_colour_at_every_round(monkeypatch):
+    # R(v) and E(v) both have atomic type {R, E}, so RCR never splits them;
+    # CR on vgrep and grep does, by each node's one relation label, which is
+    # why the round correspondence holds on twin-free structures only.
+    # Below SMALL_FACTS the overlap worklist runs, above it the slice kernel
+    ran = []
+    for name in ("_overlap_engine", "_kernel_engine"):
+        engine = getattr(rcr, name)
+        monkeypatch.setattr(rcr, name, lambda A, engine=engine, name=name: (
+            ran.append(name), engine(A))[1])
+    for k in (20, 120):
+        A = twin_path(k)
+        t = rcr_run(A)
+        assert t.stable_round >= 5
+        pos = {}   # vector -> its positions
+        for k, ref in enumerate(A.tuple_refs):
+            pos.setdefault(tuple(A.vector(ref)), []).append(k)
+        twins = [p for p in pos.values() if len(p) == 2]
+        assert len(twins) == A.counts["R"]
+        for i in range(t.stable_round + 1):
+            cols = t.colors_at(i)
+            assert all(cols[a] == cols[b] for a, b in twins)
+    assert ran == ["_overlap_engine", "_kernel_engine"]
+
+
 def test_decode_holds_for_every_position_of_a_color():
     # a color's key is spelled out by any occurrence with that color, so
     # decoding from one representative is sound

@@ -16,7 +16,9 @@ relabelled, shuffled copy):
   refine      `relcr refine --csv` (stdout and CSV)
   export      `relcr export --rep R` DOT for all six representations
   cr-ids      every round's `cr_run` ids on each representation, and the
-              final ids of `cr_run(g, trace=False)`
+              final ids of `cr_run(g, trace=False)`, checked equal to the
+              traced run's: untraced runs fold leaves, traced runs refine
+              every node
   rcr-ids     every round's `rcr_run` ids
   distinguish `relcr distinguish` on each pair, and the round and witness
               color of `rcr_distinguishes`
@@ -303,8 +305,11 @@ def sections(work):
         for rep in cli.REPRESENTATIONS:
             out["export"].update(run_cli("export", f, "--rep", rep).encode())
         for rep, g in encodings(A):
-            out["cr-ids"].update(rep.encode() + ids_bytes(cr_run(g)))
-            out["cr-ids"].update(cr_run(g, trace=False).colors.tobytes())
+            full, last = cr_run(g), cr_run(g, trace=False).colors
+            assert np.array_equal(full.colors, last), (
+                "%s of %s: untraced cr_run ends on other ids" % (rep, name))
+            out["cr-ids"].update(rep.encode() + ids_bytes(full))
+            out["cr-ids"].update(last.tobytes())
         out["rcr-ids"].update(ids_bytes(rcr_run(A)))
         out["overlaps"].update(run_cli("validate", f, "--json").encode())
         out["overlaps"].update(run_cli("gyo", f).encode())
