@@ -21,10 +21,8 @@ first_occurrence numbers a round where Coloring publishes it.
 
 cr_run reads a multigraph's ColoredMultigraph.refinement_input: one int
 label per ordered pair and the round-0 classes; label names are never read.
-vgrep hands it over, built from the tuple-slice incidence, with label stp(a,
-s) from tuple to slice and another from slice to tuple, so its edge rows are
-never sorted back into pair labels; for other encodings _lambda_adjacency
-and _base_colors derive it from the edge rows.
+vgrep hands it over, built from the tuple-slice incidence, and every other
+multigraph derives it from its edge and unary rows.
 
 Untraced, on graphs of FOLD_NODES nodes or more, cr_run folds leaves out of
 the rounds, as the O((n + m) log n) refinement of Berkholz, Bonsma and Grohe
@@ -49,7 +47,7 @@ from collections import Counter, defaultdict
 
 import numpy as np
 
-from .multigraph import ColoredMultigraph, sorted_distinct
+from .multigraph import ColoredMultigraph
 
 
 class Coloring:
@@ -67,7 +65,8 @@ class Coloring:
     unless given) plus the first_occurrence id of the class, whatever its
     internal name.  Ids are comparable only within one run.  stable_round is
     the last stored round, the stable one unless a round budget or a stop test
-    ended the run, and rounds past it repeat its partition."""
+    ended the run, and rounds past it repeat its partition; an untraced run
+    (ends [0]) keeps no round before it."""
 
     CACHED_ROUNDS = 16   # synthesis revisits a few rounds
 
@@ -87,16 +86,18 @@ class Coloring:
 
     def colors_at(self, i):
         """Colors of round i as an int64 array; rounds past stability repeat
-        the stable partition, and a negative round raises a ValueError."""
+        the stable partition, and a round not kept raises a ValueError."""
         return self._publish(i)[0]
 
     def _publish(self, i):
-        if i < 0:
-            raise ValueError("no round %r: rounds count from 0" % (i,))
-        i = min(i, len(self.ends) - 1)
+        kept = self.stable_round + 1 - len(self.ends)   # 0 unless untraced
+        if i < kept:
+            raise ValueError("no round %r: this run keeps rounds %d on"
+                             % (i, kept))
+        i = min(i, self.stable_round)
         hit = self._published.pop(i, None)
         if hit is None:
-            ids, heads = first_occurrence(self._names_at(i))
+            ids, heads = first_occurrence(self._names_at(i - kept))
             if self.offsets:
                 ids += self.offsets[i]
             hit = ids, heads
@@ -149,6 +150,7 @@ class Coloring:
         position lists differ, with the smallest color counted differently
         there; None if no round tells them apart.  SideCounts follows the
         rounds' changed positions only."""
+        self.colors_at(0)   # a ValueError unless the run kept round 0
         counts, ends = SideCounts(self.base, left, right), self.ends
         while not counts.unequal and counts.round < len(ends) - 1:
             i = counts.round
@@ -223,66 +225,6 @@ def keep_largest(prev, new, k, count):
     fresh = np.flatnonzero(moves)
     parent[fresh] = count + np.arange(len(fresh))
     return parent[new], np.flatnonzero(moves[new]), count + len(fresh)
-
-
-def _refinement_input(G: ColoredMultigraph):
-    """The default ColoredMultigraph.refinement_input, from the edge rows."""
-    src, dst, lam = _lambda_adjacency(G)
-    starts = np.searchsorted(src, np.arange(G.n + 1))  # src is sorted
-    return (starts, dst, lam), *_base_colors(G)
-
-
-def _lambda_adjacency(G: ColoredMultigraph):
-    """The Gaifman adjacency with interned pair-label sets, derived from the
-    edge rows for encodings that do not hand it over.
-
-    Returns (src, dst, lam) arrays, one entry per ordered pair, sorted:
-    lam[k] is a dense id of the set of (edge label, direction) tags on the
-    pair, tag 2 * label for an edge src -> dst and 2 * label + 1 for one
-    dst -> src.  One sort of (src * n + dst, tag) rows, in any order."""
-    apart = G.src != G.dst
-    s, d, lab = G.src[apart], G.dst[apart], G.label[apart]
-    pair, tag = sorted_distinct(
-        (np.concatenate((s * G.n + d, d * G.n + s)),
-         np.concatenate((2 * lab, 2 * lab + 1))),
-        (G.n * G.n, 2 * len(G.label_names)))
-    head = np.flatnonzero(np.diff(pair, prepend=-1))
-    return (*np.divmod(pair[head], G.n), _set_ids(head, tag))
-
-
-def _base_colors(G: ColoredMultigraph):
-    """(names, count): nodes are classed by their unary labels and their
-    loop labels, named 0..count-1 in no particular order."""
-    loops = G.src == G.dst
-    owner = np.concatenate((G.node, G.src[loops]))
-    tag = np.concatenate((G.node_label, len(G.label_names) + G.label[loops]))
-    order = np.argsort(owner, kind="stable")
-    owner, tag = owner[order], tag[order]
-    starts = np.flatnonzero(np.diff(owner, prepend=-1))
-    sets = np.full(G.n, -1, dtype=np.int64)   # -1: no labels, no loops
-    sets[owner[starts]] = _set_ids(starts, tag)
-    return _dense(sets)
-
-
-def _set_ids(starts, tag):
-    """Dense ids of the tag sets tag[starts[k]:starts[k + 1]], the last
-    running to the end, equal exactly when the sets are; no tag repeats
-    within a set.  The tags are or-ed into int64 masks, 63 to a word."""
-    ids = np.zeros(len(starts), dtype=np.int64)
-    top = int(tag.max()) if len(tag) else -1
-    for low in range(0, top + 1, 63):
-        if top < 63:
-            one = np.left_shift(1, tag)
-        else:
-            one = np.where((tag >= low) & (tag < low + 63),
-                           np.left_shift(1, (tag - low) % 63), 0)
-        _, rank = np.unique(np.bitwise_or.reduceat(one, starts),
-                            return_inverse=True)
-        if low:
-            _, rank = np.unique(ids * (int(rank.max()) + 1) + rank,
-                                return_inverse=True)
-        ids = rank.ravel()
-    return ids
 
 
 _NONE = np.empty(0, dtype=np.int64)
@@ -537,13 +479,13 @@ def _fold_rounds(csr, base, count, leaf, max_rounds):
 # 2.4, for no handover / after round 1 / this rule / 16 / 256: long-path
 # 34.8/31.8, 5.7/4.5, 5.3/4.5, 5.4/4.5, 36.6/34.7; random-sparse 9.5/10.8,
 # 17.1/35.6, 9.4/10.6, 9.6/10.9, 9.4/10.8; hub-star 2.8/2.3, 4.3/4.5, 2.8/2.3,
-# 2.8/2.3, 2.8/2.2; oracles 0.8/0.8 for all.  Without the cost, random
-# R/3,E/2 vgreps of 8e3, 1.6e4, 6.4e4, 1e5 tuples (seed 7) handed over for
-# their last 1-2 rounds: cr_run took 0.18, 0.35, 1.58, 3.24 s, not 0.14,
-# 0.27, 1.33, 2.60 s.  The cr_run figures were taken before cr_run folded
-# leaves out: those of random-sparse and of the 8e3-1e5 vgreps, which reach
-# FOLD_NODES, are of whole vgreps, where an untraced cr_run now refines their
-# cores and a traced one still refines every node.
+# 2.8/2.3, 2.8/2.2; oracles 0.8/0.8 for all (random-sparse's cr_run figures
+# predate the leaf fold).  Without the cost, long-path's encode_refine_s fell
+# 4-7%, but rcr_run of a 1e5-tuple random R/3,E/2 structure (seed 7) took a
+# median 0.40 s, not 0.35 s, and a full-depth rcr_compare of it against a
+# renamed copy 1.11 s, not 0.84 s (6 alternating fresh processes a side), and
+# test_handover_cases_switch_mid_run's cases handed over after rounds 1, 3,
+# 2, 2, 6, 3, not 1, 4, 3, 3, 18, 10.
 HANDOVER_PER_TUPLE = 64
 
 

@@ -20,12 +20,14 @@ from .core import Structure
 from .multigraph import ColoredMultigraph
 from .rcr import _row_ids
 
+BITS_GUARD = 64.0   # hom_bruteforce refuses more than 2^BITS_GUARD maps
+
 
 class TooLargeError(ValueError):
     pass
 
 
-def hom_bruteforce(C: Structure, A: Structure, bits_guard: float = 64.0):
+def hom_bruteforce(C: Structure, A: Structure):
     """Exact number of maps V(C) -> V(A) preserving every relation.
 
     Elements are assigned one by one (in an order that completes tuples
@@ -33,7 +35,7 @@ def hom_bruteforce(C: Structure, A: Structure, bits_guard: float = 64.0):
     value, which prunes most of the |V(A)|^|V(C)| space."""
     if C.signature != A.signature:
         raise ValueError("signature mismatch")
-    if C.n and A.n and C.n * math.log2(max(A.n, 2)) > bits_guard:
+    if C.n and A.n and C.n * math.log2(max(A.n, 2)) > BITS_GUARD:
         raise TooLargeError(
             "brute force guard exceeded: %d elements into %d" % (C.n, A.n))
     order: list[int] = []

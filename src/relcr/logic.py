@@ -517,14 +517,12 @@ class SynthesisContext:
 
 
 def synthesize_color_formula(trace: RefinementTrace, round_i: int, color: int,
-                             variables: Optional[Sequence[str]] = None,
                              node_budget: int = 10 ** 6) -> Formula:
     """Formula satisfied, over structures of strictly equal size, by exactly
-    the tuples whose round-i color is the given one."""
+    the tuples y1..yk whose round-i color is the given one."""
     ctx = SynthesisContext(trace, node_budget)
-    if variables is None:
-        variables = tuple("y%d" % j for j in range(1, ctx.color_arity(color) + 1))
-    return ctx.formula(round_i, color, tuple(variables))
+    k = ctx.color_arity(color)
+    return ctx.formula(round_i, color, tuple("y%d" % j for j in range(1, k + 1)))
 
 
 def distinguishing_sentence(A: Structure, B: Structure,

@@ -9,9 +9,9 @@ Strings are made only on demand, by `edges`, `labels`, the node names and
 
 cr_run reads only `refinement_input`: the Gaifman adjacency in CSR form
 with one int label per ordered pair, and the round-0 classes.  By default
-cr derives it from the edge rows; a builder that already holds it, as
-vgrep holds its tuple-slice incidence, hands it over, and may then make
-the edge rows only when they are first read.
+one pass of tag_sets derives both from the edge and unary rows; a builder
+that already holds it, as vgrep holds its tuple-slice incidence, hands it
+over, and may then make the edge rows only when they are first read.
 """
 
 from __future__ import annotations
@@ -49,6 +49,28 @@ def sorted_distinct(columns, radices):
     rows = np.stack(columns)[:, np.lexsort(columns[::-1])]
     keep = np.concatenate(([True], (rows[:, 1:] != rows[:, :-1]).any(axis=0)))
     return tuple(rows[:, keep])
+
+
+def tag_sets(owner, tag, owners, tags):
+    """(heads, ids): the distinct owners of int rows (owner, tag), sorted,
+    and dense ids of their tag sets, equal exactly when the sets are; owner
+    is within range(owners) and tag within range(tags).  The sets are or-ed
+    into int64 masks, 63 tags to a word, and ranked word by word."""
+    owner, tag = sorted_distinct((owner, tag), (owners, tags))
+    starts = np.flatnonzero(np.diff(owner, prepend=-1))
+    ids = np.zeros(len(starts), dtype=np.int64)
+    top = int(tag.max(initial=-1))
+    for low in range(0, top + 1, 63):
+        one = np.left_shift(1, tag - low)
+        if top >= 63:   # a word holds the tags low..low + 62
+            one[(tag < low) | (tag >= low + 63)] = 0
+        _, rank = np.unique(np.bitwise_or.reduceat(one, starts),
+                            return_inverse=True)
+        if low:
+            _, rank = np.unique(ids * (int(rank.max()) + 1) + rank,
+                                return_inverse=True)
+        ids = rank
+    return owner[starts], ids
 
 
 class ColoredMultigraph:
@@ -123,10 +145,26 @@ class ColoredMultigraph:
         round-0 classes (by unary and loop labels) named 0..count-1.  Two
         pairs from nodes of one round-0 class must carry equal labels
         exactly when they carry equal sets of (edge label, direction).  By
-        default cr._lambda_adjacency and cr._base_colors derive it from the
-        edge rows."""
-        from .cr import _refinement_input   # cr imports this module
-        return _refinement_input(self)
+        default one tag_sets call names both: an edge u -> v tags the pair
+        owner u * n + v with 2 * label and v * n + u with 2 * label + 1, a
+        loop at v the node owner n * n + v with 2 * label and a unary label
+        of v 2 * label + 1, so the sorted owners split at n * n."""
+        n = self.n
+        src, dst, label = self.rows
+        back = src != dst
+        heads, ids = tag_sets(
+            np.concatenate((np.where(back, src * n + dst, n * n + src),
+                            (dst * n + src)[back], n * n + self.node)),
+            np.concatenate((2 * label, 2 * label[back] + 1,
+                            2 * self.node_label + 1)),
+            n * n + n, 2 * len(self.label_names))
+        k = np.searchsorted(heads, n * n)
+        u, v = np.divmod(heads[:k], n)
+        sets = np.full(n, -1, dtype=np.int64)   # -1: no labels, no loops
+        sets[heads[k:] - n * n] = ids[k:]
+        kinds, names = np.unique(sets, return_inverse=True)
+        starts = np.searchsorted(u, np.arange(n + 1))  # u is sorted
+        return (starts, v, ids[:k]), names, len(kinds)
 
     @property
     def node_names(self):

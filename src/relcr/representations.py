@@ -102,7 +102,7 @@ def grep(A: Structure):
     nu, k = len(A.signature.symbols), A.signature.max_arity
     nw = A.size()
     # unsorted, as the rows are distinct by construction: one per ordered
-    # pair of entries; _lambda_adjacency sorts them into pair labels
+    # pair of entries; refinement_input sorts them into pair labels
     g = ColoredMultigraph.of_distinct(
         nw, _tuple_names(A), tup[left], tup[right],
         nu + pos[left] * k + pos[right],

@@ -10,8 +10,8 @@ from test_kernel import directed_path
 
 from relcr import cr, fixtures, generate, representations
 from relcr.core import Signature, Structure
-from relcr.cr import _set_ids, cr_distinguishes, cr_run, multigraph_union
-from relcr.multigraph import ColoredMultigraph, sorted_distinct
+from relcr.cr import cr_distinguishes, cr_run, multigraph_union
+from relcr.multigraph import ColoredMultigraph, sorted_distinct, tag_sets
 
 
 def naive_cr(G, max_rounds=None):
@@ -163,6 +163,27 @@ def test_trace_false_keeps_final_partition():
         assert fast.stable_round == full.stable_round
 
 
+def test_untraced_runs_answer_only_for_the_kept_round():
+    # an untraced run keeps its last round alone, below FOLD_NODES from the
+    # round driver and above it from the fold: earlier rounds raise
+    sig = Signature([("R", 3), ("E", 2)])
+    wide = generate.random_structure(sig, 1000, {"R": 500, "E": 500}, 0)
+    small, big = (representations.vgrep(A)[0] for A in (fixtures.a2(), wide))
+    assert small.n < cr.FOLD_NODES <= big.n
+    for G in (small, big):
+        fast, full = cr_run(G, trace=False), cr_run(G)
+        k = fast.stable_round
+        assert k == full.stable_round >= 2
+        for i in (k, k + 1):
+            assert np.array_equal(fast.colors_at(i), full.colors_at(i))
+        for read in (fast.colors_at, fast.histogram_at, fast.partition_at):
+            for i in (0, k - 1):
+                with pytest.raises(ValueError, match="keeps rounds %d on" % k):
+                    read(i)
+        with pytest.raises(ValueError, match="keeps rounds %d on" % k):
+            fast.first_difference(range(3), range(3, 6))
+
+
 @st.composite
 def leafy_multigraphs(draw):
     """Small multigraphs made mostly of leaves (nodes with one neighbour,
@@ -262,10 +283,29 @@ def test_sorted_distinct_packs_or_lexsorts():
 
 
 def test_set_ids_across_mask_words():
-    # tags at and around the 63-bit word boundaries, as runs of one owner
+    # tags at and around the 63-bit word boundaries, one set per owner, then
+    # as the labels of ordered pairs and of nodes: tag 2 * l is an edge
+    # a -> b labeled l (a loop of node k), and 2 * l + 1 an edge b -> a (a
+    # unary label of node k)
     sets = [(0,), (62,), (63,), (0, 62), (0, 63), (62, 63), (125,), (126,),
             (0, 126), (62,), (0, 63), (5, 62, 126)]
-    starts = np.cumsum([0] + [len(s) for s in sets[:-1]])
-    ids = _set_ids(starts, np.array([t for s in sets for t in s]))
-    for a, b in itertools.combinations(range(len(sets)), 2):
-        assert (ids[a] == ids[b]) == (sets[a] == sets[b])
+    m = len(sets)
+    heads, ids = tag_sets([k for k, s in enumerate(sets) for _ in s],
+                          [t for s in sets for t in s], m, 127)
+    assert heads.tolist() == list(range(m))
+    edges, marks = [], []
+    for k, s in enumerate(sets):
+        a, b = m + 2 * k, m + 2 * k + 1
+        for t in s:
+            if t % 2:
+                edges.append((b, a, t // 2))
+                marks.append((k, t // 2))
+            else:
+                edges += [(a, b, t // 2), (k, k, t // 2)]
+    src, dst, label = np.array(edges).T
+    node, node_label = np.array(marks).T
+    G = ColoredMultigraph(3 * m, range(64), src, dst, label, node, node_label)
+    (starts, _, lam), names, _ = G.refinement_input
+    for got in (ids, lam[starts[m + 2 * np.arange(m)]], names[:m]):
+        for a, b in itertools.combinations(range(m), 2):
+            assert (got[a] == got[b]) == (sets[a] == sets[b])

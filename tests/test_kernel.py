@@ -18,17 +18,19 @@ from relcr import (checks, cli, cr, fixtures, generate, logic, rcr,
 from relcr.checks import published_rounds
 from relcr.core import Signature, Structure, serialize_structure
 from relcr.multigraph import ColoredMultigraph
-from relcr.cr import Coloring, _base_colors, _lambda_adjacency, cr_run
+from relcr.cr import Coloring, cr_run
 from relcr.rcr import RefinementTrace, reference_rounds
 
 
 def per_node_cr_run(G, max_rounds=None):
     """cr_run as it was before the kernel: one dict lookup per node and
-    round, keyed by (previous color, bytes of the sorted codes).  Returns
+    round, keyed by (previous color, bytes of the sorted codes), on the
+    pair labels of G.refinement_input from per_node_base_colors.  Returns
     (rounds, class_counts)."""
     if max_rounds is None:
         max_rounds = G.n
-    src, dst, lam = _lambda_adjacency(G)
+    (starts, dst, lam), _, _ = G.refinement_input
+    src = np.repeat(np.arange(G.n), np.diff(starts))
     colors, ncls = per_node_base_colors(G)
     rounds = [colors]
     class_counts = [ncls]
@@ -55,8 +57,9 @@ def per_node_cr_run(G, max_rounds=None):
 
 
 def per_node_base_colors(G):
-    """_base_colors as it was before it was vectorized: one dict lookup per
-    node, keyed by its sorted unary label names and loop label names."""
+    """The round-0 classes as cr numbered them before they were
+    vectorized: one dict lookup per node, keyed by its sorted unary label
+    names and loop label names."""
     loops = {}
     for name in sorted(G.edges):
         for v, w in G.edges[name].tolist():
@@ -319,7 +322,7 @@ def test_base_colors_equal_per_node_numbering():
                  for t in range(rng.randint(1, 40))}
         graphs.append(ColoredMultigraph.from_named(n, labels, edges))
     for G in graphs:
-        got, count = _base_colors(G)
+        _, got, count = G.refinement_input
         want, want_count = per_node_base_colors(G)
         assert count == want_count and sorted(set(got.tolist())) == list(
             range(count))
@@ -343,9 +346,14 @@ def test_every_hash_colliding_leaves_ids_unchanged(monkeypatch):
 def test_scrambled_names_leave_ids_unchanged(monkeypatch):
     # the engines promise only partitions named 0..k-1: with every name a
     # producer hands out permuted at random, the published ids are the same
-    graphs = [representations.vgrep(A)[0] for A, _ in with_reference()[:120]]
+    cases = [A for A, _ in with_reference()[:120]]
+    derived = [representations.grep(A)[0] for A in cases]
+    graphs = [representations.vgrep(A)[0] for A in cases] + derived
     want_cr = [per_node_cr_run(G) for G in graphs]
     rng = np.random.default_rng(19)
+    for G in derived:   # the round-0 names of the default refinement_input
+        csr, names, count = G.refinement_input
+        G.refinement_input = csr, rng.permutation(count)[names], count
 
     def scrambled(produce):
         def names(*args):
@@ -353,8 +361,7 @@ def test_scrambled_names_leave_ids_unchanged(monkeypatch):
             return rng.permutation(count)[got], count
         return names
 
-    for module, name in ((cr, "refine_step"), (cr, "_base_colors"),
-                         (rcr, "_base_classes")):
+    for module, name in ((cr, "refine_step"), (rcr, "_base_classes")):
         monkeypatch.setattr(module, name, scrambled(getattr(module, name)))
     for A, want in with_reference():
         assert kernel_ids(A) == want

@@ -350,7 +350,7 @@ def handover_corpus():
 
 def test_vgrep_hands_over_the_input_its_edge_rows_give():
     # vgrep's own adjacency and round-0 classes publish, round by round and
-    # on every node, the ids that _lambda_adjacency and _base_colors give
+    # on every node, the ids that the default refinement_input gives
     for A in handover_corpus():
         g = representations.vgrep(A)[0]
         got, want = cr_run(g), cr_run(expanded_copy(g))
