@@ -8,8 +8,10 @@ Run from the repository root, at two versions of the code, and compare:
 It prints one sha256 over, for every structure of a fixed corpus (the five
 fixtures, seeded random R/3,E/2 structures with partners of equal size,
 hubs, directed paths, structures with repeated entries and 5-ary tuples, a
-shuffled 600-fact directed chain, and random, hub and chained-path
-structures of 6-ary tuples above core.SMALL_FACTS facts; the pairs also
+shuffled 600-fact directed chain, random, hub and chained-path
+structures of 6-ary tuples above core.SMALL_FACTS facts, and two 6-ary
+structures whose 6-sets each have several occurrences: permuted copies,
+and one vector in three relations; the pairs also
 path(400) against path(300) plus cycle(100), and path(400) against a
 relabelled, shuffled copy):
 
@@ -152,6 +154,35 @@ def six_ary(shape, n, seed):
                                 [("Q", t) for t in q] + [("E", t) for t in e])
 
 
+def permuted(n, seed):
+    """n facts, half of them Q/6, half E/2: the Q facts are six orderings
+    each of n // 12 random sets of 6 of n elements, the E facts random
+    pairs; a repeated ordering is one fact."""
+    rng = random.Random(seed)
+    q = []
+    for _ in range(n // 12):
+        s = rng.sample(range(n), 6)
+        for _ in range(6):
+            rng.shuffle(s)
+            q.append(["x%d" % x for x in s])
+    e = [["x%d" % x for x in rng.sample(range(n), 2)]
+         for _ in range(n - 6 * (n // 12))]
+    return Structure.from_named(Signature([("Q", 6), ("E", 2)]),
+                                [("Q", t) for t in q] + [("E", t) for t in e])
+
+
+def twins(n, seed):
+    """n facts: n // 6 random 6-vectors of distinct elements of n, each in
+    each of Q/6, P/6 and S/6, and E/2 facts on random pairs."""
+    rng = random.Random(seed)
+    vecs = [["x%d" % x for x in rng.sample(range(n), 6)] for _ in range(n // 6)]
+    e = [["x%d" % x for x in rng.sample(range(n), 2)]
+         for _ in range(n - 3 * (n // 6))]
+    return Structure.from_named(
+        Signature([("Q", 6), ("P", 6), ("S", 6), ("E", 2)]),
+        [(r, t) for r in "QPS" for t in vecs] + [("E", t) for t in e])
+
+
 def corpus():
     """(name, structure) singles and (name, A, B) pairs."""
     singles = [(p.stem, parse_structure(p.read_text()))
@@ -181,6 +212,8 @@ def corpus():
     singles.append(("chain-600", chain(600, 5)))
     for shape, n in (("random", 100), ("hub", 130), ("chain", 90)):
         singles.append(("six-ary-%s" % shape, six_ary(shape, n, 8)))
+    singles.append(("six-ary-permuted", permuted(96, 9)))
+    singles.append(("six-ary-twins", twins(90, 10)))
     pairs.append(("path-cycle-400", path_cycle(400, 0), path_cycle(400, 100)))
     pairs.append(("path-iso-400", path_cycle(400, 0), path_cycle(400, 0, 6)))
     return singles, pairs
