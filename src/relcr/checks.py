@@ -18,6 +18,7 @@ from .cr import cr_run
 from .rcr import rcr_distinguishes, rcr_run
 
 SIG = Signature([("R", 3), ("E", 2)])
+SIG6 = Signature([("Q", 6), ("E", 2)])
 
 
 def _dump(report_dir, name, structures):
@@ -99,9 +100,16 @@ def published_rounds(trace):
 
 
 def kernel_structures(seed, cases):
+    """Random R/3,E/2 structures and, every fourth case, Q/6,E/2 ones; about
+    one Q/6,E/2 case in seven shares an element set of 4 or 5 elements."""
     out = []
-    for s in generate.spawn_seeds(seed, cases):
+    for k, s in enumerate(generate.spawn_seeds(seed, cases)):
         rng = random.Random(s)
+        if k % 4 == 3:
+            n = rng.randint(6, 14)
+            sizes = {"Q": rng.randint(1, 4), "E": rng.randint(1, 12)}
+            out.append(generate.random_structure(SIG6, n, sizes, s))
+            continue
         n = rng.randint(2, 8)
         sizes = {"R": rng.randint(0, 12), "E": rng.randint(1, min(12, n * n))}
         out.append(generate.random_structure(SIG, n, sizes, s))

@@ -16,9 +16,8 @@ import math
 import numpy as np
 
 from .acyclic import JoinTree, validate_join_tree
-from .core import Structure
+from .core import Structure, _row_ids
 from .multigraph import ColoredMultigraph
-from .rcr import _row_ids
 
 BITS_GUARD = 64.0   # hom_bruteforce refuses more than 2^BITS_GUARD maps
 

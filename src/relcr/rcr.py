@@ -9,16 +9,20 @@ color's key, so the trace decodes a color from a representative occurrence.
 Ids are only comparable within one run, so cross-structure questions refine
 the disjoint union.
 
-_kernel_engine refines the tuple-slice incidence, two half-steps a round, with
-cr.refine_rounds, cr_run's round driver: exact vectorized refine_step
-half-steps, O(N log N) a round for a fixed signature, then, after a round that
-renames few tuples, a worklist that re-keys only the nodes next to a renamed
-node.  A class that splits keeps its name for its largest part, so a tuple is
-renamed at most log2 N times and the worklist's rounds cost O(N log N)
-together.  Small structures and tuples longer than KERNEL_MAX_ARITY go to that
-worklist alone, in pure Python, on the CSR lists of Structure.overlaps.  The
-oracle of the tests and of relcr check, reference_rounds, interns each tuple's
-multiset over all its overlaps every round, quadratic on hubs.  A run is kept
+_kernel_engine refines the incidence of tuples with their shared slices, two
+half-steps a round, with cr.refine_rounds, cr_run's round driver: exact
+vectorized refine_step half-steps, O(N log N) a round for a fixed signature,
+then, after a round that renames few tuples, a worklist that re-keys only the
+nodes next to a renamed node.  A class that splits keeps its name for its
+largest part, so a tuple is renamed at most log2 N times and the worklist's
+rounds cost O(N log N) together.  core.shared_sets lists the element sets that
+two or more tuples hold, level by level, and only their orderings become slice
+nodes, at every arity.  Small structures, and those whose listing would pass
+core.LISTING_PER_TUPLE orderings per tuple (many occurrences of one long
+element set, as in permuted copies of a tuple), go to that worklist alone, in
+pure Python, on the CSR lists of Structure.overlaps.  The oracle of the tests
+and of relcr check, reference_rounds, interns each tuple's multiset over all
+its overlaps every round, quadratic on hubs.  A run is kept
 as cr.Coloring keeps it: base classes and per-round changes.  rcr_compare,
 which rcr_distinguishes and sentence synthesis read, decides round 0 before an
 engine runs and stops it at the first round whose side histograms differ.
@@ -33,20 +37,18 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (SMALL_FACTS, Structure, disjoint_union, stp, stp_key,
+from .core import (SMALL_FACTS, Structure, _row_ids, disjoint_union,
+                   distinct_elements, shared_sets, stp, stp_key,
                    strictly_equal_size)
 from .cr import (_NONE, Coloring, SideCounts, _worklist_rounds,
                  refine_rounds)
 
-# Longer tuples go to the overlap worklist.  A tuple with d distinct
-# elements has sum_k d!/(d-k)! slices: 64 at d = 4, 325 at 5, 1,956 at 6.
-# Kernel against worklist seconds (peak RSS, MB), 1024 facts, half Q/k, half
-# E/2, fresh processes, 2-core x86: random k = 4 0.01 (34) against 0.06 (32),
-# k = 5 0.05 (50) against 0.06-0.08 (33), k = 6 0.25-0.29 (155) against
-# 0.07-0.11 (33); chained path k = 5 0.05 (50) against 0.05 (31), k = 6
-# 0.29-0.35 (157) against 0.03-0.05 (31); hub k = 4-6 0.01-0.36 (33-155)
-# against 1.7-3.3 (75-80).  The benchmark has no tuple longer than 3.
-KERNEL_MAX_ARITY = 5
+# The kernel labels a slice of k elements by a code in base w, the largest
+# arity, of its ordered positions in the tuple, below w^k; refine_step
+# multiplies labels by the color count.  Where w^k for the largest shared
+# set passes this (13-ary tuples sharing 7 elements, say), the overlap
+# worklist takes the run.
+LABELS = 1 << 24
 
 
 class RefinementTrace(Coloring):
@@ -149,18 +151,45 @@ def reference_rounds(A: Structure, max_rounds: Optional[int] = None):
     return rounds, class_counts
 
 
-def _slice_rounds(A: Structure, rels, base, count, max_rounds, stop=None):
-    """_kernel_engine's rounds after the base, with refine_rounds' stop."""
-    tup, sl, lab, _, _ = slice_incidence(A, rels)
-    # keep the slices held by more than one tuple, renumbered densely
-    shared = np.bincount(sl) > 1
-    keep = shared[sl]
-    tup, lab = tup[keep], lab[keep]
-    sl = (np.cumsum(shared) - 1)[sl[keep]]
-    nslices = int(shared.sum())
-    return refine_rounds([_csr(sl, tup, lab, nslices),
-                          _csr(tup, sl, lab, A.size())],
-                         base, count, max_rounds, stop=stop)[1:]
+def _kernel_rounds(A: Structure, base, count, max_rounds, stop=None):
+    """_kernel_engine's rounds after the base, with refine_rounds' stop: on
+    the orderings of the shared sets, or by _overlap_rounds where
+    shared_sets gives up or the labels would pass LABELS."""
+    elements = distinct_elements(A)
+    levels = shared_sets(elements)
+    if levels is None or elements.shape[1] ** len(levels) > LABELS:
+        return _overlap_rounds(A, base.tolist(), count, max_rounds, stop)
+    return refine_rounds(_slices(elements, levels), base, count, max_rounds,
+                         stop=stop)[1:]
+
+
+def _slices(elements, levels):
+    """refine_rounds' two sides, slices first, for the incidence of each
+    tuple with every ordering of each shared set it holds, the levels of
+    shared_sets(elements).
+
+    A k-set's ordering r is its elements, in increasing order, permuted by
+    the r-th permutation of range(k): slice number set * k! + r of its
+    level.  A tuple holds it at the positions of those elements, permuted
+    the same way, and a code of those ordered positions is its label: with
+    the tuple's pattern, which its color fixes, they give stp(a, s)."""
+    w = elements.shape[1]
+    tups, slices, labels = [_NONE], [_NONE], [_NONE]
+    nslices = code = 0
+    for k, (row, pos, ids, holders) in enumerate(levels, 1):
+        orders = np.array(list(permutations(range(k))), dtype=np.int64)
+        m = len(orders)
+        tups.append(np.repeat(row, m))
+        slices.append((nslices + ids[:, None] * m + np.arange(m)).ravel())
+        labels.append((code + pos[:, orders] @ w ** np.arange(k)).ravel())
+        nslices += len(holders) * m
+        code += w ** k
+    tup, sl, lab = (np.concatenate(x) for x in (tups, slices, labels))
+    # a node's edges may come in any order: quicksort took 48 us on 3,800
+    # slice ids, timsort 218 us; tup is one sorted run per level, which
+    # timsort merges
+    return [_csr(sl, tup, lab, nslices, np.argsort(sl)),
+            _csr(tup, sl, lab, len(elements), np.argsort(tup, kind="stable"))]
 
 
 def relation_rows(A: Structure):
@@ -185,95 +214,33 @@ def relation_rows(A: Structure):
 def _base_classes(A: Structure, rels):
     """(names, count): the round-0 classes of (atp, stp), named 0..count-1
     in lexicographic order of their keys.  atp is the row of flags of the
-    relations of one arity holding a vector; stp is the pattern.  On a
-    1e5-tuple random R/3,E/2 structure this takes 0.07 s, one Python pass
-    of _base_key per tuple 0.57 s."""
+    relations of one arity holding a vector, ranked only where two or more
+    relations have that arity; stp is the pattern.  On a 1e5-tuple random
+    R/3,E/2 structure this takes 3.5 ms (9 ms with both arities ranked),
+    one Python pass of _base_key per tuple 0.57 s."""
     keys = np.full((A.size(), 1 + A.signature.max_arity), -1, dtype=np.int64)
     for arity in {rows.shape[1] for _, _, rows, _ in rels}:
         same = [r for r in rels if r[2].shape[1] == arity]
-        vec, nvec = _row_ids(np.concatenate([rows for _, _, rows, _ in same]))
-        bounds = np.cumsum([0] + [len(rows) for _, _, rows, _ in same])
-        holds = np.zeros((nvec, len(same)), dtype=np.int64)
-        for j in range(len(same)):
-            holds[vec[bounds[j]:bounds[j + 1]], j] = 1
-        atp, _ = _row_ids(holds)
-        for j, (_, first, rows, pattern) in enumerate(same):
+        atp = [0]   # the one relation of an arity holds each of its vectors
+        if len(same) > 1:
+            vec, nvec = _row_ids(np.concatenate([rows for _, _, rows, _ in same]))
+            bounds = np.cumsum([0] + [len(rows) for _, _, rows, _ in same])
+            holds = np.zeros((nvec, len(same)), dtype=np.int64)
+            for j in range(len(same)):
+                holds[vec[bounds[j]:bounds[j + 1]], j] = 1
+            ids, _ = _row_ids(holds)
+            atp = [ids[vec[bounds[j]:bounds[j + 1]]] for j in range(len(same))]
+        for a, (_, first, rows, pattern) in zip(atp, same):
             block = keys[first:first + len(rows)]
-            block[:, 0] = atp[vec[bounds[j]:bounds[j + 1]]]
+            block[:, 0] = a
             block[:, 1:1 + arity] = pattern
     return _row_ids(keys)
 
 
-def slice_incidence(A: Structure, rels):
-    """Every (tuple, slice) pair of A as arrays (tup, sl, lab), with the
-    slice count and the stp table: (tup, sl, lab, nslices, taus).
-
-    Slice ids are dense in (length, lexicographic) order of the slice
-    vectors, the order in which representations.slices lists one tuple's
-    slices.  lab[k] is the index in taus of stp(a, s) as a sorted tuple of
-    position pairs, which fixes stp(s, a).
-
-    Slices and their stp depend only on a tuple's equality pattern, so
-    they are laid out once per (relation, pattern) group as position
-    templates and cut from the group's rows with array indexing."""
-    taus: dict = {}
-    by_length: dict = {}   # slice length -> ([element rows], [tuple], [label])
-    for _, first, rows, pattern in rels:
-        arity = rows.shape[1]
-        group, count = _row_ids(pattern)   # np.unique(axis=0) took 3x longer
-        member = np.empty(count, dtype=np.int64)
-        member[group] = np.arange(len(group))
-        for g, pat in enumerate(pattern[member].tolist()):
-            members = np.flatnonzero(group == g)
-            sub = rows[members]
-            distinct = sorted(set(pat))
-            for length in range(1, len(distinct) + 1):
-                for t in permutations(distinct, length):
-                    tau = stp_key((i + 1, j + 1) for i in range(arity)
-                                  for j in range(length) if pat[i] == pat[t[j]])
-                    lab = taus.setdefault(tau, len(taus))
-                    part = by_length.setdefault(length, ([], [], []))
-                    part[0].append(sub[:, t])
-                    part[1].append(first + members)
-                    part[2].append(np.full(len(members), lab, dtype=np.int64))
-
-    none = np.empty(0, dtype=np.int64)
-    tuples, slices, labs = [none], [none], [none]
-    nslices = 0
-    for length in sorted(by_length):
-        vecs, tup, lab = (np.concatenate(x) for x in by_length[length])
-        ids, count = _row_ids(vecs)
-        tuples.append(tup)
-        slices.append(ids + nslices)
-        labs.append(lab)
-        nslices += count
-    tup, sl, lab = (np.concatenate(x) for x in (tuples, slices, labs))
-    return tup, sl, lab, nslices, list(taus)
-
-
-def _csr(node, other, label, n):
-    order = np.argsort(node, kind="stable")
+def _csr(node, other, label, n, order):
+    """node's edges to other, labeled, as CSR, where order sorts node."""
     starts = np.searchsorted(node[order], np.arange(n + 1))
     return starts, other[order], label[order]
-
-
-def _row_ids(rows):
-    """Dense ids of the distinct rows of a 2-d array of ints >= -1, in
-    lexicographic order, and their count.  Columns are packed into one key
-    while the product of their ranges stays below 2^62, and the key is
-    renumbered densely, one sort, before it would pass that."""
-    ids = np.zeros(len(rows), dtype=np.int64)
-    span = 1   # the key is below span
-    for col in rows.T if len(rows) else ():
-        radix = int(col.max()) + 2
-        if span * radix >= 1 << 62:
-            _, ids = np.unique(ids, return_inverse=True)
-            span = int(ids.max()) + 1
-        ids = ids * radix + col + 1
-        span *= radix
-    if len(rows):
-        _, ids = np.unique(ids, return_inverse=True)
-    return ids.ravel(), int(ids.max()) + 1 if len(ids) else 0
 
 
 def rcr_run(A: Structure, max_rounds: Optional[int] = None) -> RefinementTrace:
@@ -287,10 +254,8 @@ def _engine(A: Structure):
     """(base, count, rounds): A's round-0 classes, named 0..count-1 in any
     order (int64), their count, and rounds(max_rounds, stop=None), the run's
     (moved, renamed, ends, class_counts); by the slice kernel on SMALL_FACTS
-    tuples or more, none longer than KERNEL_MAX_ARITY."""
-    if A.size() < SMALL_FACTS or max(
-            (a for name, a in A.signature.symbols if A.counts[name]),
-            default=0) > KERNEL_MAX_ARITY:
+    tuples or more."""
+    if A.size() < SMALL_FACTS:
         return _overlap_engine(A)
     return _kernel_engine(A)
 
@@ -309,13 +274,18 @@ def _kernel_engine(A: Structure):
     b), color of b) over its overlaps b, and the converse holds too, so the
     tuple partitions are RCR's.  A slice in only one tuple is left out: its
     color is a function of that tuple's previous color, and the tuple's stp
-    fixes which slices it has.
+    fixes which slices it has.  Which tuples hold a slice depends only on
+    its element set, so core.shared_sets lists the shared sets level by
+    level, and each is laid out in all its orderings; where that listing
+    would pass core.LISTING_PER_TUPLE orderings per tuple, the rounds are
+    _overlap_rounds'.
 
     cr.refine_rounds runs the rounds, slices first.  Its first round re-keys
-    every tuple: tuples of one base class may own unequal shared slices."""
-    rels = relation_rows(A)
-    base, count = _base_classes(A, rels)
-    return base, count, partial(_slice_rounds, A, rels, base, count)
+    every tuple: tuples of one base class may own unequal shared slices.
+    Nothing is listed before the rounds are asked for, so a verdict at
+    round 0 lists no set."""
+    base, count = _base_classes(A, relation_rows(A))
+    return base, count, partial(_kernel_rounds, A, base, count)
 
 
 def _overlap_engine(A: Structure):

@@ -18,10 +18,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Structure, stp
+from .core import Structure, _row_ids, stp, stp_key
 from .cr import first_occurrence, ranges
 from .multigraph import ColoredMultigraph
-from .rcr import relation_rows, slice_incidence
+from .rcr import relation_rows
 
 
 def overlap_label(i, j):
@@ -121,12 +121,59 @@ def slices(a: Sequence[int]):
     return out
 
 
+def slice_incidence(A: Structure, rels):
+    """Every (tuple, slice) pair of A as arrays (tup, sl, lab), with the
+    slice count and the stp table: (tup, sl, lab, nslices, taus).
+
+    Slice ids are dense in (length, lexicographic) order of the slice
+    vectors, the order in which slices() lists one tuple's
+    slices.  lab[k] is the index in taus of stp(a, s) as a sorted tuple of
+    position pairs, which fixes stp(s, a).
+
+    Slices and their stp depend only on a tuple's equality pattern, so
+    they are laid out once per (relation, pattern) group as position
+    templates and cut from the group's rows with array indexing."""
+    taus: dict = {}
+    by_length: dict = {}   # slice length -> ([element rows], [tuple], [label])
+    for _, first, rows, pattern in rels:
+        arity = rows.shape[1]
+        group, count = _row_ids(pattern)   # np.unique(axis=0) took 3x longer
+        member = np.empty(count, dtype=np.int64)
+        member[group] = np.arange(len(group))
+        for g, pat in enumerate(pattern[member].tolist()):
+            members = np.flatnonzero(group == g)
+            sub = rows[members]
+            distinct = sorted(set(pat))
+            for length in range(1, len(distinct) + 1):
+                for t in permutations(distinct, length):
+                    tau = stp_key((i + 1, j + 1) for i in range(arity)
+                                  for j in range(length) if pat[i] == pat[t[j]])
+                    lab = taus.setdefault(tau, len(taus))
+                    part = by_length.setdefault(length, ([], [], []))
+                    part[0].append(sub[:, t])
+                    part[1].append(first + members)
+                    part[2].append(np.full(len(members), lab, dtype=np.int64))
+
+    none = np.empty(0, dtype=np.int64)
+    tuples, slices, labs = [none], [none], [none]
+    nslices = 0
+    for length in sorted(by_length):
+        vecs, tup, lab = (np.concatenate(x) for x in by_length[length])
+        ids, count = _row_ids(vecs)
+        tuples.append(tup)
+        slices.append(ids + nslices)
+        labs.append(lab)
+        nslices += count
+    tup, sl, lab = (np.concatenate(x) for x in (tuples, slices, labs))
+    return tup, sl, lab, nslices, list(taus)
+
+
 def vgrep(A: Structure):
     """The slice-based encoding: tuple nodes w_a plus one node v_s per
     distinct slice; edges (w_a, v_s) and (v_s, w_a) labeled by the
     positional overlaps stp(a, s) and stp(s, a), never w-w or v-v.
 
-    Built from the tuple-slice incidence of rcr.slice_incidence, which it
+    Built from the tuple-slice incidence of slice_incidence, which it
     hands to cr_run as the graph's refinement_input: one pair each way per
     incidence, labeled by the index of stp(a, s) from tuple to slice and
     that index plus the number of stps from slice to tuple; round 0 classes

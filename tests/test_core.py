@@ -4,7 +4,9 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from relcr import core, fixtures, logic
+from hash_outputs import hub, permuted, six_ary, twins, wide
+
+from relcr import core, fixtures, generate, logic
 from relcr.core import (ParseError, Signature, Structure, StructureError,
                         disjoint_union, is_transitive_stp, parse_structure,
                         self_stp, serialize_structure, stp,
@@ -150,6 +152,37 @@ def test_cohesion_random():
                   for _ in range(rng.randrange(1, 6))]
         A = Structure.from_named(sig, facts)
         assert A.metrics()[1] == _cohesion_oracle(A)
+
+
+def per_tuple_cohesion(A):
+    """Cohesion counted from one position set per tuple."""
+    positions = A.element_positions
+    return sum(len({b for x in set(vec) for b in positions[x]}) - 1
+               for vec in itertools.chain.from_iterable(A.relations.values()))
+
+
+@pytest.mark.parametrize("budget", [0, 10 ** 6])
+def test_cohesion_by_shared_sets_equals_the_per_tuple_count(monkeypatch,
+                                                           budget):
+    # by inclusion-exclusion over the shared sets, or, with no budget for
+    # them, from position sets; twins, permuted copies, repeated entries,
+    # hubs and 6-ary chains among the cases
+    monkeypatch.setattr(core, "LISTING_PER_TUPLE", budget)
+    sig = Signature([("R", 3), ("E", 2)])
+    cases = [six_ary(shape, n, 3) for shape in ("random", "hub", "chain")
+             for n in (40, 130)]
+    cases += [permuted(96, 9), twins(90, 10), hub(120, 3), wide(70, 3),
+              generate.random_structure(sig, 2, {"R": 6, "E": 3}, 7),
+              Structure.from_named(sig, [("R", ("a", "b", "a")), ("E", ("a", "b")),
+                                         ("E", ("b", "a")), ("R", ("b", "a", "a"))])]
+    cases += [fixtures.a1(), fixtures.b2(), fixtures.slice_example()]
+    listed = [core.shared_sets(core.distinct_elements(A)) for A in cases]
+    if budget:
+        assert max(map(len, listed)) == 6
+    else:
+        assert all(levels is None for levels in listed)
+    for A in cases:
+        assert A.metrics() == (A.size(), per_tuple_cohesion(A))
 
 
 def test_rename_keeps_metrics():

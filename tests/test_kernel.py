@@ -10,10 +10,10 @@ import functools
 import random
 
 import numpy as np
-from hash_outputs import hub, rewired, six_ary
+from hash_outputs import hub, permuted, rewired, six_ary, twins
 from test_acceptance import _random_sig4
 
-from relcr import (checks, cli, cr, fixtures, generate, logic, rcr,
+from relcr import (checks, cli, core, cr, fixtures, generate, logic, rcr,
                    representations)
 from relcr.checks import published_rounds
 from relcr.core import Signature, Structure, serialize_structure
@@ -406,7 +406,11 @@ def test_refine_step_gives_dense_names_of_the_exact_partition():
 
 def test_kernel_check_reports_wrong_ids(monkeypatch):
     structures = checks.kernel_structures(7, 30)
+    six = [A for A in structures if A.signature.max_arity == 6]
+    assert len(six) == 7 and max(len(listing(A)) for A in six) >= 4
+    monkeypatch.setattr(rcr, "_overlap_rounds", refuse)
     assert checks.check_kernel(structures) == []
+    monkeypatch.undo()
     none = np.empty(0, dtype=np.int64)
     monkeypatch.setattr(rcr, "_kernel_engine", lambda A: (
         np.zeros(A.size(), dtype=np.int64), 1,
@@ -415,9 +419,9 @@ def test_kernel_check_reports_wrong_ids(monkeypatch):
 
 
 def test_overlap_ids_equal_reference_ids():
-    # the engine of small structures and of tuples longer than the kernel's
+    # the engine of small structures and of those over the listing budget
     big = [six_ary(shape, n, seed) for shape in ("random", "hub", "chain")
-           for n, seed in ((80, 1), (130, 2))]
+           for n, seed in ((80, 1), (130, 2))] + [permuted(96, 1), twins(90, 2)]
     assert all(A.size() >= 64 for A in big)
     for A in corpus() + big + [directed_path(40, cycle=9)]:
         assert overlap_ids(A) == reference_rounds(A)
@@ -428,42 +432,94 @@ def test_overlap_ids_equal_reference_ids():
     assert overlap_ids(A) == reference_rounds(A) == ([[]], [0])
 
 
-def test_rcr_run_picks_the_engine_by_size_and_arity(monkeypatch, tmp_path,
-                                                    capsys):
-    # the kernel takes 64 facts or more of arity at most 5, the overlap
-    # worklist the rest; no production entry point reaches the reference
+def listing(A):
+    """The levels of shared sets the kernel lists for A, or None."""
+    return core.shared_sets(core.distinct_elements(A))
+
+
+def refuse(*args):
+    raise AssertionError("the overlap worklist ran")
+
+
+def test_rcr_run_picks_the_engine_by_size_and_listing(monkeypatch, tmp_path,
+                                                      capsys):
+    # the kernel takes 64 facts or more whose shared sets have at most
+    # LISTING_PER_TUPLE orderings per tuple, the overlap worklist the rest,
+    # as six orderings of each 6-set have; no production entry point
+    # reaches the reference
     used = []
-    for name in ("_slice_rounds", "_overlap_rounds"):
+    for name in ("_slices", "_overlap_rounds"):
         engine = getattr(rcr, name)
         monkeypatch.setattr(rcr, name, lambda *a, e=engine, n=name, **k:
                             used.append(n) or e(*a, **k))
 
-    def refuse(*args):
+    def refuse_reference(*args):
         raise AssertionError("reference_rounds reached")
 
-    monkeypatch.setattr(rcr, "reference_rounds", refuse)
-    chain = six_ary("chain", 70, 0)
+    monkeypatch.setattr(rcr, "reference_rounds", refuse_reference)
+    chain, over = six_ary("chain", 70, 0), permuted(96, 9)
+    assert listing(chain) is not None and listing(over) is None
     small = directed_path(12), directed_path(12, cycle=3)
     kernel = directed_path(70), directed_path(70, cycle=10)
     wide = chain, chain.rename(list(reversed(range(chain.n))))
-    for A in (small[0], hub(100, 0), chain):
+    repeated = over, over.rename(list(reversed(range(over.n))))
+    for A in (small[0], hub(100, 0), chain, over):
         rcr.rcr_run(A)
-    assert used == ["_overlap_rounds", "_slice_rounds", "_overlap_rounds"]
+    assert used == ["_overlap_rounds", "_slices", "_slices", "_overlap_rounds"]
     used.clear()
-    for A, B in (small, rewired(0), wide):   # rewired(0) differs at round 1
+    for A, B in (small, rewired(0), wide, repeated):   # rewired(0): round 1
         res = rcr.rcr_compare(A, B)
-        assert (res.round is None) == (A is chain)
+        assert (res.round is None) == (A in (chain, over))
         logic.distinguishing_sentence(A, B)
-    assert used == ["_overlap_rounds"] * 2 + ["_slice_rounds"] * 2 + [
+    assert used == ["_overlap_rounds"] * 2 + ["_slices"] * 4 + [
         "_overlap_rounds"] * 2
     used.clear()
-    for k, (A, B) in enumerate((small, kernel, wide)):
+    for k, (A, B) in enumerate((small, kernel, wide, repeated)):
         a, b = tmp_path / ("%d.a" % k), tmp_path / ("%d.b" % k)
         a.write_text(serialize_structure(A))
         b.write_text(serialize_structure(B))
         for argv in (["refine", a], ["distinguish", a, b],
                      ["synthesize", a, "--tuple", "E,0", "--round", "2"]):
-            assert cli.main([str(x) for x in argv]) == 0
+            if A is not over or argv[0] != "synthesize":   # past node_budget
+                assert cli.main([str(x) for x in argv]) == 0
     capsys.readouterr()
-    assert used == ["_overlap_rounds"] * 3 + ["_slice_rounds"] * 3 + [
-        "_overlap_rounds"] * 3
+    assert used == ["_overlap_rounds"] * 3 + ["_slices"] * 6 + [
+        "_overlap_rounds"] * 2
+
+
+def test_kernel_ids_equal_reference_on_repeated_long_sets(monkeypatch):
+    # many occurrences of one 6-set, as permuted copies of a tuple or one
+    # vector in three relations: over the listing budget rcr_run refines on
+    # the overlap graph, and the kernel, with the budget lifted, still gives
+    # the reference ids, through every level
+    for A in (permuted(72, 1), permuted(96, 9), twins(66, 3), twins(90, 10)):
+        assert A.size() >= 64 and listing(A) is None
+        monkeypatch.setattr(core, "LISTING_PER_TUPLE", 10 ** 6)
+        monkeypatch.setattr(rcr, "_overlap_rounds", refuse)
+        assert len(listing(A)) == 6
+        assert kernel_ids(A) == reference_rounds(A)
+        monkeypatch.undo()
+
+
+def test_kernel_ids_equal_reference_on_six_ary_structures():
+    for shape in ("random", "hub", "chain"):
+        A = six_ary(shape, 1024, 0)
+        assert listing(A) is not None
+        assert kernel_ids(A) == reference_rounds(A)
+
+
+def test_wide_labels_go_to_the_overlap_worklist(monkeypatch):
+    # two 13-ary tuples sharing 7 elements: label codes reach 13^7, past
+    # rcr.LABELS, though the listing fits the budget
+    sig = Signature([("Q", 13), ("E", 2)])
+    facts = [("Q", [str(x) for x in range(13)]),
+             ("Q", [str(x) for x in (6, 5, 4, 3, 2, 1, 0)] + [
+                 "y%d" % x for x in range(6)])]
+    facts += [("E", ("z%d" % i, "z%d" % (i + 1))) for i in range(220)]
+    A = Structure.from_named(sig, facts)
+    assert len(listing(A)) == 7 and 13 ** 7 > rcr.LABELS
+    want = reference_rounds(A)
+    assert published_rounds(rcr.rcr_run(A)) == want
+    monkeypatch.setattr(rcr, "LABELS", 13 ** 7)
+    monkeypatch.setattr(rcr, "_overlap_rounds", refuse)
+    assert kernel_ids(A) == want

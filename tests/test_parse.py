@@ -170,9 +170,9 @@ def test_size_pair_needs_no_slices(monkeypatch):
     want = full_run_verdict(A, B)
 
     def refuse(*args):
-        raise AssertionError("slice_incidence built for a round-0 verdict")
+        raise AssertionError("shared sets listed for a round-0 verdict")
 
-    monkeypatch.setattr(rcr, "slice_incidence", refuse)
+    monkeypatch.setattr(rcr, "shared_sets", refuse)
     assert rcr_distinguishes(A, B) == want and want[0] == 0
 
 

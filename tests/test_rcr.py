@@ -144,12 +144,14 @@ def test_compare_of_unequal_sizes_builds_no_slice(monkeypatch):
     want = rcr_run(U).colors_at(0)
 
     def refuse(*args):
-        raise AssertionError("slice_incidence built for a round-0 verdict")
+        raise AssertionError("shared sets listed for a round-0 verdict")
 
-    monkeypatch.setattr(rcr, "slice_incidence", refuse)
+    monkeypatch.setattr(rcr, "shared_sets", refuse)
     res = rcr_compare(A, B)
     assert res.round == res.trace.stable_round == 0
     assert list(res.trace.colors_at(0)) == list(want)
+    with pytest.raises(AssertionError, match="round-0 verdict"):
+        rcr_run(U)   # the kernel's rounds list through this name
 
 
 def test_overlap_rounds_hand_the_overlap_lists_over_as_they_are(monkeypatch):
