@@ -101,7 +101,7 @@ def published_rounds(trace):
 
 def kernel_structures(seed, cases):
     """Random R/3,E/2 structures and, every fourth case, Q/6,E/2 ones; about
-    one Q/6,E/2 case in seven shares an element set of 4 or 5 elements."""
+    one Q/6,E/2 case in seven shares a set of 4 elements or more."""
     out = []
     for k, s in enumerate(generate.spawn_seeds(seed, cases)):
         rng = random.Random(s)
