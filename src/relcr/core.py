@@ -301,7 +301,7 @@ class Structure:
         counts the occurrences holding S.  Where shared_sets gives up, from
         per-tuple position sets.  On a 1e5-tuple random R/3,E/2 structure
         this takes 0.044 s, the position sets 0.45 s (2-core x86)."""
-        levels = shared_sets(distinct_elements(self))
+        levels = shared_sets(distinct_elements(self, relation_rows(self)))
         if levels is None:
             return self.size(), sum(len(self._near(vec)) - 1 for vec in
                                     chain.from_iterable(self.relations.values()))
@@ -367,21 +367,19 @@ def _int_rows(vectors, name, arity):
 
 def _first_rows(rows, n):
     """The rows of a relation over range(n) without repeats, each row at its
-    first place: sorts of packed row keys where they fit in an int64, a
-    lexsort of the columns otherwise."""
+    first place: a stable sort of one int64 key per row, the row packed in
+    base n where that fits in 63 bits, else its rank by _row_ids."""
     if len(rows) < 2:
         return rows
     if max(n - 1, 1).bit_length() * rows.shape[1] < 63:
         key = rows @ [n ** j for j in range(rows.shape[1] - 1, -1, -1)]
-        ordered = np.sort(key)
-        if not np.count_nonzero(ordered[1:] == ordered[:-1]):
-            return rows
-        order = key.argsort(kind="stable")
-        repeat = key[order][1:] == key[order][:-1]
     else:
-        order = np.lexsort(rows.T[::-1])
-        ordered = rows[order]
-        repeat = (ordered[1:] == ordered[:-1]).all(axis=1)
+        key = _row_ids(rows)[0]
+    ordered = np.sort(key)
+    if not np.count_nonzero(ordered[1:] == ordered[:-1]):
+        return rows
+    order = key.argsort(kind="stable")
+    repeat = key[order][1:] == key[order][:-1]
     keep = np.ones(len(rows), dtype=bool)
     keep[order[1:][repeat]] = False   # a stable sort puts the first place first
     return rows[keep]
@@ -389,37 +387,61 @@ def _first_rows(rows, n):
 
 def _row_ids(rows):
     """Dense ids of the distinct rows of a 2-d array of ints >= -1, in
-    lexicographic order, and their count.  Columns are packed into one key
-    while the product of their ranges stays below 2^62, and the key is
-    renumbered densely, one sort, before it would pass that."""
-    ids = np.zeros(len(rows), dtype=np.int64)
-    span = 1   # the key is below span
+    lexicographic order, and their count: the one exact rank of int rows.
+    Columns are packed into one key below span, the product of their ranges
+    (each shifted by one, for -1), and the key is renumbered densely before
+    span would reach 2^62, so no key overflows.  A key whose span is at most
+    16 rows + 64 is ranked by a table pass, a prefix sum over range(span);
+    any other by a sort (np.unique)."""
+    ids, span = np.zeros(len(rows), dtype=np.int64), 1
     for col in rows.T if len(rows) else ():
         radix = int(col.max()) + 2
         if span * radix >= 1 << 62:
-            _, ids = np.unique(ids, return_inverse=True)
-            span = int(ids.max()) + 1
+            ids, span = _rank(ids, span)
         ids = ids * radix + col + 1
         span *= radix
-    if len(rows):
-        _, ids = np.unique(ids, return_inverse=True)
-    return ids.ravel(), int(ids.max()) + 1 if len(ids) else 0
+    return _rank(ids, span)
 
 
-def distinct_elements(A: Structure):
-    """The elements of each Tup position, as one int64 row of
-    A.signature.max_arity columns: each element at the first position that
-    holds it, and -1 at every other position."""
-    out = np.full((A.size(), A.signature.max_arity), -1, dtype=np.int64)
+def _rank(key, span):
+    """_row_ids' dense ids of int keys within range(span), and their count."""
+    if span <= 16 * len(key) + 64:
+        seen = np.zeros(span, dtype=np.int64)
+        seen[key] = 1
+        rank = np.cumsum(seen)
+        return rank[key] - 1, int(rank[-1])
+    distinct, ids = np.unique(key, return_inverse=True)
+    return ids, len(distinct)
+
+
+def relation_rows(A: Structure):
+    """(relation index, first position, rows, pattern) per non-empty
+    relation, where pattern[:, i] is the first position holding the element
+    at position i, the array form of stp(a, a)."""
+    out = []
     first = 0
-    for name, arity in A.signature.symbols:
+    for index, (name, arity) in enumerate(A.signature.symbols):
         rows = A.rows[name]
-        block = out[first:first + len(rows), :arity]
-        block[:] = rows
-        for i in range(1, arity):
-            for j in range(i):
-                block[rows[:, i] == rows[:, j], i] = -1
+        pattern = np.tile(np.arange(arity), (len(rows), 1))
+        for i in range(arity):
+            for j in reversed(range(i)):
+                same = rows[:, j] == rows[:, i]
+                pattern[same, i] = pattern[same, j]
+        if len(rows):
+            out.append((index, first, rows, pattern))
         first += len(rows)
+    return out
+
+
+def distinct_elements(A: Structure, rels):
+    """The elements of each Tup position, as one int64 row of
+    A.signature.max_arity columns, from A's relation_rows rels: each element
+    at the first position that holds it, where the pattern points to the
+    position itself, and -1 at every other position."""
+    out = np.full((A.size(), A.signature.max_arity), -1, dtype=np.int64)
+    for _, first, rows, pattern in rels:
+        np.copyto(out[first:first + len(rows), :rows.shape[1]], rows,
+                  where=pattern == np.arange(rows.shape[1]))
     return out
 
 

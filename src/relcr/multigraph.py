@@ -20,6 +20,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .core import _row_ids
+
 
 def sorted_distinct(columns, radices):
     """The distinct rows of int columns (column c within range(radices[c])),
@@ -162,9 +164,9 @@ class ColoredMultigraph:
         u, v = np.divmod(heads[:k], n)
         sets = np.full(n, -1, dtype=np.int64)   # -1: no labels, no loops
         sets[heads[k:] - n * n] = ids[k:]
-        kinds, names = np.unique(sets, return_inverse=True)
+        names, count = _row_ids(sets[:, None])
         starts = np.searchsorted(u, np.arange(n + 1))  # u is sorted
-        return (starts, v, ids[:k]), names, len(kinds)
+        return (starts, v, ids[:k]), names, count
 
     @property
     def node_names(self):

@@ -17,15 +17,18 @@ nodes next to a renamed node.  A class that splits keeps its name for its
 largest part, so a tuple is renamed at most log2 N times and the worklist's
 rounds cost O(N log N) together.  core.shared_sets lists the element sets that
 two or more tuples hold, level by level, and only their orderings become slice
-nodes, at every arity.  Small structures, and those whose listing would pass
+nodes, at every arity; an edge's label is the dense rank of the tuple's
+ordered positions in the slice, so no arity overflows it.  Small structures
+go to that worklist alone, in pure Python, on the CSR lists of
+Structure.overlaps, and so do those whose listing would pass
 core.LISTING_PER_TUPLE orderings per tuple (many occurrences of one long
-element set, as in permuted copies of a tuple), go to that worklist alone, in
-pure Python, on the CSR lists of Structure.overlaps.  The oracle of the tests
-and of relcr check, reference_rounds, interns each tuple's multiset over all
-its overlaps every round, quadratic on hubs.  A run is kept
-as cr.Coloring keeps it: base classes and per-round changes.  rcr_compare,
-which rcr_distinguishes and sentence synthesis read, decides round 0 before an
-engine runs and stops it at the first round whose side histograms differ.
+element set, as in permuted copies of a tuple): the kernel's only exit.  The
+oracle of the tests and of relcr check, reference_rounds, interns each
+tuple's multiset over all its overlaps every round, quadratic on hubs.  A run
+is kept as cr.Coloring keeps it: base classes and per-round changes.
+rcr_compare, which rcr_distinguishes and sentence synthesis read, decides
+round 0 before an engine runs and stops it at the first round whose side
+histograms differ.
 """
 
 from __future__ import annotations
@@ -38,17 +41,10 @@ from typing import Optional
 import numpy as np
 
 from .core import (SMALL_FACTS, Structure, _row_ids, disjoint_union,
-                   distinct_elements, shared_sets, stp, stp_key,
-                   strictly_equal_size)
+                   distinct_elements, relation_rows, shared_sets, stp,
+                   stp_key, strictly_equal_size)
 from .cr import (_NONE, Coloring, SideCounts, _worklist_rounds,
                  refine_rounds)
-
-# The kernel labels a slice of k elements by a code in base w, the largest
-# arity, of its ordered positions in the tuple, below w^k; refine_step
-# multiplies labels by the color count.  Where w^k for the largest shared
-# set passes this (13-ary tuples sharing 7 elements, say), the overlap
-# worklist takes the run.
-LABELS = 1 << 24
 
 
 class RefinementTrace(Coloring):
@@ -151,13 +147,13 @@ def reference_rounds(A: Structure, max_rounds: Optional[int] = None):
     return rounds, class_counts
 
 
-def _kernel_rounds(A: Structure, base, count, max_rounds, stop=None):
-    """_kernel_engine's rounds after the base, with refine_rounds' stop: on
-    the orderings of the shared sets, or by _overlap_rounds where
-    shared_sets gives up or the labels would pass LABELS."""
-    elements = distinct_elements(A)
+def _kernel_rounds(A: Structure, rels, base, count, max_rounds, stop=None):
+    """_kernel_engine's rounds after the base, from A's relation_rows rels,
+    with refine_rounds' stop: on the orderings of the shared sets, or by
+    _overlap_rounds where shared_sets gives up, the kernel's only exit."""
+    elements = distinct_elements(A, rels)
     levels = shared_sets(elements)
-    if levels is None or elements.shape[1] ** len(levels) > LABELS:
+    if levels is None:
         return _overlap_rounds(A, base.tolist(), count, max_rounds, stop)
     return refine_rounds(_slices(elements, levels), base, count, max_rounds,
                          stop=stop)[1:]
@@ -171,44 +167,26 @@ def _slices(elements, levels):
     A k-set's ordering r is its elements, in increasing order, permuted by
     the r-th permutation of range(k): slice number set * k! + r of its
     level.  A tuple holds it at the positions of those elements, permuted
-    the same way, and a code of those ordered positions is its label: with
-    the tuple's pattern, which its color fixes, they give stp(a, s)."""
-    w = elements.shape[1]
+    the same way, and the dense rank (_row_ids) of those ordered positions
+    among the level's, after the ranks of the levels before, is its label:
+    with the tuple's pattern, which its color fixes, they give stp(a, s)."""
     tups, slices, labels = [_NONE], [_NONE], [_NONE]
-    nslices = code = 0
+    nslices = nlabels = 0
     for k, (row, pos, ids, holders) in enumerate(levels, 1):
         orders = np.array(list(permutations(range(k))), dtype=np.int64)
         m = len(orders)
         tups.append(np.repeat(row, m))
         slices.append((nslices + ids[:, None] * m + np.arange(m)).ravel())
-        labels.append((code + pos[:, orders] @ w ** np.arange(k)).ravel())
+        lab, count = _row_ids(pos[:, orders].reshape(-1, k))
+        labels.append(nlabels + lab)
         nslices += len(holders) * m
-        code += w ** k
+        nlabels += count
     tup, sl, lab = (np.concatenate(x) for x in (tups, slices, labels))
     # a node's edges may come in any order: quicksort took 48 us on 3,800
     # slice ids, timsort 218 us; tup is one sorted run per level, which
     # timsort merges
     return [_csr(sl, tup, lab, nslices, np.argsort(sl)),
             _csr(tup, sl, lab, len(elements), np.argsort(tup, kind="stable"))]
-
-
-def relation_rows(A: Structure):
-    """(relation index, first position, rows, pattern) per non-empty
-    relation, where pattern[:, i] is the first position holding the element
-    at position i, the array form of stp(a, a)."""
-    out = []
-    first = 0
-    for index, (name, arity) in enumerate(A.signature.symbols):
-        rows = A.rows[name]
-        pattern = np.tile(np.arange(arity), (len(rows), 1))
-        for i in range(arity):
-            for j in reversed(range(i)):
-                same = rows[:, j] == rows[:, i]
-                pattern[same, i] = pattern[same, j]
-        if len(rows):
-            out.append((index, first, rows, pattern))
-        first += len(rows)
-    return out
 
 
 def _base_classes(A: Structure, rels):
@@ -276,16 +254,17 @@ def _kernel_engine(A: Structure):
     color is a function of that tuple's previous color, and the tuple's stp
     fixes which slices it has.  Which tuples hold a slice depends only on
     its element set, so core.shared_sets lists the shared sets level by
-    level, and each is laid out in all its orderings; where that listing
-    would pass core.LISTING_PER_TUPLE orderings per tuple, the rounds are
-    _overlap_rounds'.
+    level, and each is laid out in all its orderings; only where that
+    listing would pass core.LISTING_PER_TUPLE orderings per tuple are the
+    rounds _overlap_rounds'.  The layout, relation_rows, is built once a run.
 
     cr.refine_rounds runs the rounds, slices first.  Its first round re-keys
     every tuple: tuples of one base class may own unequal shared slices.
     Nothing is listed before the rounds are asked for, so a verdict at
     round 0 lists no set."""
-    base, count = _base_classes(A, relation_rows(A))
-    return base, count, partial(_kernel_rounds, A, base, count)
+    rels = relation_rows(A)
+    base, count = _base_classes(A, rels)
+    return base, count, partial(_kernel_rounds, A, rels, base, count)
 
 
 def _overlap_engine(A: Structure):

@@ -1,6 +1,6 @@
 """Structure-to-colored-multigraph encodings.
 
-Every encoding is built from the relations as int arrays (rcr.relation_rows)
+Every encoding is built from the relations as int arrays (core.relation_rows)
 and labels its nodes and edges with ids into one table of label names.  The
 tuple encodings share one table: relation memberships are unary labels "U_R",
 positional overlaps edge labels "E_i_j".  The other baselines register their
@@ -18,10 +18,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Structure, _row_ids, stp, stp_key
+from .core import Structure, _row_ids, relation_rows, stp, stp_key
 from .cr import first_occurrence, ranges
 from .multigraph import ColoredMultigraph
-from .rcr import relation_rows
 
 
 def overlap_label(i, j):

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -75,6 +76,52 @@ def test_duplicate_facts_collapse():
     sig = Signature([("E", 2)])
     A = Structure.from_named(sig, [("E", ("a", "b")), ("E", ("a", "b"))])
     assert len(A.relations["E"]) == 1
+
+
+@pytest.mark.parametrize("highs, sorts", [
+    ((1000,), 0),             # span 1,002, below the table's 16 * 100 + 64
+    ((1662,), 0),             # span 1,664, at it
+    ((1663,), 1),             # span 1,665, above it
+    ((5, 6), 0),              # span 7 * 8
+    ((10 ** 6, 3), 1),
+    ((2 ** 40, 2 ** 40), 2),  # renumbered before the second column
+])
+def test_row_ids_equal_the_ranks_of_unique(monkeypatch, highs, sorts):
+    # 100 rows with repeats and -1 entries, column c reaching highs[c]; a
+    # span of at most 16 rows + 64 is ranked by the table pass, any other
+    # by one np.unique per renumbering
+    rng = np.random.default_rng(len(highs) + highs[-1] % 97)
+    pool = rng.integers(-1, np.array(highs) + 1, size=(30, len(highs)))
+    rows = pool[rng.integers(0, 30, size=100)]
+    rows[0], rows[1] = highs, -1
+    _, inverse = np.unique(rows, axis=0, return_inverse=True)
+    calls = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda *args, **kwargs: calls.append(
+        1) or unique(*args, **kwargs))
+    ids, count = core._row_ids(rows)
+    assert ids.tolist() == inverse.ravel().tolist()
+    assert count == len(set(map(tuple, rows.tolist())))
+    assert len(calls) == sorts
+
+
+def test_first_rows_keep_first_places_past_the_packed_key(monkeypatch):
+    # 6-ary rows over 2,000 elements: six 11-bit columns pass 63 bits, so
+    # _first_rows finds repeats by the ranks of _row_ids
+    n = 2000
+    assert (n - 1).bit_length() * 6 >= 63
+    rng = np.random.default_rng(5)
+    distinct = rng.integers(0, n, size=(300, 6))
+    rows = distinct[rng.integers(0, 300, size=900)]
+    ranked = []
+    row_ids = core._row_ids
+    monkeypatch.setattr(core, "_row_ids", lambda rows: ranked.append(
+        len(rows)) or row_ids(rows))
+    want = [list(t) for t in dict.fromkeys(map(tuple, rows.tolist()))]
+    assert core._first_rows(rows, n).tolist() == want
+    once = np.array(want, dtype=np.int64)
+    assert core._first_rows(once, n) is once
+    assert ranked == [900, len(want)]
 
 
 def test_parse_serialize_roundtrip_fixture():
@@ -168,7 +215,8 @@ def test_cohesion_by_shared_sets_equals_the_pair_scan(monkeypatch, budget):
               Structure.from_named(sig, [("R", ("a", "b", "a")), ("E", ("a", "b")),
                                          ("E", ("b", "a")), ("R", ("b", "a", "a"))])]
     cases += [fixtures.a1(), fixtures.b2(), fixtures.slice_example()]
-    listed = [core.shared_sets(core.distinct_elements(A)) for A in cases]
+    listed = [core.shared_sets(core.distinct_elements(A, core.relation_rows(A)))
+              for A in cases]
     if budget:
         assert max(map(len, listed)) == 6
     else:

@@ -369,9 +369,9 @@ def test_scrambled_names_leave_ids_unchanged(monkeypatch):
         assert same_ids(cr_run(G), w)
 
 
-def test_wide_codes_take_the_lexsort_path():
-    # codes too wide to pack with the node into one int64 key give the same
-    # partition
+def test_wide_codes_take_the_rerank_path():
+    # codes too wide to pack with the node into one int64 key are replaced
+    # by their ranks, and give the same partition
     rng = np.random.default_rng(3)
     deg = rng.integers(0, 4, size=200)
     starts = np.concatenate(([0], np.cumsum(deg)))
@@ -434,7 +434,7 @@ def test_overlap_ids_equal_reference_ids():
 
 def listing(A):
     """The levels of shared sets the kernel lists for A, or None."""
-    return core.shared_sets(core.distinct_elements(A))
+    return core.shared_sets(core.distinct_elements(A, core.relation_rows(A)))
 
 
 def refuse(*args):
@@ -508,18 +508,23 @@ def test_kernel_ids_equal_reference_on_six_ary_structures():
         assert kernel_ids(A) == reference_rounds(A)
 
 
-def test_wide_labels_go_to_the_overlap_worklist(monkeypatch):
-    # two 13-ary tuples sharing 7 elements: label codes reach 13^7, past
-    # rcr.LABELS, though the listing fits the budget
+def test_wide_labels_stay_in_the_kernel(monkeypatch):
+    # two 13-ary tuples sharing 7 elements: 13^7 orderings of 7 of 13
+    # positions, which the kernel numbers densely, level by level, so the
+    # run stays in _slices
     sig = Signature([("Q", 13), ("E", 2)])
     facts = [("Q", [str(x) for x in range(13)]),
              ("Q", [str(x) for x in (6, 5, 4, 3, 2, 1, 0)] + [
                  "y%d" % x for x in range(6)])]
     facts += [("E", ("z%d" % i, "z%d" % (i + 1))) for i in range(220)]
     A = Structure.from_named(sig, facts)
-    assert len(listing(A)) == 7 and 13 ** 7 > rcr.LABELS
+    assert len(listing(A)) == 7
     want = reference_rounds(A)
-    assert published_rounds(rcr.rcr_run(A)) == want
-    monkeypatch.setattr(rcr, "LABELS", 13 ** 7)
+    laid_out = []
+    slices = rcr._slices
+    monkeypatch.setattr(rcr, "_slices", lambda *args: laid_out.append(
+        len(args[1])) or slices(*args))
     monkeypatch.setattr(rcr, "_overlap_rounds", refuse)
+    assert published_rounds(rcr.rcr_run(A)) == want
     assert kernel_ids(A) == want
+    assert laid_out == [7, 7]
