@@ -215,8 +215,8 @@ def test_cohesion_by_shared_sets_equals_the_pair_scan(monkeypatch, budget):
               Structure.from_named(sig, [("R", ("a", "b", "a")), ("E", ("a", "b")),
                                          ("E", ("b", "a")), ("R", ("b", "a", "a"))])]
     cases += [fixtures.a1(), fixtures.b2(), fixtures.slice_example()]
-    listed = [core.shared_sets(core.distinct_elements(A, core.relation_rows(A)))
-              for A in cases]
+    listed = [core.shared_sets(core.distinct_elements(
+        A, core.relation_rows(A))) for A in cases]
     if budget:
         assert max(map(len, listed)) == 6
     else:
