@@ -192,9 +192,9 @@ def cmd_game(args):
 
 def cmd_synthesize(args):
     A = _load(args.structure)
-    trace = rcr_run(A)
     if args.tuple not in A.tuple_pos:
         raise DomainError("no tuple %s[%d] in the structure" % args.tuple)
+    trace = rcr_run(A)
     last = trace.stable_round   # later rounds repeat its partition
     i = last if args.round is None else min(args.round, last)
     color = int(trace.colors_at(i)[A.tuple_pos[args.tuple]])

@@ -386,19 +386,22 @@ def _first_rows(rows, n):
 
 
 def _row_ids(rows):
-    """Dense ids of the distinct rows of a 2-d array of ints >= -1, in
-    lexicographic order, and their count: the one exact rank of int rows.
-    Columns are packed into one key below span, the product of their ranges
-    (each shifted by one, for -1), and the key is renumbered densely before
-    span would reach 2^62, so no key overflows.  A key whose span is at most
-    16 rows + 64 is ranked by a table pass, a prefix sum over range(span);
-    any other by a sort (np.unique)."""
+    """Dense ids of the distinct rows of a 2-d array of ints in
+    range(-1, 2^62), in lexicographic order, and their count: the one exact
+    rank of int rows.  Columns are packed into one key below span, the
+    product of their ranges (each shifted by one, for -1), and the key is
+    renumbered densely before span would reach 2^62, and a column of values
+    too large even then is ranked first, so no key overflows.  A key whose
+    span is at most 16 rows + 64 is ranked by a table pass, a prefix sum
+    over range(span); any other by a sort (np.unique)."""
     ids, span = np.zeros(len(rows), dtype=np.int64), 1
     for col in rows.T if len(rows) else ():
-        radix = int(col.max()) + 2
+        col, radix = col + 1, int(col.max()) + 2
         if span * radix >= 1 << 62:
             ids, span = _rank(ids, span)
-        ids = ids * radix + col + 1
+            if span * radix >= 1 << 62:
+                col, radix = _rank(col, radix)
+        ids = ids * radix + col
         span *= radix
     return _rank(ids, span)
 

@@ -2,11 +2,11 @@
 
 hom_bruteforce enumerates assignments with backtracking and is the oracle;
 hom_acyclic is join-tree dynamic programming on arrays (Yannakakis's
-bottom-up pass, whose messages are dense vectors over A's elements or
-sort-joins, folded into the parent at once); hom_multigraph counts colored
-multigraph homomorphisms from a multitree.  All three return exact Python
-ints: hom_acyclic counts in int64 and switches to object arrays of Python
-ints once a product or a sum may pass 2^62.
+bottom-up pass, whose messages are dense vectors over the images of the
+shared elements, folded into the parent at once); hom_multigraph counts
+colored multigraph homomorphisms from a multitree.  All three return exact
+Python ints: hom_acyclic counts in int64 and switches to object arrays of
+Python ints once a product or a sum may pass 2^62.
 """
 
 from __future__ import annotations
@@ -81,13 +81,15 @@ def hom_acyclic(C: Structure, J: JoinTree, A: Structure):
     the subtree below the node, 0 where there is none.  A node folds its
     message into its parent's counts as soon as it is done.  The message is
     its counts summed over the rows that agree on the elements the two
-    tuples share.  On one shared element it is a dense vector over A's
-    elements, which the parent gathers with its column of that element; on
-    none or several it is a sort-join (_group_sum, _lookup), in which a
-    parent row with no match gets 0.  Nodes go in reversed depth-first
-    preorder, so one message is alive at a time (a dense one holds A.n
-    counts), plus one count array per parent still waiting for children,
-    all on the path from the root to the current node."""
+    tuples share: a dense vector over keys of those elements' images,
+    which the parent gathers with its own rows' keys, so that a parent row
+    with no match reads 0.  On one shared element the key is the element of
+    A itself; on none or several it is the joint rank (_row_ids) of both
+    tables' shared columns, where no columns give every row the key 0.
+    Nodes go in reversed depth-first preorder, so one message is alive at a
+    time (at most A.n or both tables' rows of counts), plus one count array
+    per parent still waiting for children, all on the path from the root to
+    the current node."""
     if C.signature != A.signature:
         raise ValueError("signature mismatch")
     ok, bad = validate_join_tree(C, J)
@@ -137,13 +139,16 @@ def hom_acyclic(C: Structure, J: JoinTree, A: Structure):
         shared = sorted(column.keys() & up_column.keys())
         if len(shared) == 1:
             x, = shared
-            dense = np.zeros(A.n, dtype=counts.dtype)
-            np.add.at(dense, table[:, column[x]], counts)
-            message = dense[up_table[:, up_column[x]]]
+            keys, up_keys = table[:, column[x]], up_table[:, up_column[x]]
+            n = A.n
         else:
-            keys, sums = _group_sum(table[:, [column[x] for x in shared]], counts)
-            hit, at = _lookup(keys, up_table[:, [up_column[x] for x in shared]])
-            message = np.where(hit, sums[at], 0)
+            keys, n = _row_ids(np.concatenate((
+                table[:, [column[x] for x in shared]],
+                up_table[:, [up_column[x] for x in shared]])))
+            keys, up_keys = keys[:len(table)], keys[len(table):]
+        dense = np.zeros(n, dtype=counts.dtype)
+        np.add.at(dense, keys, counts)
+        message = dense[up_keys]
         waiting[up] = message if up not in waiting else _times(waiting[up], message)
 
 
@@ -184,16 +189,6 @@ class _Images:
         return self.tables[key]
 
 
-def _lookup(keys, rows):
-    """For each row of rows, whether it equals a row of keys (distinct, in
-    lexicographic order, at least one), and the index of that row.  Keys and
-    rows are ranked jointly, so that no key can overflow."""
-    ids, _ = _row_ids(np.concatenate([keys, rows]))
-    k, r = ids[:len(keys)], ids[len(keys):]
-    at = np.minimum(np.searchsorted(k, r), len(k) - 1)
-    return k[at] == r, at
-
-
 def _times(a, b):
     """a * b for counts of 0 or more, exact: as Python ints where the int64
     product could pass the bound."""
@@ -201,19 +196,6 @@ def _times(a, b):
             and int(a.max()) * int(b.max()) >= _EXACT_BOUND):
         a = a.astype(object)
     return a * b
-
-
-def _group_sum(rows, counts):
-    """The distinct rows of a 2-d int array in lexicographic order, and the
-    sum of counts over each: exact if counts are Python ints wherever a sum
-    could pass the bound."""
-    if not rows.shape[1]:
-        return rows[:1], np.add.reduce(counts, keepdims=True)
-    order = np.lexsort(rows.T[::-1])
-    rows, counts = rows[order], counts[order]
-    starts = np.flatnonzero(np.concatenate(
-        ([True], (rows[1:] != rows[:-1]).any(axis=1))))
-    return rows[starts], np.add.reduceat(counts, starts)
 
 
 def hom_multigraph(T: ColoredMultigraph, G: ColoredMultigraph):

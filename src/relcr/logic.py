@@ -376,14 +376,26 @@ class SynthesisContext:
         self.nodes = 0
         self.memo: dict = {}
         self._bases: dict = {}   # color -> color_base(color)
-        # stp encodings over all overlapping pairs, each tuple with itself too
-        self.realized_taus = sorted(trace.structure.overlaps[3])
-        # per tau: the largest left and right positions, its pairs as a set,
-        # and its left/right/center decomposition
-        self._tau_parts = [
-            (tau, max((j for j, _ in tau), default=0),
-             max((jp for _, jp in tau), default=0), frozenset(tau))
-            + _left_right_center(tau) for tau in self.realized_taus]
+        # per realized tau: the largest left and right positions, its pairs
+        # as a set, and its left/right/center decomposition; made by the
+        # first step formula, so a round-0 color builds no overlap graph.
+        # Not a cached_property: on CPython 3.11 its write to __dict__ made
+        # every later attribute load of the context about twice as slow
+        self._parts = None
+
+    @property
+    def realized_taus(self):
+        """stp encodings over all overlapping pairs, each tuple with itself
+        too."""
+        return sorted(self.trace.structure.overlaps[3])
+
+    def _tau_parts(self):
+        if self._parts is None:
+            self._parts = [
+                (tau, max((j for j, _ in tau), default=0),
+                 max((jp for _, jp in tau), default=0), frozenset(tau))
+                + _left_right_center(tau) for tau in self.realized_taus]
+        return self._parts
 
     def _tick(self, f):
         self.nodes += 1
@@ -469,7 +481,7 @@ class SynthesisContext:
             d_stp = set(self.color_stp(d))
             d_atp = self.color_atp(d)
             d_mult = mult_of.get(d, ())
-            for tau, top, top_p, pairs, left, right, center in self._tau_parts:
+            for tau, top, top_p, pairs, left, right, center in self._tau_parts():
                 if top > k or top_p > ell:
                     continue
                 if not (left <= own_stp and right <= d_stp):

@@ -57,22 +57,17 @@ def tag_sets(owner, tag, owners, tags):
     """(heads, ids): the distinct owners of int rows (owner, tag), sorted,
     and dense ids of their tag sets, equal exactly when the sets are; owner
     is within range(owners) and tag within range(tags).  The sets are or-ed
-    into int64 masks, 63 tags to a word, and ranked word by word."""
+    into int64 masks, 62 tags to a word so that every word is below 2^62,
+    and the rows of words are ranked at once (_row_ids)."""
     owner, tag = sorted_distinct((owner, tag), (owners, tags))
-    starts = np.flatnonzero(np.diff(owner, prepend=-1))
-    ids = np.zeros(len(starts), dtype=np.int64)
-    top = int(tag.max(initial=-1))
-    for low in range(0, top + 1, 63):
-        one = np.left_shift(1, tag - low)
-        if top >= 63:   # a word holds the tags low..low + 62
-            one[(tag < low) | (tag >= low + 63)] = 0
-        _, rank = np.unique(np.bitwise_or.reduceat(one, starts),
-                            return_inverse=True)
-        if low:
-            _, rank = np.unique(ids * (int(rank.max()) + 1) + rank,
-                                return_inverse=True)
-        ids = rank
-    return owner[starts], ids
+    starts = np.flatnonzero(np.diff(owner, prepend=-1) != 0)
+    code = np.arange(tags)
+    words = int(tag.max(initial=-1)) // 62 + 1
+    masks = np.zeros((len(starts), words), dtype=np.int64)
+    for w in range(words):   # one[t]: tag t's bit in word w, 0 outside it
+        one = np.where(code // 62 == w, np.left_shift(1, code % 62), 0)
+        masks[:, w] = np.bitwise_or.reduceat(one[tag], starts)
+    return owner[starts], _row_ids(masks)[0]
 
 
 class ColoredMultigraph:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from relcr import checks, fixtures
+from relcr import checks, cli, fixtures
 from relcr.cli import REPRESENTATIONS, main, size_ladder
 from relcr.core import parse_structure, serialize_structure
 from test_kernel import directed_path
@@ -264,6 +264,16 @@ def test_synthesize_bad_tuple_is_a_usage_error(capsys, ref):
         main(["synthesize", str(FIX / "A1.struct"), "--tuple", ref])
     assert e.value.code == 2
     assert "invalid tuple_ref value: %r" % ref in capsys.readouterr().err
+
+
+def test_synthesize_checks_the_tuple_before_refining(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("refined before the tuple was checked")
+
+    monkeypatch.setattr(cli, "rcr_run", refuse)
+    code, _, err = run(capsys, "synthesize", str(FIX / "A1.struct"),
+                       "--tuple", "R,99")
+    assert code == 1 and err == "error: no tuple R[99] in the structure\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -85,6 +85,7 @@ def test_duplicate_facts_collapse():
     ((5, 6), 0),              # span 7 * 8
     ((10 ** 6, 3), 1),
     ((2 ** 40, 2 ** 40), 2),  # renumbered before the second column
+    ((2 ** 62 - 1,) * 2, 2),  # each column ranked before it is packed
 ])
 def test_row_ids_equal_the_ranks_of_unique(monkeypatch, highs, sorts):
     # 100 rows with repeats and -1 entries, column c reaching highs[c]; a

@@ -283,12 +283,13 @@ def test_sorted_distinct_packs_or_lexsorts():
 
 
 def test_set_ids_across_mask_words():
-    # tags at and around the 63-bit word boundaries, one set per owner, then
-    # as the labels of ordered pairs and of nodes: tag 2 * l is an edge
-    # a -> b labeled l (a loop of node k), and 2 * l + 1 an edge b -> a (a
-    # unary label of node k)
+    # tags at and around the boundaries of 62- and 63-tag words, one set
+    # per owner, then as the labels of ordered pairs and of nodes: tag 2 * l
+    # is an edge a -> b labeled l (a loop of node k), and 2 * l + 1 an edge
+    # b -> a (a unary label of node k)
     sets = [(0,), (62,), (63,), (0, 62), (0, 63), (62, 63), (125,), (126,),
-            (0, 126), (62,), (0, 63), (5, 62, 126)]
+            (0, 126), (62,), (0, 63), (5, 62, 126), (61,), (123,), (124,),
+            (0, 124)]
     m = len(sets)
     heads, ids = tag_sets([k for k, s in enumerate(sets) for _ in s],
                           [t for s in sets for t in s], m, 127)

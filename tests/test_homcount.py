@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import numpy as np
@@ -153,22 +154,28 @@ def test_acyclic_dp_is_exact_above_int64():
     # a 40-fact walk into the same target: 30^41 as well, via products
     assert hom_acyclic(directed_path(40), gyo_join_tree(directed_path(40)),
                        K) == 30 ** 41
+    # two disjoint 20-leaf out-stars: the join-tree edge between them
+    # shares no element, and its message, 30^21 > 2^63, is one object count
+    C = Structure.from_named(SIG_E, [("E", (c, "%s%d" % (c, i)))
+                                     for c in "ab" for i in range(20)])
+    assert hom_acyclic(C, gyo_join_tree(C), K) == 30 ** 42
 
 
 def test_acyclic_dp_is_exact_through_multi_element_messages(monkeypatch):
     # 12 facts R(x, y, z_i) into the complete R/3 relation on 30 elements:
     # 30^2 images of x and y, 30 of each z_i, 30^14 > 2^63 in all.  Every
-    # two facts share x and y, so every message is a sort-join; below most
-    # roots a message's sum may pass 2^62 by the bound's estimate, and its
-    # counts go through the sort-join as Python ints
+    # two facts share x and y, so every message is keyed by the joint rank
+    # of both tables' (x, y) columns (_row_ids); below most roots a
+    # message's sum may pass 2^62 by the bound's estimate, and its counts
+    # are Python ints
     exact = []
-    group_sum = homcount._group_sum
+    row_ids = homcount._row_ids
 
-    def spy(rows, counts):
-        exact.append(counts.dtype == object)
-        return group_sum(rows, counts)
+    def spy(rows):
+        exact.append(sys._getframe(1).f_locals["counts"].dtype == object)
+        return row_ids(rows)
 
-    monkeypatch.setattr(homcount, "_group_sum", spy)
+    monkeypatch.setattr(homcount, "_row_ids", spy)
     C = Structure.from_named(Signature([("R", 3)]),
                              [("R", ("x", "y", "z%d" % i)) for i in range(12)])
     K = Structure(C.signature, {"R": [(a, b, c) for a in range(30)

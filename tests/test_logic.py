@@ -169,6 +169,25 @@ def test_sentence_for_unequal_sizes():
     assert not evaluate(sentence, other, {})
 
 
+def test_round_0_sentence_builds_no_overlap_graph(monkeypatch):
+    # an equal-size pair of 200 facts each, which the slice kernel refines,
+    # that differs at round 0: one R fact of B repeats an element.  A
+    # round-0 formula reads no realized stp, so the union's overlap graph is
+    # never built
+    A = generate.random_structure(SIG, 100, {"R": 100, "E": 100}, 3)
+    R = A.relations["R"]
+    a, b, c = next(v for v in R if (v[0], v[0], v[2]) not in R)
+    B = Structure(SIG, {"R": [v if v != (a, b, c) else (a, a, c) for v in R],
+                        "E": A.relations["E"]})
+    runs = []
+    monkeypatch.setattr(logic, "rcr_compare", lambda *args: runs.append(
+        rcr_compare(*args)) or runs[-1])
+    sentence, side = logic.distinguishing_sentence(A, B)
+    assert runs[0].round == 0 and "overlaps" not in runs[0].union.__dict__
+    hold, other = (A, B) if side == "A" else (B, A)
+    assert evaluate(sentence, hold, {}) and not evaluate(sentence, other, {})
+
+
 def test_synthesis_budget_enforced():
     A = fixtures.a2()
     trace = rcr_run(A)
